@@ -68,7 +68,7 @@ sigma = convolve(char, coboundary_S(inst, u))
 mc = mc_cocycle(sigma)
 print("MC(sigma) norm (non-zero):", round(mc.norm(), 4))
 print("MC(sigma) passes the Hochschild checker:", check_hochschild_cocycle(mc)["passes"])
-m0 = -inst.right_m(inst.d_b(u), inst.star_b(u))
+m0 = -inst.mul("M", "B", u @ inst.dB, inst.star("B", u))
 print("MC(D u) == D(-du u*):", (mc_cocycle(coboundary_S(inst, u)) - coboundary_H(inst, m0)).norm())
 
 print("\n== the curvature map ==")
@@ -81,7 +81,7 @@ print("quadratic defect identity residual:", defect.norm())
 alpha = np.zeros(inst.dimM, dtype=complex); alpha[1] = 1j
 print("F[D alpha] == D(-i d alpha):",
       (curvature_map(coboundary_H(inst, alpha))
-       - coboundary_H(inst, -1j * inst.d_m(alpha), target="O2")).norm())
+       - coboundary_H(inst, -1j * (alpha @ inst.d1), target="O2")).norm())
 equiv = (curvature_map(conj_action(sigma, mu) + mc) -
          convolve(convolve(sigma, Fmu), conv_inverse(sigma))).norm()
 print("gauge equivariance residual:", equiv)

@@ -69,8 +69,6 @@ from .hopf import (
     function_instance,
     jet_instance,
     mc_cocycle,
-    op_gauge,
-    op_potential,
     solve_hochschild_space,
 )
 

@@ -5,11 +5,18 @@ H, a right H-module *-algebra B, an H-equivariant B-*-bimodule M (playing
 the role of the one-forms), optionally a derivation d_B : B -> M and a
 degree-2 block (Omega^2, wedge, d_1) for curvature.
 
-Convolution elements are (dim H, dim target) arrays of values on the H
-basis.  Cocycle conditions, the Maurer-Cartan map, the conjugation action,
-the curvature map, and the crossed-product realizations Op are all finite
-tensor contractions; the Hochschild cocycle space is solved as a real
-linear system.
+ModuleAlgebra exposes its coefficient data as three tables keyed by the
+targets "B", "M" and "O2" (of degrees 0, 1, 2): `products` maps a pair of
+targets to the target and tensor of their pointwise product (B.B, B.M, M.B,
+B.O2, O2.B and the wedge M^M), `stars` holds the antilinear star matrix of
+each target and `actions` its H-action tensor.  Convolution elements are
+(dim H, dim target) arrays of values on the H basis.  Each identity (the
+convolution and its star, graded convolution-centrality, the cocycle
+conditions, coboundaries, the Maurer-Cartan and curvature maps, the
+module-algebra axioms) is written once, as one contraction of these tables
+with the coproduct.  The Hochschild cocycle space is solved as a linear
+system whose rows are the same residuals evaluated on the standard basis of
+cochains; the crossed-product realizations Op are checked entrywise.
 
 Shipped instances are group algebras C[Z_n] acting on the function algebra
 C(Z_n) by shift: the symmetric cycle calculus (e+, e- with e+* = e-, the
@@ -23,11 +30,33 @@ derivation is inner and MC vanishes on all lazy Sweedler cocycles).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 TOL = 1e-10
+
+# form degree of each target; it fixes the graded signs
+_DEGREE = {"B": 0, "M": 1, "O2": 2}
+
+
+def _contract(spec: str, *operands) -> np.ndarray:
+    """np.einsum contracted pairwise along a greedy path (Smith & Gray,
+    "opt_einsum", JOSS 2018), never as one nested loop over all indices."""
+    return np.einsum(spec, *operands, optimize=True)
+
+
+def _maxabs(a) -> float:
+    return float(np.max(np.abs(a), initial=0.0))
+
+
+class TargetMismatch(ValueError):
+    """Convolution between incompatible targets."""
+
+
+class NotAdmissible(ValueError):
+    """Coboundary input failed its centrality/unitarity validation."""
 
 
 # -- Hopf algebra -------------------------------------------------------------
@@ -56,25 +85,6 @@ class FiniteHopf:
     def dim(self) -> int:
         return self.counit.shape[0]
 
-    def product(self, x, y):
-        return np.einsum("i,j,ijk->k", x, y, self.mul)
-
-    def star_vec(self, x):
-        return np.conj(x) @ self.star
-
-    def comul_nz(self, i: int):
-        """Cached nonzero coproduct triples (j, k, coeff) of e_i."""
-        cache = getattr(self, "_comul_nz", None)
-        if cache is None:
-            cache = []
-            for a in range(self.dim):
-                js, ks = np.nonzero(self.comul[a])
-                cache.append(
-                    [(int(j), int(k), self.comul[a, j, k]) for j, k in zip(js, ks)]
-                )
-            object.__setattr__(self, "_comul_nz", cache)
-        return cache[i]
-
     def axiom_report(self) -> dict:
         """Max violation of each Hopf *-algebra axiom; gate before use."""
         m, c, eps, S, st, u = (
@@ -89,38 +99,38 @@ class FiniteHopf:
         eye = np.eye(d)
         rep = {}
         rep["assoc"] = np.abs(
-            np.einsum("ijx,xkl->ijkl", m, m) - np.einsum("jkx,ixl->ijkl", m, m)
+            _contract("ijx,xkl->ijkl", m, m) - _contract("jkx,ixl->ijkl", m, m)
         ).max()
         rep["unit"] = max(
-            np.abs(np.einsum("i,ijk->jk", u, m) - eye).max(),
-            np.abs(np.einsum("j,ijk->ik", u, m) - eye).max(),
+            np.abs(_contract("i,ijk->jk", u, m) - eye).max(),
+            np.abs(_contract("j,ijk->ik", u, m) - eye).max(),
         )
         rep["coassoc"] = np.abs(
-            np.einsum("iab,bcd->iacd", c, c) - np.einsum("ibd,bac->iacd", c, c)
+            _contract("iab,bcd->iacd", c, c) - _contract("ibd,bac->iacd", c, c)
         ).max()
         rep["counit"] = max(
-            np.abs(np.einsum("ijk,j->ik", c, eps) - eye).max(),
-            np.abs(np.einsum("ijk,k->ij", c, eps) - eye).max(),
+            np.abs(_contract("ijk,j->ik", c, eps) - eye).max(),
+            np.abs(_contract("ijk,k->ij", c, eps) - eye).max(),
         )
         rep["bialgebra"] = np.abs(
-            np.einsum("ijx,xab->ijab", m, c)
-            - np.einsum("iac,jbd,abu,cdv->ijuv", c, c, m, m)
+            _contract("ijx,xab->ijab", m, c)
+            - _contract("iac,jbd,abu,cdv->ijuv", c, c, m, m)
         ).max()
         rep["counit_hom"] = np.abs(
-            np.einsum("ijk,k->ij", m, eps) - np.outer(eps, eps)
+            _contract("ijk,k->ij", m, eps) - np.outer(eps, eps)
         ).max()
-        santi = np.einsum("ijk,jl,lkx->ix", c, S, m)
+        santi = _contract("ijk,jl,lkx->ix", c, S, m)
         rep["antipode_left"] = np.abs(santi - np.outer(eps, u)).max()
-        santi_r = np.einsum("ijk,kl,jlx->ix", c, S, m)
+        santi_r = _contract("ijk,kl,jlx->ix", c, S, m)
         rep["antipode_right"] = np.abs(santi_r - np.outer(eps, u)).max()
         rep["star_involutive"] = np.abs(np.conj(st) @ st - eye).max()
         # (e_i e_j)^* = e_j^* e_i^* on the basis
-        lhs = np.einsum("ijk,kl->ijl", np.conj(m), st)
-        rhs = np.einsum("ja,ib,abl->ijl", st, st, m)
+        lhs = _contract("ijk,kl->ijl", np.conj(m), st)
+        rhs = _contract("ja,ib,abl->ijl", st, st, m)
         rep["star_antimult"] = np.abs(lhs - rhs).max()
         # Delta(x^*) = (* x *) Delta(x)
-        lhs = np.einsum("il,lab->iab", st, c)
-        rhs = np.einsum("ijk,ja,kb->iab", np.conj(c), st, st)
+        lhs = _contract("il,lab->iab", st, c)
+        rhs = _contract("ijk,ja,kb->iab", np.conj(c), st, st)
         rep["star_coalgebra"] = np.abs(lhs - rhs).max()
         rep["s_star_involutive"] = np.abs(
             np.conj(st @ S) @ (st @ S) - eye
@@ -160,6 +170,9 @@ class ModuleAlgebra:
     Optional pieces: dB (derivation tensor B -> M), a degree-2 block
     (Omega^2 with its bimodule structure, the wedge M (x) M -> Omega^2 and
     the degree-1 derivation d1 : M -> Omega^2) used by the curvature map.
+
+    The `products`, `stars` and `actions` tables are rebuilt from these
+    fields on every access, so reassigning a field is always seen.
     """
 
     H: FiniteHopf
@@ -192,103 +205,99 @@ class ModuleAlgebra:
     def dimO2(self):
         return 0 if self.starO2 is None else self.starO2.shape[0]
 
-    # elementwise helpers ----------------------------------------------------
-    def mul_b(self, x, y):
-        return np.einsum("i,j,ijk->k", x, y, self.mulB)
+    # typed tables -----------------------------------------------------------
+    @property
+    def products(self) -> dict:
+        """(left target, right target) -> (product target, tensor or None)."""
+        return {
+            ("B", "B"): ("B", self.mulB),
+            ("B", "M"): ("M", self.leftM),
+            ("M", "B"): ("M", self.rightM),
+            ("B", "O2"): ("O2", self.leftO2),
+            ("O2", "B"): ("O2", self.rightO2),
+            ("M", "M"): ("O2", self.wedge),
+        }
 
-    def star_b(self, x):
-        return np.conj(x) @ self.starB
+    @property
+    def stars(self) -> dict:
+        return {"B": self.starB, "M": self.starM, "O2": self.starO2}
 
-    def act_b(self, x, h: int):
-        return np.einsum("i,ik->k", x, self.actB[:, h, :])
+    @property
+    def actions(self) -> dict:
+        return {"B": self.actB, "M": self.actM, "O2": self.actO2}
 
-    def left_m(self, b, m):
-        return np.einsum("i,j,ijk->k", b, m, self.leftM)
+    def product(self, ta: str, tb: str):
+        """Target and tensor of the pointwise product of ta by tb."""
+        target, tensor = self.products.get((ta, tb), (None, None))
+        if tensor is None:
+            raise TargetMismatch(f"no product data for {ta} * {tb}")
+        return target, tensor
 
-    def right_m(self, m, b):
-        return np.einsum("i,j,ijk->k", m, b, self.rightM)
+    def mul(self, ta: str, tb: str, x, y):
+        return _contract("i,j,ijk->k", x, y, self.product(ta, tb)[1])
 
-    def star_m(self, m):
-        return np.conj(m) @ self.starM
+    def star(self, t: str, x):
+        return np.conj(x) @ self.stars[t]
 
-    def act_m(self, m, h: int):
-        return np.einsum("i,ik->k", m, self.actM[:, h, :])
-
-    def left_o(self, b, o):
-        return np.einsum("i,j,ijk->k", b, o, self.leftO2)
-
-    def right_o(self, o, b):
-        return np.einsum("i,j,ijk->k", o, b, self.rightO2)
-
-    def star_o(self, o):
-        return np.conj(o) @ self.starO2
-
-    def act_o(self, o, h: int):
-        return np.einsum("i,ik->k", o, self.actO2[:, h, :])
-
-    def wedge_mm(self, m1, m2):
-        return np.einsum("i,j,ijk->k", m1, m2, self.wedge)
-
-    def d_b(self, b):
-        return b @ self.dB
-
-    def d_m(self, m):
-        return m @ self.d1
+    def act(self, t: str, x, h: int):
+        return x @ self.actions[t][:, h, :]
 
     # consistency ------------------------------------------------------------
     def data_report(self) -> dict:
-        """Module-algebra axioms: action multiplicativity, equivariance of
-        the bimodule and derivation, *-derivation sign convention."""
+        """Module-algebra axioms over the tables: every action is a
+        representation, every product is H-equivariant and *-compatible
+        (with the graded sign on M ^ M); then the derivation identities."""
         rep = {}
-        H = self.H
-        dB_, dM_ = self.dimB, self.dimM
-        # (b b') <| h = (b <| h_1)(b' <| h_2)
-        lhs = np.einsum("ijx,xhk->ijhk", self.mulB, self.actB)
-        rhs = np.einsum("hab,iau,jbv,uvk->ijhk", H.comul, self.actB, self.actB, self.mulB)
-        rep["module_algebra"] = np.abs(lhs - rhs).max()
-        # action is a representation on B and on M
-        lhs = np.einsum("iau,ubv->iabv", self.actB, self.actB)
-        rhs = np.einsum("abx,ixv->iabv", H.mul, self.actB)
-        rep["actB_rep"] = np.abs(lhs - rhs).max()
-        lhs = np.einsum("iau,ubv->iabv", self.actM, self.actM)
-        rhs = np.einsum("abx,ixv->iabv", H.mul, self.actM)
-        rep["actM_rep"] = np.abs(lhs - rhs).max()
-        # equivariance: (b m b') <| h = (b<|h_1)(m<|h_2)(b'<|h_3)
-        lhs = np.einsum("bmx,xhk->bmhk", self.leftM, self.actM)
-        rhs = np.einsum("hax,bau,mxv,uvk->bmhk", H.comul, self.actB, self.actM, self.leftM)
-        rep["equivariance_left"] = np.abs(lhs - rhs).max()
-        # bimodule star: (b m)^* = m^* b^*
-        lhs = np.einsum("bmx,xk->bmk", self.leftM, self.starM)
-        rhs = np.einsum("mu,bv,uvk->bmk", np.conj(self.starM), np.conj(self.starB), self.rightM)
-        rep["star_bimodule"] = np.abs(np.conj(lhs) - np.conj(rhs)).max()
+        H, acts, stars = self.H, self.actions, self.stars
+        for t, A in acts.items():
+            if A is not None:
+                # (x <| a) <| b = x <| ab
+                rep[f"act{t}_rep"] = _maxabs(
+                    _contract("iau,ubv->iabv", A, A) - _contract("abx,ixv->iabv", H.mul, A)
+                )
+        for (ta, tb), (tc, T) in self.products.items():
+            if T is None:
+                continue
+            # (x y) <| h = (x <| h_1)(y <| h_2)
+            rep[f"equivariant_{ta}{tb}"] = _maxabs(
+                _contract("xyz,zhk->xyhk", T, acts[tc])
+                - _contract("hab,xau,ybv,uvk->xyhk", H.comul, acts[ta], acts[tb], T)
+            )
+            # (x y)^* = (-1)^{|x||y|} y^* x^*
+            sign = (-1) ** (_DEGREE[ta] * _DEGREE[tb])
+            _, reverse = self.product(tb, ta)
+            rep[f"star_{ta}{tb}"] = _maxabs(
+                np.conj(T) @ stars[tc]
+                - sign * _contract("xu,yv,vuk->xyk", stars[ta], stars[tb], reverse)
+            )
         if self.dB is not None:
             # derivation: d(bb') = d(b) b' + b d(b')
-            lhs = np.einsum("ijx,xm->ijm", self.mulB, self.dB)
-            rhs = np.einsum("im,mjx->ijx", self.dB, self.rightM) + np.einsum(
+            lhs = _contract("ijx,xm->ijm", self.mulB, self.dB)
+            rhs = _contract("im,mjx->ijx", self.dB, self.rightM) + _contract(
                 "jm,imx->ijx", self.dB, self.leftM
             )
             rep["derivation"] = np.abs(lhs - rhs).max()
             # sign convention in force here: d(b^*) = -d(b)^*
-            lhs = np.einsum("ij,jm->im", self.starB, np.conj(self.dB))
-            rhs = -np.einsum("im,mk->ik", np.conj(self.dB), self.starM)
+            lhs = _contract("ij,jm->im", self.starB, np.conj(self.dB))
+            rhs = -_contract("im,mk->ik", np.conj(self.dB), self.starM)
             rep["star_derivation"] = np.abs(np.conj(lhs) - np.conj(rhs)).max()
             # H-equivariance of dB
-            lhs = np.einsum("ihk,km->ihm", self.actB, self.dB)
-            rhs = np.einsum("im,mhk->ihk", self.dB, self.actM)
+            lhs = _contract("ihk,km->ihm", self.actB, self.dB)
+            rhs = _contract("im,mhk->ihk", self.dB, self.actM)
             rep["dB_equivariant"] = np.abs(lhs - rhs).max()
         if self.wedge is not None:
             # d^2 = 0 and graded Leibniz d1(b m) = dB(b) ^ m + b d1(m)
             rep["d_squared"] = np.abs(
-                np.einsum("bm,mo->bo", self.dB, self.d1)
+                _contract("bm,mo->bo", self.dB, self.d1)
             ).max()
-            lhs = np.einsum("bmx,xo->bmo", self.leftM, self.d1)
-            rhs = np.einsum("bu,umo->bmo", self.dB, self.wedge) + np.einsum(
+            lhs = _contract("bmx,xo->bmo", self.leftM, self.d1)
+            rhs = _contract("bu,umo->bmo", self.dB, self.wedge) + _contract(
                 "mo,boy->bmy", self.d1, self.leftO2
             )
             rep["graded_leibniz_left"] = np.abs(lhs - rhs).max()
             # d1(m b) = d1(m) b - m ^ dB(b)
-            lhs = np.einsum("mbx,xo->mbo", self.rightM, self.d1)
-            rhs = np.einsum("mo,oby->mby", self.d1, self.rightO2) - np.einsum(
+            lhs = _contract("mbx,xo->mbo", self.rightM, self.d1)
+            rhs = _contract("mo,oby->mby", self.d1, self.rightO2) - _contract(
                 "bu,muo->mbo", self.dB, self.wedge
             )
             rep["graded_leibniz_right"] = np.abs(lhs - rhs).max()
@@ -297,14 +306,6 @@ class ModuleAlgebra:
 
 
 # -- convolution elements --------------------------------------------------------
-
-
-class TargetMismatch(ValueError):
-    """Convolution between incompatible targets."""
-
-
-class NotAdmissible(ValueError):
-    """Coboundary input failed its centrality/unitarity validation."""
 
 
 @dataclass
@@ -332,10 +333,10 @@ class ConvolutionElement:
         return ConvolutionElement(self.inst, self.target, c * self.values)
 
     def norm(self):
-        return float(np.max(np.abs(self.values))) if self.values.size else 0.0
+        return _maxabs(self.values)
 
     def value_at_unit(self):
-        return np.einsum("i,ik->k", self.inst.H.unit, self.values)
+        return self.inst.H.unit @ self.values
 
 
 def unit_cocycle(inst: ModuleAlgebra) -> ConvolutionElement:
@@ -348,47 +349,28 @@ def zero_cochain(inst: ModuleAlgebra, target: str = "M") -> ConvolutionElement:
     return ConvolutionElement(inst, target, np.zeros((inst.H.dim, dim), dtype=complex))
 
 
-def _combine(inst: ModuleAlgebra, ta: str, tb: str):
-    """Pointwise product used inside the convolution, typed by targets."""
-    if ta == "B" and tb == "B":
-        return "B", inst.mul_b
-    if ta == "B" and tb == "M":
-        return "M", inst.left_m
-    if ta == "M" and tb == "B":
-        return "M", inst.right_m
-    if ta == "B" and tb == "O2":
-        return "O2", inst.left_o
-    if ta == "O2" and tb == "B":
-        return "O2", inst.right_o
-    if ta == "M" and tb == "M":
-        if inst.wedge is None:
-            raise TargetMismatch("no wedge data for M * M")
-        return "O2", inst.wedge_mm
-    raise TargetMismatch(f"{ta} * {tb}")
+def _const(inst: ModuleAlgebra, x) -> np.ndarray:
+    """Values of the cochain h -> eps(h) x; x may carry leading batch axes."""
+    return _contract("h,...v->...hv", inst.H.counit, x)
+
+
+def _orbit(inst: ModuleAlgebra, target: str, x) -> np.ndarray:
+    """Values of the cochain h -> x <| h; x may carry leading batch axes."""
+    return _contract("...u,uhv->...hv", x, inst.actions[target])
 
 
 def convolve(f: ConvolutionElement, g: ConvolutionElement) -> ConvolutionElement:
     """(f * g)(h) = f(h_1) g(h_2) with the typed pointwise product."""
-    inst = f.inst
-    target, op = _combine(inst, f.target, g.target)
-    H = inst.H
-    out = np.zeros((H.dim, {"B": inst.dimB, "M": inst.dimM, "O2": inst.dimO2}[target]),
-                   dtype=complex)
-    for i in range(H.dim):
-        for j, k, c in H.comul_nz(i):
-            out[i] += c * op(f.values[j], g.values[k])
-    return ConvolutionElement(inst, target, out)
+    target, T = f.inst.product(f.target, g.target)
+    vals = _contract("hjk,ja,kb,abc->hc", f.inst.H.comul, f.values, g.values, T)
+    return ConvolutionElement(f.inst, target, vals)
 
 
 def conv_star(f: ConvolutionElement) -> ConvolutionElement:
-    """f^*(h) = f(S(h)^*)^*."""
-    inst = f.inst
-    H = inst.H
+    """f^*(h) = f(S(h)^*)^*; f.values may carry leading batch axes."""
+    H = f.inst.H
     T = np.conj(H.antipode) @ H.star  # S(e_i)^* = sum_k T[i,k] e_k
-    pre = np.einsum("ik,kv->iv", T, f.values)
-    star_t = {"B": inst.star_b, "M": inst.star_m, "O2": inst.star_o}[f.target]
-    out = np.array([star_t(row) for row in pre])
-    return ConvolutionElement(inst, f.target, out)
+    return ConvolutionElement(f.inst, f.target, f.inst.star(f.target, T @ f.values))
 
 
 def conv_inverse(sigma: ConvolutionElement) -> ConvolutionElement:
@@ -399,77 +381,51 @@ def conv_inverse(sigma: ConvolutionElement) -> ConvolutionElement:
 # -- cocycle checks ----------------------------------------------------------------
 
 
-def centrality_vs_B(f: ConvolutionElement) -> float:
-    """Max violation of f(h_1)(b <| h_2) = (b <| h_1) f(h_2) over basis b."""
-    inst = f.inst
-    H = inst.H
-    if f.target == "B":
-        left = lambda v, b: inst.mul_b(v, b)
-        right = lambda b, v: inst.mul_b(b, v)
-    elif f.target == "M":
-        left = lambda v, b: inst.right_m(v, b)
-        right = lambda b, v: inst.left_m(b, v)
-    elif f.target == "O2":
-        left = lambda v, b: inst.right_o(v, b)
-        right = lambda b, v: inst.left_o(b, v)
-    else:
-        raise TargetMismatch(f.target)
-    worst = 0.0
-    for i in range(H.dim):
-        for b in np.eye(inst.dimB, dtype=complex):
-            lhs = None
-            rhs = None
-            for j, k, c in H.comul_nz(i):
-                term_l = c * left(f.values[j], inst.act_b(b, k))
-                term_r = c * right(inst.act_b(b, j), f.values[k])
-                lhs = term_l if lhs is None else lhs + term_l
-                rhs = term_r if rhs is None else rhs + term_r
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst
+def _commutator(inst: ModuleAlgebra, target: str, values, tx: str) -> np.ndarray:
+    """Graded convolution commutator of a cochain with rho_tx.
 
-
-def centrality_vs_M(f: ConvolutionElement) -> float:
-    """For B-valued f: max violation of f(h_1)(m <| h_2) = (m <| h_1) f(h_2)."""
-    inst = f.inst
-    H = inst.H
-    if f.target != "B":
-        raise TargetMismatch("centrality against M applies to B-valued elements")
-    worst = 0.0
-    for i in range(H.dim):
-        for m in np.eye(inst.dimM, dtype=complex):
-            lhs = None
-            rhs = None
-            for j, k, c in H.comul_nz(i):
-                term_l = c * inst.left_m(f.values[j], inst.act_m(m, k))
-                term_r = c * inst.right_m(inst.act_m(m, j), f.values[k])
-                lhs = term_l if lhs is None else lhs + term_l
-                rhs = term_r if rhs is None else rhs + term_r
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst
-
-
-def graded_centrality_vs_M(mu: ConvolutionElement) -> float:
-    """For M-valued mu: graded commutator with rho_M of one-forms.
-
-    [mu, rho_M(m)](h) = mu(h_1) ^ (m <| h_2) + (m <| h_1) ^ mu(h_2); its
-    vanishing is the prolongability refinement of the cocycle space.
+    f(h_1)(x <| h_2) - (-1)^{|f||x|} (x <| h_1) f(h_2) for the target-valued
+    cochain f with these values and every basis element x of tx.  values
+    may carry leading batch axes; the result is (..., dim H, dim tx, dim out).
     """
-    inst = mu.inst
-    if inst.wedge is None:
-        raise TargetMismatch("graded centrality needs wedge data")
+    _, L = inst.product(target, tx)
+    _, R = inst.product(tx, target)
+    A, c = inst.actions[tx], inst.H.comul
+    sign = (-1) ** (_DEGREE[target] * _DEGREE[tx])
+    return _contract("hjk,...ja,xky,ayz->...hxz", c, values, A, L) - sign * _contract(
+        "hjk,xjy,...kb,ybz->...hxz", c, A, values, R
+    )
+
+
+def centrality(f: ConvolutionElement, tx: str) -> float:
+    """Max violation of f commuting (graded) with rho_tx under convolution.
+
+    Against B this is lazy centrality; for M-valued f against M it is the
+    prolongability refinement mu(h_1) ^ (m <| h_2) + (m <| h_1) ^ mu(h_2).
+    """
+    return _maxabs(_commutator(f.inst, f.target, f.values, tx))
+
+
+def _hochschild_residual(inst: ModuleAlgebra, target: str, values) -> np.ndarray:
+    """mu(h k) - mu(h) <| k - eps(h) mu(k) on all basis pairs (h, k).
+
+    values may carry leading batch axes; the result is (..., h, k, dim target).
+    """
     H = inst.H
-    worst = 0.0
-    for i in range(H.dim):
-        for m in np.eye(inst.dimM, dtype=complex):
-            acc = None
-            for j, k, c in H.comul_nz(i):
-                term = c * (
-                    inst.wedge_mm(mu.values[j], inst.act_m(m, k))
-                    + inst.wedge_mm(inst.act_m(m, j), mu.values[k])
-                )
-                acc = term if acc is None else acc + term
-            worst = max(worst, float(np.max(np.abs(acc))))
-    return worst
+    return (
+        _contract("ijk,...kv->...ijv", H.mul, values)
+        - _contract("...iu,ujv->...ijv", values, inst.actions[target])
+        - _contract("i,...jv->...ijv", H.counit, values)
+    )
+
+
+def _worst_pair(resid: np.ndarray):
+    """Largest residual over the basis pairs and the first pair attaining it."""
+    per_pair = np.max(np.abs(resid), axis=-1, initial=0.0)
+    worst = float(per_pair.max())
+    if worst == 0.0:
+        return worst, None
+    return worst, tuple(int(i) for i in np.unravel_index(per_pair.argmax(), per_pair.shape))
 
 
 def check_sweedler_cocycle(sigma: ConvolutionElement) -> dict:
@@ -484,28 +440,15 @@ def check_sweedler_cocycle(sigma: ConvolutionElement) -> dict:
         (convolve(sigma, conv_star(sigma)) - one).norm(),
         (convolve(conv_star(sigma), sigma) - one).norm(),
     )
-    rep["unit_value"] = float(
-        np.max(np.abs(sigma.value_at_unit() - inst.unitB))
-    )
+    rep["unit_value"] = _maxabs(sigma.value_at_unit() - inst.unitB)
     # sigma(h k) = (sigma(h) <| k_1) sigma(k_2) on all basis pairs
-    worst = 0.0
-    worst_at = None
-    for i in range(H.dim):
-        for j in range(H.dim):
-            lhs = np.einsum("k,kv->v", H.mul[i, j], sigma.values)
-            rhs = None
-            for a, b, c in H.comul_nz(j):
-                term = c * inst.mul_b(
-                    inst.act_b(sigma.values[i], a), sigma.values[b]
-                )
-                rhs = term if rhs is None else rhs + term
-            v = float(np.max(np.abs(lhs - rhs)))
-            if v > worst:
-                worst, worst_at = v, (i, j)
-    rep["cocycle"] = worst
-    rep["cocycle_worst_pair"] = worst_at
-    rep["centrality_B"] = centrality_vs_B(sigma)
-    rep["centrality_M"] = centrality_vs_M(sigma)
+    s = sigma.values
+    resid = _contract("ijk,kv->ijv", H.mul, s) - _contract(
+        "jab,iu,uax,by,xyv->ijv", H.comul, s, inst.actB, s, inst.mulB
+    )
+    rep["cocycle"], rep["cocycle_worst_pair"] = _worst_pair(resid)
+    rep["centrality_B"] = centrality(sigma, "B")
+    rep["centrality_M"] = centrality(sigma, "M")
     rep["max"] = max(
         rep["unitary"], rep["unit_value"], rep["cocycle"],
         rep["centrality_B"], rep["centrality_M"],
@@ -517,29 +460,18 @@ def check_sweedler_cocycle(sigma: ConvolutionElement) -> dict:
 def check_hochschild_cocycle(mu: ConvolutionElement, prolongable: bool = False) -> dict:
     """Report on the lazy Hochschild 1-cocycle conditions for M-valued mu."""
     inst = mu.inst
-    H = inst.H
     if mu.target not in ("M", "O2"):
         raise TargetMismatch("Hochschild cocycles are M- or Omega^2-valued")
     rep = {}
-    rep["unit_value"] = float(np.max(np.abs(mu.value_at_unit())))
+    rep["unit_value"] = _maxabs(mu.value_at_unit())
     rep["self_adjoint"] = (conv_star(mu) - mu).norm()
-    rep["centrality"] = centrality_vs_B(mu)
-    # mu(hk) = mu(h) <| k + eps(h) mu(k)
-    act = inst.act_m if mu.target == "M" else inst.act_o
-    worst = 0.0
-    worst_at = None
-    for i in range(H.dim):
-        for j in range(H.dim):
-            lhs = np.einsum("k,kv->v", H.mul[i, j], mu.values)
-            rhs = act(mu.values[i], j) + H.counit[i] * mu.values[j]
-            v = float(np.max(np.abs(lhs - rhs)))
-            if v > worst:
-                worst, worst_at = v, (i, j)
-    rep["cocycle"] = worst
-    rep["cocycle_worst_pair"] = worst_at
+    rep["centrality"] = centrality(mu, "B")
+    rep["cocycle"], rep["cocycle_worst_pair"] = _worst_pair(
+        _hochschild_residual(inst, mu.target, mu.values)
+    )
     vals = [rep["unit_value"], rep["self_adjoint"], rep["centrality"], rep["cocycle"]]
     if prolongable and mu.target == "M" and inst.wedge is not None:
-        rep["graded_centrality"] = graded_centrality_vs_M(mu)
+        rep["graded_centrality"] = centrality(mu, "M")
         vals.append(rep["graded_centrality"])
     rep["max"] = max(vals)
     rep["passes"] = rep["max"] <= TOL
@@ -550,51 +482,35 @@ def check_hochschild_cocycle(mu: ConvolutionElement, prolongable: bool = False) 
 
 
 def _check_cent_element(inst: ModuleAlgebra, v) -> float:
-    """Max violation of v in Cent_B(B + M): commutes with B and with M."""
-    worst = 0.0
-    for b in np.eye(inst.dimB, dtype=complex):
-        worst = max(
-            worst,
-            float(np.max(np.abs(inst.mul_b(v, b) - inst.mul_b(b, v)))),
-        )
-    for m in np.eye(inst.dimM, dtype=complex):
-        worst = max(
-            worst,
-            float(np.max(np.abs(inst.left_m(v, m) - inst.right_m(m, v)))),
-        )
-    return worst
+    """Max violation of v in Cent_B(B + M): the cochain h -> eps(h) v
+    commutes with rho_B and rho_M under convolution."""
+    const = ConvolutionElement(inst, "B", _const(inst, v))
+    return max(centrality(const, "B"), centrality(const, "M"))
 
 
 def coboundary_S(inst: ModuleAlgebra, upsilon) -> ConvolutionElement:
     """D(upsilon)(h) = (upsilon <| h) upsilon^*, for unitary central upsilon."""
     upsilon = np.asarray(upsilon, dtype=complex)
-    us = inst.star_b(upsilon)
-    if float(np.max(np.abs(inst.mul_b(upsilon, us) - inst.unitB))) > TOL:
+    us = inst.star("B", upsilon)
+    if _maxabs(inst.mul("B", "B", upsilon, us) - inst.unitB) > TOL:
         raise NotAdmissible("upsilon is not unitary")
     if _check_cent_element(inst, upsilon) > TOL:
         raise NotAdmissible("upsilon is not in Cent_B(B + M)")
-    vals = np.array(
-        [inst.mul_b(inst.act_b(upsilon, h), us) for h in range(inst.H.dim)]
+    # (upsilon <| h_1) eps(h_2) upsilon^*
+    return convolve(
+        ConvolutionElement(inst, "B", _orbit(inst, "B", upsilon)),
+        ConvolutionElement(inst, "B", _const(inst, us)),
     )
-    return ConvolutionElement(inst, "B", vals)
 
 
 def coboundary_H(inst: ModuleAlgebra, m, target: str = "M") -> ConvolutionElement:
     """D(m)(h) = m <| h - eps(h) m, for self-adjoint central m."""
     m = np.asarray(m, dtype=complex)
-    if target == "M":
-        star_t, act, left, right = inst.star_m, inst.act_m, inst.left_m, inst.right_m
-    else:
-        star_t, act, left, right = inst.star_o, inst.act_o, inst.left_o, inst.right_o
-    if float(np.max(np.abs(star_t(m) - m))) > TOL:
+    if _maxabs(inst.star(target, m) - m) > TOL:
         raise NotAdmissible("m is not self-adjoint")
-    for b in np.eye(inst.dimB, dtype=complex):
-        if float(np.max(np.abs(left(b, m) - right(m, b)))) > TOL:
-            raise NotAdmissible("m is not B-central")
-    vals = np.array(
-        [act(m, h) - inst.H.counit[h] * m for h in range(inst.H.dim)]
-    )
-    return ConvolutionElement(inst, target, vals)
+    if centrality(ConvolutionElement(inst, target, _const(inst, m)), "B") > TOL:
+        raise NotAdmissible("m is not B-central")
+    return ConvolutionElement(inst, target, _orbit(inst, target, m) - _const(inst, m))
 
 
 # -- actions and Maurer-Cartan ---------------------------------------------------
@@ -606,31 +522,21 @@ def conj_action(sigma: ConvolutionElement, mu: ConvolutionElement) -> Convolutio
 
 
 def mc_cocycle(sigma: ConvolutionElement) -> ConvolutionElement:
-    """MC[dB](sigma)(h) = -dB(sigma(h_1)) . sigma^*(h_2)."""
+    """MC[dB](sigma) = -(dB sigma) * sigma^*, i.e. h -> -dB(sigma(h_1)) sigma^*(h_2)."""
     inst = sigma.inst
     if inst.dB is None:
         raise TargetMismatch("instance carries no derivation dB")
-    H = inst.H
-    ss = conv_star(sigma)
-    out = np.zeros((H.dim, inst.dimM), dtype=complex)
-    for i in range(H.dim):
-        for j, k, c in H.comul_nz(i):
-            out[i] -= c * inst.right_m(inst.d_b(sigma.values[j]), ss.values[k])
-    return ConvolutionElement(inst, "M", out)
+    d_sigma = ConvolutionElement(inst, "M", sigma.values @ inst.dB)
+    return convolve(d_sigma, conv_star(sigma)).scale(-1)
 
 
 def curvature_map(mu: ConvolutionElement) -> ConvolutionElement:
-    """F[mu](h) = -i (dB(mu(h)) + mu(h_1) ^ mu(h_2)); Omega^2-valued."""
+    """F[mu](h) = -i (d1(mu(h)) + mu(h_1) ^ mu(h_2)); Omega^2-valued."""
     inst = mu.inst
     if inst.wedge is None or inst.d1 is None:
         raise TargetMismatch("instance carries no degree-2 data")
-    H = inst.H
-    out = np.zeros((H.dim, inst.dimO2), dtype=complex)
-    for i in range(H.dim):
-        out[i] = inst.d_m(mu.values[i])
-        for j, k, c in H.comul_nz(i):
-            out[i] += c * inst.wedge_mm(mu.values[j], mu.values[k])
-    return ConvolutionElement(inst, "O2", -1j * out)
+    F = mu.values @ inst.d1 + convolve(mu, mu).values
+    return ConvolutionElement(inst, "O2", -1j * F)
 
 
 def graded_bracket(mu: ConvolutionElement, nu: ConvolutionElement) -> ConvolutionElement:
@@ -655,34 +561,28 @@ class CrossedProduct:
         self.H = inst.H
         H, dH = inst.H, inst.H.dim
         # (h x b)(h' x b') = h h'_1 x (b <| h'_2) b'
-        self.T = np.einsum(
+        self.T = _contract(
             "pjk,ijt,bku,uce->ibpcte", H.comul, H.mul, inst.actB, inst.mulB,
-            optimize=True,
         ).reshape(dH * inst.dimB, dH * inst.dimB, dH * inst.dimB)
         # (h x b) . (h' x m) and (h x m) . (h' x b)
-        self.TL = np.einsum(
+        self.TL = _contract(
             "pjk,ijt,bku,ume->ibpmte", H.comul, H.mul, inst.actB, inst.leftM,
-            optimize=True,
         ).reshape(dH * inst.dimB, dH * inst.dimM, dH * inst.dimM)
-        self.TR = np.einsum(
+        self.TR = _contract(
             "pjk,ijt,mku,ube->impbte", H.comul, H.mul, inst.actM, inst.rightM,
-            optimize=True,
         ).reshape(dH * inst.dimM, dH * inst.dimB, dH * inst.dimM)
         # star matrices (antilinear): star(u) = conj(u) @ S
-        self.SP = np.einsum(
+        self.SP = _contract(
             "ijk,jt,ks,bu,use->ibte",
             np.conj(H.comul), H.star, H.star, inst.starB, inst.actB,
-            optimize=True,
         ).reshape(dH * inst.dimB, dH * inst.dimB)
-        self.SW = np.einsum(
+        self.SW = _contract(
             "ijk,jt,ks,mu,use->imte",
             np.conj(H.comul), H.star, H.star, inst.starM, inst.actM,
-            optimize=True,
         ).reshape(dH * inst.dimM, dH * inst.dimM)
         if inst.wedge is not None:
-            self.WT = np.einsum(
-                "pjk,ijt,mku,une->impnte",
-                H.comul, H.mul, inst.actM, inst.wedge, optimize=True,
+            self.WT = _contract(
+                "pjk,ijt,mku,une->impnte", H.comul, H.mul, inst.actM, inst.wedge,
             ).reshape(dH * inst.dimM, dH * inst.dimM, dH * inst.dimO2)
         else:
             self.WT = None
@@ -692,7 +592,7 @@ class CrossedProduct:
         return self.H.dim * self.inst.dimB
 
     def mul(self, u, v):
-        return np.einsum("x,y,xyz->z", u, v, self.T, optimize=True)
+        return _contract("x,y,xyz->z", u, v, self.T)
 
     def star(self, u):
         return np.conj(u) @ self.SP
@@ -704,30 +604,19 @@ class CrossedProduct:
         return np.outer(self.H.unit, b).ravel()
 
 
-def op_gauge_matrix(sigma: ConvolutionElement) -> np.ndarray:
-    """Matrix of Op(sigma)(h (x) b) = h_1 sigma(h_2) b on flattened vectors."""
+def op_gauge_matrix(sigma: ConvolutionElement, target: str = "B") -> np.ndarray:
+    """Matrix of Op(sigma) on target x| H: h (x) x -> h_1 (x) sigma(h_2) x.
+
+    On B this is the gauge transformation of the crossed product; on M and
+    O2 it is the induced map on one- and two-forms.  Flattened vectors.
+    """
     inst = sigma.inst
     H = inst.H
-    return np.einsum(
-        "ijk,kv,vbe->ibje", H.comul, sigma.values, inst.mulB, optimize=True
-    ).reshape(H.dim * inst.dimB, H.dim * inst.dimB)
-
-
-def op_gauge_forms_matrix(sigma: ConvolutionElement) -> np.ndarray:
-    """Induced map on Omega^1 x| H: h (x) m -> h_1 (x) sigma(h_2) m."""
-    inst = sigma.inst
-    H = inst.H
-    return np.einsum(
-        "ijk,kv,vme->imje", H.comul, sigma.values, inst.leftM, optimize=True
-    ).reshape(H.dim * inst.dimM, H.dim * inst.dimM)
-
-
-def op_gauge_two_forms_matrix(sigma: ConvolutionElement) -> np.ndarray:
-    inst = sigma.inst
-    H = inst.H
-    return np.einsum(
-        "ijk,kv,voe->ioje", H.comul, sigma.values, inst.leftO2, optimize=True
-    ).reshape(H.dim * inst.dimO2, H.dim * inst.dimO2)
+    _, L = inst.product("B", target)
+    d = L.shape[1]
+    return _contract("ijk,kv,vme->imje", H.comul, sigma.values, L).reshape(
+        H.dim * d, H.dim * d
+    )
 
 
 def op_potential_matrix(mu: ConvolutionElement) -> np.ndarray:
@@ -736,33 +625,9 @@ def op_potential_matrix(mu: ConvolutionElement) -> np.ndarray:
     H = inst.H
     if inst.dB is None:
         raise TargetMismatch("instance carries no derivation dB")
-    term1 = np.einsum("ij,bm->ibjm", np.eye(H.dim), inst.dB)
-    term2 = np.einsum(
-        "ijk,km,mbe->ibje", H.comul, mu.values, inst.rightM, optimize=True
-    )
+    term1 = _contract("ij,bm->ibjm", np.eye(H.dim), inst.dB)
+    term2 = _contract("ijk,km,mbe->ibje", H.comul, mu.values, inst.rightM)
     return (term1 + term2).reshape(H.dim * inst.dimB, H.dim * inst.dimM)
-
-
-def op_gauge(sigma: ConvolutionElement):
-    """Op(sigma) as a callable on (dimH, dimB) arrays."""
-    mat = op_gauge_matrix(sigma)
-    inst = sigma.inst
-
-    def apply(u):
-        return (u.ravel() @ mat).reshape(inst.H.dim, inst.dimB)
-
-    return apply
-
-
-def op_potential(mu: ConvolutionElement):
-    """Op(mu) as a callable from (dimH, dimB) into (dimH, dimM) arrays."""
-    mat = op_potential_matrix(mu)
-    inst = mu.inst
-
-    def apply(u):
-        return (u.ravel() @ mat).reshape(inst.H.dim, inst.dimM)
-
-    return apply
 
 
 def op_report(inst: ModuleAlgebra, sigma: ConvolutionElement,
@@ -781,48 +646,48 @@ def op_report(inst: ModuleAlgebra, sigma: ConvolutionElement,
     F = op_gauge_matrix(sigma)
     rep = {}
     # homomorphism: T . F = (F (x) F) . T entrywise
-    lhs = np.einsum("xyz,zw->xyw", cp.T, F, optimize=True)
-    rhs = np.einsum("xa,yb,abw->xyw", F, F, cp.T, optimize=True)
+    lhs = _contract("xyz,zw->xyw", cp.T, F)
+    rhs = _contract("xa,yb,abw->xyw", F, F, cp.T)
     rep["op_sigma_hom"] = float(np.abs(lhs - rhs).max())
     # star-automorphism: SP . F = conj(F) . SP
     rep["op_sigma_star"] = float(np.abs(cp.SP @ F - np.conj(F) @ cp.SP).max())
     # fixes B and the unit
-    EB = np.einsum("i,bc->bic", inst.H.unit, np.eye(inst.dimB)).reshape(
+    EB = _contract("i,bc->bic", inst.H.unit, np.eye(inst.dimB)).reshape(
         inst.dimB, dP
     )
     rep["op_sigma_fixes_B"] = float(np.abs(EB @ F - EB).max())
     rep["op_sigma_unit"] = float(np.abs(cp.unit() @ F - cp.unit()).max())
     # induced bijection on one-forms intertwines the bimodule structure
-    Fm = op_gauge_forms_matrix(sigma)
-    lhs = np.einsum("xyz,zw->xyw", cp.TL, Fm, optimize=True)
-    rhs = np.einsum("xa,yb,abw->xyw", F, Fm, cp.TL, optimize=True)
+    Fm = op_gauge_matrix(sigma, "M")
+    lhs = _contract("xyz,zw->xyw", cp.TL, Fm)
+    rhs = _contract("xa,yb,abw->xyw", F, Fm, cp.TL)
     rep["op_sigma_forms_left"] = float(np.abs(lhs - rhs).max())
-    lhs = np.einsum("xyz,zw->xyw", cp.TR, Fm, optimize=True)
-    rhs = np.einsum("xa,yb,abw->xyw", Fm, F, cp.TR, optimize=True)
+    lhs = _contract("xyz,zw->xyw", cp.TR, Fm)
+    rhs = _contract("xa,yb,abw->xyw", Fm, F, cp.TR)
     rep["op_sigma_forms_right"] = float(np.abs(lhs - rhs).max())
     if cp.WT is not None:
-        F2 = op_gauge_two_forms_matrix(sigma)
-        lhs = np.einsum("xyz,zw->xyw", cp.WT, F2, optimize=True)
-        rhs = np.einsum("xa,yb,abw->xyw", Fm, Fm, cp.WT, optimize=True)
+        F2 = op_gauge_matrix(sigma, "O2")
+        lhs = _contract("xyz,zw->xyw", cp.WT, F2)
+        rhs = _contract("xa,yb,abw->xyw", Fm, Fm, cp.WT)
         rep["op_sigma_prolongable"] = float(np.abs(lhs - rhs).max())
     if upsilon is not None:
         FD = op_gauge_matrix(coboundary_S(inst, upsilon))
         eu = cp.embed_B(np.asarray(upsilon, dtype=complex))
-        eus = cp.embed_B(inst.star_b(np.asarray(upsilon, dtype=complex)))
+        eus = cp.embed_B(inst.star("B", np.asarray(upsilon, dtype=complex)))
         ad = np.array([cp.mul(cp.mul(eu, e), eus) for e in np.eye(dP)])
         rep["op_coboundary_is_ad"] = float(np.abs(FD - ad).max())
     if mu is not None:
         D = op_potential_matrix(mu)
         # derivation: D(xy) = D(x).y + x.D(y)
-        lhs = np.einsum("xyz,zw->xyw", cp.T, D, optimize=True)
-        rhs = np.einsum("xa,ayw->xyw", D, cp.TR, optimize=True) + np.einsum(
-            "yb,xbw->xyw", D, cp.TL, optimize=True
+        lhs = _contract("xyz,zw->xyw", cp.T, D)
+        rhs = _contract("xa,ayw->xyw", D, cp.TR) + _contract(
+            "yb,xbw->xyw", D, cp.TL
         )
         rep["op_mu_derivation"] = float(np.abs(lhs - rhs).max())
         # star-derivation: D(x^*) = -(D x)^*
         rep["op_mu_star"] = float(np.abs(cp.SP @ D + np.conj(D) @ cp.SW).max())
         # restriction to B is d_B
-        dB_flat = np.einsum("i,bm->bim", inst.H.unit, inst.dB).reshape(
+        dB_flat = _contract("i,bm->bim", inst.H.unit, inst.dB).reshape(
             inst.dimB, inst.H.dim * inst.dimM
         )
         rep["op_mu_restricts"] = float(np.abs(EB @ D - dB_flat).max())
@@ -855,8 +720,8 @@ def _central_sa_basis(inst: ModuleAlgebra) -> np.ndarray:
     blocks = []
     for b in np.eye(dB, dtype=complex):
         L = (
-            np.einsum("j,jmk->km", b, inst.leftM)
-            - np.einsum("mjk,j->km", inst.rightM, b)
+            _contract("j,jmk->km", b, inst.leftM)
+            - _contract("mjk,j->km", inst.rightM, b)
         )
         blocks.append(np.block([[np.real(L), -np.imag(L)], [np.imag(L), np.real(L)]]))
     A = np.vstack(blocks) if blocks else np.zeros((0, 2 * dM))
@@ -880,14 +745,6 @@ def _complex_nullspace(A: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     return np.conj(vh[rank:]).T
 
 
-def _conv_star_flat(inst: ModuleAlgebra, flat: np.ndarray) -> np.ndarray:
-    """conv_star on a flattened (dH * dM,) coefficient vector."""
-    H = inst.H
-    vals = flat.reshape(H.dim, inst.dimM)
-    pre = np.einsum("ik,kv->iv", np.conj(H.antipode) @ H.star, vals)
-    return (np.conj(pre) @ inst.starM).ravel()
-
-
 def solve_hochschild_space(inst: ModuleAlgebra, prolongable: bool = False) -> dict:
     """Bases and dimensions of ZH^1, BH^1, HH^1 as real vector spaces.
 
@@ -898,62 +755,32 @@ def solve_hochschild_space(inst: ModuleAlgebra, prolongable: bool = False) -> di
     is star-invariant, which is asserted numerically.
     """
     H = inst.H
-    dH, dM, dB = H.dim, inst.dimM, inst.dimB
+    dH, dM = H.dim, inst.dimM
     n_c = dH * dM  # complex unknowns
+    graded = prolongable and inst.wedge is not None
 
-    rows = []
-    # (a) cocycle: sum_k mul[i,j,k] mu_k - act_j(mu_i) - eps_i mu_j = 0
-    for i in range(dH):
-        for j in range(dH):
-            L = np.zeros((dM, n_c), dtype=complex)
-            for k in range(dH):
-                if H.mul[i, j, k] != 0:
-                    L[:, k * dM : (k + 1) * dM] += H.mul[i, j, k] * np.eye(dM)
-            L[:, i * dM : (i + 1) * dM] -= inst.actM[:, j, :].T
-            L[:, j * dM : (j + 1) * dM] -= H.counit[i] * np.eye(dM)
-            rows.append(L)
-    # (b) convolution centrality against rho_B
-    for i in range(dH):
-        for bidx in range(dB):
-            b = np.zeros(dB, dtype=complex)
-            b[bidx] = 1.0
-            L = np.zeros((dM, n_c), dtype=complex)
-            for j, k, c in H.comul_nz(i):
-                bk = inst.act_b(b, k)
-                bj = inst.act_b(b, j)
-                L[:, j * dM : (j + 1) * dM] += c * np.einsum(
-                    "mxk,x->km", inst.rightM, bk
-                )
-                L[:, k * dM : (k + 1) * dM] -= c * np.einsum(
-                    "xmk,x->km", inst.leftM, bj
-                )
-            rows.append(L)
-    # (c) graded centrality for the prolongable refinement
-    if prolongable and inst.wedge is not None:
-        dO = inst.dimO2
-        for i in range(dH):
-            for midx in range(dM):
-                m = np.zeros(dM, dtype=complex)
-                m[midx] = 1.0
-                L = np.zeros((dO, n_c), dtype=complex)
-                for j, k, c in H.comul_nz(i):
-                    mk = inst.act_m(m, k)
-                    mj = inst.act_m(m, j)
-                    L[:, j * dM : (j + 1) * dM] += c * np.einsum(
-                        "xyk,y->kx", inst.wedge, mk
-                    )
-                    L[:, k * dM : (k + 1) * dM] += c * np.einsum(
-                        "yxk,y->kx", inst.wedge, mj
-                    )
-                rows.append(L)
-    Q = _complex_nullspace(np.vstack(rows))
+    # rows: (a) the cocycle equation, (b) centrality against rho_B and (c)
+    # graded centrality against rho_M, each the residual of the standard
+    # basis of cochains (the leading batch axis)
+    unknowns = np.eye(n_c, dtype=complex).reshape(n_c, dH, dM)
+    residuals = [
+        _hochschild_residual(inst, "M", unknowns),
+        _commutator(inst, "M", unknowns, "B"),
+    ]
+    if graded:
+        residuals.append(_commutator(inst, "M", unknowns, "M"))
+    Q = _complex_nullspace(
+        np.hstack([r.reshape(n_c, math.prod(r.shape[1:])) for r in residuals]).T
+    )
     k = Q.shape[1]
     if k == 0:
         null = np.zeros((2 * n_c, 0))
         z_dim = 0
     else:
         # antilinear star inside the solution space: star(Q c) = S conj(c)
-        starred = np.column_stack([_conv_star_flat(inst, Q[:, j]) for j in range(k)])
+        starred = conv_star(
+            ConvolutionElement(inst, "M", Q.T.reshape(k, dH, dM))
+        ).values.reshape(k, n_c).T
         resid = np.abs(starred - Q @ (np.conj(Q).T @ starred)).max()
         if resid > 1e-8:
             raise RuntimeError(
@@ -974,29 +801,14 @@ def solve_hochschild_space(inst: ModuleAlgebra, prolongable: bool = False) -> di
         z_dim = null.shape[1]
     # coboundaries: D on Z_B(M)_sa
     cent = _central_sa_basis(inst)
-    imgs = []
-    for col in cent.T:
-        m = col[:dM] + 1j * col[dM:]
-        d = np.array([inst.act_m(m, h) - H.counit[h] * m for h in range(dH)])
-        if prolongable and inst.wedge is not None:
-            # restrict to coboundaries central in the graded algebra
-            ok = True
-            for mm in np.eye(dM, dtype=complex):
-                v = np.abs(
-                    inst.wedge_mm(m, mm) + inst.wedge_mm(mm, m)
-                ).max()
-                if v > 1e-9:
-                    ok = False
-                    break
-            if not ok:
-                continue
-        imgs.append(np.concatenate([np.real(d).ravel(), np.imag(d).ravel()]))
-    if imgs:
-        B = np.vstack(imgs).T
-        b_dim = int(np.linalg.matrix_rank(B, tol=1e-9))
-    else:
-        B = np.zeros((2 * n_c, 0))
-        b_dim = 0
+    ms = (cent[:dM] + 1j * cent[dM:]).T
+    if graded:
+        # restrict to coboundaries central in the graded algebra
+        graded_resid = np.abs(_commutator(inst, "M", _const(inst, ms), "M"))
+        ms = ms[np.max(graded_resid, axis=(1, 2, 3), initial=0.0) <= 1e-9]
+    d = (_orbit(inst, "M", ms) - _const(inst, ms)).reshape(len(ms), n_c)
+    B = np.hstack([np.real(d), np.imag(d)]).T
+    b_dim = int(np.linalg.matrix_rank(B, tol=1e-9)) if len(ms) else 0
 
     def to_elements(real_cols):
         out = []
@@ -1068,7 +880,7 @@ def group_cocycle(inst: ModuleAlgebra, w) -> ConvolutionElement:
     vals[0] = inst.unitB
     acc = inst.unitB
     for j in range(1, n):
-        acc = inst.mul_b(acc, inst.act_b(w, j - 1))
+        acc = inst.mul("B", "B", acc, inst.act("B", w, j - 1))
         vals[j] = acc
     return ConvolutionElement(inst, "B", vals)
 

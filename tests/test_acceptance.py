@@ -316,7 +316,7 @@ def test_criterion_8_lazy_cohomology():
             hopf.mc_cocycle(hopf.convolve(s, tt))
             - (hopf.mc_cocycle(s) + hopf.conj_action(s, hopf.mc_cocycle(tt)))
         ).norm()
-        m0 = -inst.right_m(inst.d_b(u), inst.star_b(u))
+        m0 = -inst.mul("M", "B", u @ inst.dB, inst.star("B", u))
         cobo = (hopf.mc_cocycle(hopf.coboundary_S(inst, u)) - hopf.coboundary_H(inst, m0)).norm()
         if max(mc_ident, cobo) > 1e-10:
             ok, details = False, details + [f"MC {n}"]
@@ -334,7 +334,7 @@ def test_criterion_8_lazy_cohomology():
         alpha[4 + 2 + 1] = 2j
         curv_cobo = (
             hopf.curvature_map(hopf.coboundary_H(inst, alpha))
-            - hopf.coboundary_H(inst, -1j * inst.d_m(alpha), target="O2")
+            - hopf.coboundary_H(inst, -1j * (alpha @ inst.d1), target="O2")
         ).norm()
         equiv = (
             hopf.curvature_map(hopf.conj_action(s, mu) + hopf.mc_cocycle(s))

@@ -89,6 +89,26 @@ class TestCohomology:
         assert code == 0
         data = json.loads(out)
         assert data["hochschild"]["dim_Z"] == data["hochschild"]["brute_force_Z"]
+        assert "op" in data and data["skipped"] == []
+        assert data["maurer_cartan"]["sigma"] == "unit"
+
+    def test_size_gate_names_the_skipped_op_checks(self, capsys):
+        code, out = run(capsys, ["cohomology", "--builtin", "jet:5"])
+        assert code == 0
+        data = json.loads(out)
+        assert "op" not in data
+        assert [s["check"] for s in data["skipped"]] == ["op"]
+        assert "dim H = 5" in data["skipped"][0]["reason"]
+        assert data["maurer_cartan"]["sigma"] == "jet_unitary"
+
+    def test_jet_name_without_the_jet_layout_uses_the_unit(self, capsys, tmp_path):
+        inst = hopf.cycle_instance(3)
+        inst.name = "jet-like cycle"
+        path = tmp_path / "cycle3.json"
+        path.write_text(hopf.dump_instance(inst))
+        code, out = run(capsys, ["cohomology", "--instance", str(path)])
+        assert code == 0
+        assert json.loads(out)["maurer_cartan"]["sigma"] == "unit"
 
     def test_corrupted_antipode_gate_failure(self, capsys, tmp_path):
         inst = hopf.jet_instance(2)

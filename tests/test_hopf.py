@@ -1,11 +1,15 @@
 """Tests for the lazy cohomology layer: tensors, cocycles, MC, curvature, Op."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from ncgauge.hopf import (
     ConvolutionElement,
     CrossedProduct,
+    FiniteHopf,
+    ModuleAlgebra,
     NotAdmissible,
     TargetMismatch,
     brute_force_group_z1,
@@ -65,6 +69,71 @@ class TestHopfAxioms:
     def test_instance_data(self, mk, n):
         assert mk(n).data_report()["max"] <= 1e-12
 
+    def test_wrong_two_form_action_fails(self):
+        # the trivial action is a representation, but the products into
+        # Omega^2 are then not equivariant
+        inst = cycle_instance(3)
+        inst.actO2 = np.stack([np.eye(inst.dimO2)] * 3, axis=1) + 0j
+        assert inst.data_report()["max"] > 1e-6
+
+
+def functions_on_s3():
+    """C(S_3) on the delta basis, coefficients B = C with the counit action.
+
+    Delta(delta_g) = sum_{ab=g} delta_a (x) delta_b is not cocommutative, so
+    unlike every C[Z_n] it tells h_1 from h_2.
+    """
+    group = list(itertools.permutations(range(3)))
+    index = {g: i for i, g in enumerate(group)}
+
+    def compose(a, b):
+        return tuple(a[b[i]] for i in range(3))
+
+    n = len(group)
+    mul = np.zeros((n, n, n), dtype=complex)
+    comul = np.zeros((n, n, n), dtype=complex)
+    antipode = np.zeros((n, n), dtype=complex)
+    for a in group:
+        mul[index[a], index[a], index[a]] = 1.0
+        antipode[index[a], index[tuple(np.argsort(a))]] = 1.0
+        for b in group:
+            comul[index[compose(a, b)], index[a], index[b]] = 1.0
+    counit = np.zeros(n, dtype=complex)
+    counit[index[(0, 1, 2)]] = 1.0
+    H = FiniteHopf(mul, comul, counit, antipode, np.eye(n, dtype=complex),
+                   np.ones(n, dtype=complex))
+    one = np.ones((1, 1), dtype=complex)
+    inst = ModuleAlgebra(
+        H=H, mulB=one.reshape(1, 1, 1), unitB=one[0], starB=one,
+        actB=counit.reshape(1, n, 1),
+        leftM=np.zeros((1, 0, 0), dtype=complex),
+        rightM=np.zeros((0, 1, 0), dtype=complex),
+        starM=np.zeros((0, 0), dtype=complex),
+        actM=np.zeros((0, n, 0), dtype=complex),
+        name="C(S_3)",
+    )
+    return inst, group, index, compose
+
+
+class TestNonCocommutative:
+    def test_functions_on_s3(self, rng):
+        inst, group, index, compose = functions_on_s3()
+        assert inst.H.axiom_report()["max"] <= 1e-12
+        assert inst.data_report()["max"] <= 1e-12
+        f, g = (
+            ConvolutionElement(
+                inst, "B", rng.standard_normal((6, 1)) + 1j * rng.standard_normal((6, 1))
+            )
+            for _ in range(2)
+        )
+        fg = convolve(f, g)
+        for c in group:
+            expect = sum(
+                f.values[index[a], 0] * g.values[index[b], 0]
+                for a in group for b in group if compose(a, b) == c
+            )
+            assert abs(fg.values[index[c], 0] - expect) < 1e-12
+
 
 class TestConvolution:
     def test_unit_law(self, rng):
@@ -83,7 +152,7 @@ class TestConvolution:
         g = ConvolutionElement(inst, "B", rng.standard_normal((2, 2)) + 0j)
         fg = convolve(f, g)
         for j in range(2):
-            assert np.allclose(fg.values[j], inst.mul_b(f.values[j], g.values[j]))
+            assert np.allclose(fg.values[j], inst.mul("B", "B", f.values[j], g.values[j]))
 
     def test_associativity(self, rng):
         inst = jet_instance(2)
@@ -120,7 +189,7 @@ class TestConvStar:
         )
         fs = conv_star(f)
         for j in range(4):
-            assert np.allclose(fs.values[j], inst.star_b(f.values[j]))
+            assert np.allclose(fs.values[j], inst.star("B", f.values[j]))
 
     def test_involutive_antimultiplicative(self, rng):
         inst = jet_instance(2)
@@ -296,7 +365,7 @@ class TestMaurerCartan:
         inst = jet_instance(3)
         u = jet_unitary(inst, rng=rng)
         lhs = mc_cocycle(coboundary_S(inst, u))
-        m0 = -inst.right_m(inst.d_b(u), inst.star_b(u))
+        m0 = -inst.mul("M", "B", u @ inst.dB, inst.star("B", u))
         rhs = coboundary_H(inst, m0)
         assert (lhs - rhs).norm() < 1e-10
 
@@ -307,8 +376,8 @@ class TestMaurerCartan:
         sigma = coboundary_S(inst, u)
         mc = mc_cocycle(sigma)
         for j in range(2):
-            direct = -inst.right_m(
-                inst.d_b(sigma.values[j]), inst.star_b(sigma.values[j])
+            direct = -inst.mul(
+                "M", "B", sigma.values[j] @ inst.dB, inst.star("B", sigma.values[j])
             )
             assert np.allclose(mc.values[j], direct)
 
@@ -364,7 +433,7 @@ class TestCurvature:
         alpha[4 * 0 + 1] = 1j      # i y dx at z=0
         alpha[4 * 1 + 2 + 1] = 2j  # 2i x dy at z=1
         lhs = curvature_map(coboundary_H(inst, alpha))
-        rhs = coboundary_H(inst, -1j * inst.d_m(alpha), target="O2")
+        rhs = coboundary_H(inst, -1j * (alpha @ inst.d1), target="O2")
         assert lhs.norm() > 0.5
         assert (lhs - rhs).norm() < 1e-10
 
