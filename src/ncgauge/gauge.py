@@ -295,11 +295,11 @@ def adaptedness_test(ctx: ThetaContext, q, M: int = 4, tol: float = 1e-8) -> dic
         if m == 0:
             continue
         if exact:
-            qn = q_number(m, qf)
+            qn = -q_number(-m, qf)  # [m]_q q^{-m}, with one power of q
             if qn == 0:
                 return {"q": float(qf), "adapted": False, "curvature_constant": None,
                         "reason": f"[{m}]_q = 0", "exact": True}
-            ratios[m] = (ctx.eps_pow(-m) * ctx.c(m)) / (qn * qf ** (-m))
+            ratios[m] = (ctx.eps_pow(-m) * ctx.c(m)) / qn
         else:
             qn = q_number(m, float(q))
             if qn == 0:
@@ -342,11 +342,11 @@ def relative_adaptedness_test(ctx: ThetaContext, q, M: int = 4, tol: float = 1e-
         if m == 0:
             continue
         if exact:
-            qn = q_number(m, qf)
+            qn = -q_number(-m, qf)  # [m]_q q^{-m}, with one power of q
             if qn == 0:
                 return {"q": float(qf), "adapted": False, "form_coefficient": None,
                         "reason": f"[{m}]_q = 0", "exact": True}
-            ratios[m] = (ctx.eps_pow(-m) - 1) / (qn * qf ** (-m))
+            ratios[m] = (ctx.eps_pow(-m) - 1) / qn
         else:
             qn = q_number(m, float(q))
             if qn == 0:

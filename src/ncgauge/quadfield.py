@@ -25,10 +25,6 @@ class NonQuadratic(ValueError):
     """Input does not define a genuine quadratic irrationality."""
 
 
-class SearchExhausted(RuntimeError):
-    """Pell search hit its bound without finding a solution."""
-
-
 class NonIntegral(ValueError):
     """Matrix entries failed the integrality/parity check."""
 
@@ -110,10 +106,16 @@ class FieldElement:
         return self._coerce(other) * self.inverse()
 
     def __pow__(self, m: int) -> "FieldElement":
+        """Exact x^m by binary exponentiation: O(log |m|) products."""
         base = self if m >= 0 else self.inverse()
         out = FieldElement(Fraction(1), Fraction(0), self.delta)
-        for _ in range(abs(m)):
-            out = out * base
+        m = abs(m)
+        while m:
+            if m & 1:
+                out = out * base
+            m >>= 1
+            if m:
+                base = base * base
         return out
 
     def norm(self) -> Fraction:
@@ -136,7 +138,17 @@ class FieldElement:
         return hash((self.r, self.s, self.delta))
 
     def __float__(self) -> float:
-        return float(self.r) + float(self.s) * math.sqrt(self.delta)
+        """r + s*sqrt(Delta) to a few ulp, with no cancellation.
+
+        When r and s*sqrt(Delta) have opposite signs the direct sum loses
+        digits (eps^-m is a small difference of two large terms), so that
+        branch divides the exact norm by the like-signed sum instead:
+        r + s*sqrt(Delta) = N(x) / (r - s*sqrt(Delta)).
+        """
+        root = math.sqrt(self.delta)
+        if self.r * self.s < 0:
+            return float(self.norm()) / (float(self.r) - float(self.s) * root)
+        return float(self.r) + float(self.s) * root
 
     def __repr__(self):
         return f"({self.r} + {self.s}*sqrt({self.delta}))"
@@ -174,6 +186,11 @@ class QuadraticIrrational:
         )
 
     def __float__(self) -> float:
+        # for b < 0 the sum b + sqrt(Delta) cancels; the like-signed
+        # difference in 2c/(b - sqrt(Delta)), equal since b^2 - Delta = 4ac,
+        # does not
+        if self.b < 0:
+            return 2 * self.c / (self.b - math.sqrt(self.delta))
         return float(self.b + math.sqrt(self.delta)) / (2 * self.a)
 
     def __repr__(self):
@@ -250,22 +267,43 @@ class OrderUnit:
         return f"OrderUnit(({self.u} + {self.v}*sqrt({self.delta}))/2)"
 
 
-def pell_unit(delta: int, bound: int = 10**6) -> OrderUnit:
+def pell_unit(delta: int) -> OrderUnit:
     """Smallest unit (u+v*sqrt(Delta))/2 > 1 with u, v > 0 and u^2-Delta v^2 = 4.
 
     This is the norm-positive fundamental unit: the fundamental unit itself
-    when its norm is +1, its square when the norm is -1.  Linear scan over v;
-    desk-scale discriminants terminate almost immediately.
+    when its norm is +1, its square when the norm is -1.  It is read off one
+    period of the continued fraction of the reduced generator
+    w = (b + sqrt(Delta))/2 of the order, where b is the largest integer
+    below sqrt(Delta) with b = Delta (mod 2).  The complete quotients are
+    (P + sqrt(Delta))/Q in exact integers, starting from (P, Q) = (b, 2);
+    after l steps they return to (b, 2), and with the convergent
+    denominators q_k the fundamental unit is q_{l-1} w + q_{l-2}, of norm
+    (-1)^l (Lenstra, "Solving the Pell equation", Notices AMS 2002).  The
+    period is O(sqrt(Delta) log Delta) steps, so every valid discriminant
+    succeeds.
     """
     if delta <= 0 or _is_square(delta):
         raise NonQuadratic(f"{delta} is not a valid discriminant")
     if delta % 4 not in (0, 1):
         raise NonQuadratic(f"{delta} is not congruent to 0 or 1 mod 4")
-    for v in range(1, bound + 1):
-        u2 = 4 + delta * v * v
-        if _is_square(u2):
-            return OrderUnit(isqrt(u2), v, delta)
-    raise SearchExhausted(f"no Pell solution with v <= {bound} for Delta = {delta}")
+    root = isqrt(delta)
+    b = root if (root - delta) % 2 == 0 else root - 1
+    P, Q = b, 2
+    q_prev, q = 1, 0  # q_{k-2}, q_{k-1}
+    period = 0
+    while True:
+        a = (P + root) // Q
+        q_prev, q = q, a * q + q_prev
+        P = a * Q - P
+        Q = (delta - P * P) // Q
+        period += 1
+        if (P, Q) == (b, 2):
+            break
+    # q w + q_prev = (b q + 2 q_prev + q sqrt(Delta))/2
+    u, v = b * q + 2 * q_prev, q
+    if period % 2:  # norm -1: the norm-positive unit is the square
+        u, v = (u * u + delta * v * v) // 2, u * v
+    return OrderUnit(u, v, delta)
 
 
 @dataclass(frozen=True)
@@ -357,26 +395,16 @@ class UnitPowerData:
 
 
 def unit_power_data(m: int, t: QuadraticIrrational) -> UnitPowerData:
-    """Entries of Phi(eps^m) via exact integer matrix powers.
-
-    eps is the norm-positive fundamental unit for the discriminant of theta;
-    negative m goes through the exact SL(2,Z) inverse.  Satisfies
-    c_m*theta + d_m = eps^m and c_m = 0 iff m = 0.
-    """
-    g1 = phi(pell_unit(t.delta), t)
-    out = IDENTITY
-    base = g1 if m >= 0 else g1.inverse()
-    for _ in range(abs(m)):
-        out = out @ base
-    return UnitPowerData(m, out.g11, out.g12, out.g21, out.g22)
+    """Entries of Phi(eps^m); see `ThetaContext.power`."""
+    return ThetaContext(t).power(m)
 
 
 class ThetaContext:
     """Bundle of exact data for one quadratic irrationality.
 
-    Caches the Pell unit, Phi(eps^m) entries, and float evaluations; shared
-    by the torus/Heisenberg/gauge layers so every exact quantity has a single
-    source.
+    Caches the Pell unit, Phi(eps^m) entries, and exact and float powers of
+    eps; shared by the torus/Heisenberg/gauge layers so every exact quantity
+    has a single source.
     """
 
     def __init__(self, t: QuadraticIrrational):
@@ -385,30 +413,49 @@ class ThetaContext:
         self.eps = self.unit.value  # exact FieldElement
         self.theta_float = float(t)
         self.eps_float = float(self.eps)
-        self._powers: dict[int, UnitPowerData] = {}
         self._g1 = phi(self.unit, t)
+        self._powers: dict[int, UnitPowerData] = {
+            0: UnitPowerData(0, *IDENTITY.entries())
+        }
+        self._eps_powers: dict[int, FieldElement] = {}
+        self._eps_floats: dict[int, float] = {}
 
     @classmethod
     def from_rational(cls, p, q, d: int) -> "ThetaContext":
         return cls(classify(p, q, d))
 
     def power(self, m: int) -> UnitPowerData:
+        """Entries of Phi(eps^m) by exact integer matrix products.
+
+        eps is the norm-positive fundamental unit for the discriminant of
+        theta; negative m steps with the exact SL(2,Z) inverse.  Each new m
+        is one product with the cached neighbour Phi(eps^(m -+ 1)).
+        Satisfies c_m*theta + d_m = eps^m and c_m = 0 iff m = 0.
+        """
         if m not in self._powers:
-            out = IDENTITY
-            base = self._g1 if m >= 0 else self._g1.inverse()
-            for _ in range(abs(m)):
-                out = out @ base
-            self._powers[m] = UnitPowerData(m, out.g11, out.g12, out.g21, out.g22)
+            step, g = (1, self._g1) if m > 0 else (-1, self._g1.inverse())
+            k = m
+            while k not in self._powers:
+                k -= step
+            out = self._powers[k].matrix()
+            while k != m:
+                k += step
+                out = out @ g
+                self._powers[k] = UnitPowerData(k, *out.entries())
         return self._powers[m]
 
     def c(self, m: int) -> int:
         return self.power(m).c
 
     def eps_pow(self, m: int) -> FieldElement:
-        return self.eps**m
+        if m not in self._eps_powers:
+            self._eps_powers[m] = self.eps**m
+        return self._eps_powers[m]
 
     def eps_pow_float(self, m: int) -> float:
-        return float(self.eps**m)
+        if m not in self._eps_floats:
+            self._eps_floats[m] = float(self.eps_pow(m))
+        return self._eps_floats[m]
 
     def __repr__(self):
         return f"ThetaContext({self.t!r}, eps={self.eps!r})"

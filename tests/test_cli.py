@@ -32,6 +32,14 @@ class TestPell:
     def test_square_delta_is_config_error(self, capsys):
         assert main(["pell", "--delta", "9"]) == 2
 
+    def test_delta_724_succeeds(self, capsys):
+        # 724 = 4 * 181: the minimal v is about 1.8e17
+        code, out = run(capsys, ["pell", "--delta", "724"])
+        assert code == 0
+        data = json.loads(out)
+        assert data["u"] ** 2 - 724 * data["v"] ** 2 == 4
+        assert data["norm"] == "1"
+
 
 class TestStabilizer:
     def test_golden(self, capsys):

@@ -3,18 +3,19 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncgauge.quadfield import (
     GOLDEN,
     IDENTITY,
+    ONE_PLUS_SQRT3,
     SQRT2,
     FieldElement,
     NonQuadratic,
     NotStabilizer,
     OrderUnit,
-    SearchExhausted,
     StabilizerMatrix,
     ThetaContext,
     classify,
@@ -130,6 +131,11 @@ class TestNorm:
         assert norm(x * y) == norm(x) * norm(y)
 
 
+def discriminants(hi):
+    """Every non-square Delta < hi with Delta = 0 or 1 mod 4."""
+    return [d for d in range(5, hi) if d % 4 in (0, 1) and math.isqrt(d) ** 2 != d]
+
+
 class TestPellUnit:
     @pytest.mark.parametrize(
         "delta,expected",
@@ -150,9 +156,36 @@ class TestPellUnit:
         with pytest.raises(NonQuadratic):
             pell_unit(9)
 
-    def test_search_bound(self):
-        with pytest.raises(SearchExhausted):
-            pell_unit(61 * 4, bound=3)  # Delta=244 needs a larger v
+    def test_minimal_unit_beyond_a_linear_scan(self):
+        # least solutions of x^2 - d y^2 = 1 for d = 61 (Euler) and d = 181,
+        # each the square of the fundamental unit x0 + y0 sqrt(d) of norm -1;
+        # the order of discriminant 4d is Z[sqrt(d)], so (u, v) = (2x, y)
+        for d, x, y, x0, y0 in [
+            (61, 1766319049, 226153980, 29718, 3805),
+            (181, 2469645423824185801, 183567298683461940, 1111225770, 82596761),
+        ]:
+            assert x0 * x0 - d * y0 * y0 == -1
+            assert (x0 * x0 + d * y0 * y0, 2 * x0 * y0) == (x, y)
+            u = pell_unit(4 * d)
+            assert (u.u, u.v) == (2 * x, y)
+
+    def test_every_discriminant_below_10_4(self):
+        for delta in discriminants(10**4):
+            u = pell_unit(delta)
+            assert u.u > 0 and u.v > 0
+            assert u.u * u.u - delta * u.v * u.v == 4
+
+    def test_matches_the_scan_below_500(self):
+        # the scan is the oracle where it reaches; past its range it shows
+        # that no smaller v solves the equation
+        vmax = 10**5
+        for delta in discriminants(500):
+            u = pell_unit(delta)
+            if u.v < vmax:
+                assert brute_force_pell(delta, vmax) == (u.u, u.v), delta
+            else:
+                with pytest.raises(AssertionError):
+                    brute_force_pell(delta, vmax)
 
 
 class TestPhi:
@@ -265,6 +298,99 @@ class TestUnitPowerData:
             rhs = (1 - eps ** (-2 * m)) * coef
             assert lhs == rhs
         assert eps ** (-1) * ctx.c(1) != -(1 - eps ** (-2)) * coef
+
+
+def naive_pow(x, m):
+    """Oracle: |m| repeated products, through the inverse for m < 0."""
+    base = x if m >= 0 else x.inverse()
+    out = FieldElement.of(1, 0, x.delta)
+    for _ in range(abs(m)):
+        out = out * base
+    return out
+
+
+def naive_matrix_power(g, m):
+    """Oracle: |m| products of plain 2x2 integer tuples."""
+    a, b, c, d = g.entries()
+    if m < 0:
+        a, b, c, d = d, -b, -c, a
+    out = (1, 0, 0, 1)
+    for _ in range(abs(m)):
+        p, q, r, s = out
+        out = (p * a + q * c, p * b + q * d, r * a + s * c, r * b + s * d)
+    return out
+
+
+def mp(x):
+    """A rational as an mpmath number at the working precision."""
+    x = Fraction(x)
+    return mpmath.mpf(x.numerator) / x.denominator
+
+
+THETAS = [GOLDEN, SQRT2, ONE_PLUS_SQRT3]
+GRADES = range(-20, 21)
+
+
+class TestExactPowers:
+    @pytest.mark.parametrize("t", THETAS)
+    def test_pow_and_cache_match_repeated_products(self, t):
+        ctx = ThetaContext(t)
+        for m in GRADES:
+            expected = naive_pow(ctx.eps, m)
+            assert ctx.eps**m == expected
+            assert ctx.eps_pow(m) == expected
+            assert ctx.eps_pow(m) is ctx.eps_pow(m)
+
+    @pytest.mark.parametrize("t", THETAS)
+    def test_power_matches_the_matrix_power_of_phi(self, t):
+        ctx = ThetaContext(t)
+        g1 = phi(ctx.unit, t)
+        # far grades first, so the cache is filled from both ends
+        for m in [20, -20, 3, -7, *GRADES]:
+            assert ctx.power(m).matrix().entries() == naive_matrix_power(g1, m)
+            assert ctx.power(m).m == m
+        assert unit_power_data(-5, t) == ctx.power(-5)
+
+    @pytest.mark.parametrize("t", THETAS)
+    def test_rank_identity_to_grade_20(self, t):
+        ctx = ThetaContext(t)
+        th = t.as_field_element()
+        for m in GRADES:
+            p = ctx.power(m)
+            assert p.c * th + p.d == ctx.eps_pow(m)
+
+
+class TestFloatBoundary:
+    @pytest.mark.parametrize("t", THETAS)
+    def test_eps_pow_float_against_60_digits(self, t):
+        ctx = ThetaContext(t)
+        with mpmath.workdps(60):
+            eps = (mpmath.mpf(ctx.unit.u) + ctx.unit.v * mpmath.sqrt(t.delta)) / 2
+            for m in GRADES:
+                ref = eps**m
+                rel = abs((mpmath.mpf(ctx.eps_pow_float(m)) - ref) / ref)
+                assert rel <= 1e-14, (t, m, float(rel))
+
+    @pytest.mark.parametrize(
+        "r,s",
+        # 161 - 72 sqrt(5) = 1/(161 + 72 sqrt(5)) ~ 0.0031 cancels ~5 digits
+        [(Fraction(161), Fraction(-72)), (Fraction(-161), Fraction(72)),
+         (Fraction(7, 3), Fraction(2, 5)), (Fraction(-1), Fraction(-4, 7)),
+         (Fraction(0), Fraction(-1, 3)), (Fraction(5), Fraction(0))],
+    )
+    def test_float_is_correct_on_every_sign_pattern(self, r, s):
+        x = FieldElement(r, s, 5)
+        with mpmath.workdps(60):
+            ref = mp(r) + mp(s) * mpmath.sqrt(5)
+            assert abs(mpmath.mpf(float(x)) - ref) <= 1e-15 * abs(ref)
+
+    @pytest.mark.parametrize("p,q,d", [(-1, 1, 2), (-100, 1, 10001), (0, -1, 2),
+                                       ("1/2", "1/2", 5), (-7, "-1/3", 11)])
+    def test_theta_float_against_60_digits(self, p, q, d):
+        t = classify(p, q, d)
+        with mpmath.workdps(60):
+            ref = mp(p) + mp(q) * mpmath.sqrt(d)
+            assert abs(mpmath.mpf(float(t)) - ref) <= 1e-15 * abs(ref)
 
 
 class TestFieldElement:
