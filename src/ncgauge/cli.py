@@ -12,9 +12,12 @@ import argparse
 import cmath
 import json
 import math
+import os
+import resource
 import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -260,12 +263,52 @@ def cmd_torus_check(args) -> tuple[dict, int]:
     return report, 0 if passed else 1
 
 
+# Sample arrays of one grade that the commutator eigenvalue table holds at
+# once: f, partial_2 f, its derivative and the temporaries of the finite
+# difference (tracemalloc peak: 5.0 to 5.1 arrays for sqrt2 at m = 3, 4, 5).
+COMMUTATOR_ARRAYS = 5
+
+
+def memory_budget() -> int:
+    """Bytes this process can use: the least of physical memory, the
+    cgroup v2 memory limit and the address-space rlimit, where set."""
+    limits = [os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")]
+    soft, _ = resource.getrlimit(resource.RLIMIT_AS)
+    if soft != resource.RLIM_INFINITY:
+        limits.append(soft)
+    try:
+        cgroup = Path("/sys/fs/cgroup/memory.max").read_text().strip()
+    except OSError:
+        cgroup = "max"
+    if cgroup.isdigit():
+        limits.append(int(cgroup))
+    return min(limits)
+
+
+def commutator_table_bytes(ctx: ThetaContext, grid: heisenberg.GridSpec, M: int):
+    """(bytes, grade) of the largest grade of the commutator table."""
+    grades = [m for m in range(M, -M - 1, -1) if m != 0]
+    if not grades:
+        return 0, 0
+    m = max(grades, key=lambda m: heisenberg.sector_count(ctx, m))
+    return COMMUTATOR_ARRAYS * heisenberg.sample_bytes(ctx, grid, m), m
+
+
 def cmd_heisenberg_verify(args) -> tuple[dict, int]:
     ctx = parse_theta(args.theta)
     grid = parse_grid(args.grid, args.tol_grid)
     rng = np.random.default_rng(args.seed)
     tol = args.tol
     M = args.grades
+    need, m_big = commutator_table_bytes(ctx, grid, M)
+    budget = memory_budget()
+    if need > budget:
+        raise ConfigError(
+            f"--grades {M} needs about {need / 2**30:.1f} GiB for the commutator "
+            f"table ({COMMUTATOR_ARRAYS} arrays of "
+            f"{heisenberg.sector_count(ctx, m_big)} sectors x {grid.N} points "
+            f"at grade {m_big}); this process can use {budget / 2**30:.1f} GiB"
+        )
     report = {
         "theta": ctx.theta_float,
         "epsilon": ctx.eps_float,

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -62,9 +63,12 @@ class GridSpec:
         if self.L <= 0:
             raise ValueError("L must be positive")
 
-    @property
+    @cached_property
     def xs(self) -> np.ndarray:
-        return np.linspace(-self.L, self.L, self.N)
+        """The N sample points, built once per grid and shared read-only."""
+        xs = np.linspace(-self.L, self.L, self.N)
+        xs.flags.writeable = False
+        return xs
 
     @property
     def h(self) -> float:
@@ -75,6 +79,11 @@ def sector_count(ctx: ThetaContext, m: int) -> int:
     if m == 0:
         raise GradeZero("grade 0 has no sector structure")
     return abs(ctx.c(m))
+
+
+def sample_bytes(ctx: ThetaContext, grid: GridSpec, m: int) -> int:
+    """Size of one grade-m sample array: |c_m| * N complex128 values."""
+    return sector_count(ctx, m) * grid.N * np.dtype(complex).itemsize
 
 
 class HeisenbergElement:
@@ -109,7 +118,8 @@ class HeisenbergElement:
     def evaluate(self, pts: np.ndarray, sector: int) -> np.ndarray:
         """Spline evaluation at arbitrary points, zero outside the window."""
         vals = self._spline(sector % self.samples.shape[0])(pts)
-        return np.nan_to_num(vals, nan=0.0)
+        vals[np.isnan(vals)] = 0.0
+        return vals
 
     def with_samples(self, samples: np.ndarray) -> "HeisenbergElement":
         return HeisenbergElement(self.m, samples, self.ctx, self.grid)
@@ -192,105 +202,97 @@ class HeisenbergElement:
 # -- module actions ---------------------------------------------------------
 
 
-def right_monomial(f: HeisenbergElement, r: int, s: int) -> HeisenbergElement:
-    """f . (U^r V^s) on the grade-m sector.
+def _u_rows(x_arg: np.ndarray, nums, den: int, terms) -> np.ndarray:
+    """Rows sum_r coeff_r e^{2 pi i r (x_arg - nums[k]/den)}, one per sector k.
 
-    (f.U)(x,k) = e^{2 pi i (x - k d_m/c_m)} f(x,k);
-    (f.V)(x,k) = f(x - eps^m/c_m, k-1).  The V part composes to one
-    translation; the U phase is evaluated at the translated coordinates.
+    The phase factors into an x part, whose powers come by recurrence over
+    the range of r present (|e^{2 pi i x}| = 1, so the inverse is the
+    conjugate), and a sector part, an exact root of unity from the integer
+    residue of r * nums[k] mod den; one contraction joins the two.  The
+    integers nums are taken mod den first, so the products stay small.
     """
-    ctx, grid, m = f.ctx, f.grid, f.m
-    p = ctx.power(m)
-    S = f.samples.shape[0]
-    xs = grid.xs
-    shift = s * ctx.eps_pow_float(m) / p.c
-    out = np.empty_like(f.samples)
-    for k in range(S):
-        src = (k - s) % S
-        vals = f.evaluate(xs - shift, src) if s != 0 else f.samples[src]
-        if r != 0:
-            phase = np.exp(2j * np.pi * r * ((xs - shift) - ((k - s) * p.d) / p.c))
-            vals = vals * phase
-        out[k] = vals
-    return f.with_samples(out)
+    nums = np.array([n % den for n in nums], dtype=np.int64)
+    lo = min(0, *(r for r, _ in terms))
+    hi = max(0, *(r for r, _ in terms))
+    ex = np.exp(2j * np.pi * x_arg)
+    powers = np.empty((hi - lo + 1, ex.size), dtype=complex)
+    powers[-lo] = 1.0
+    for r in range(1, hi + 1):
+        np.multiply(powers[r - 1 - lo], ex, out=powers[r - lo])
+    inv = np.conj(ex)
+    for r in range(-1, lo - 1, -1):
+        np.multiply(powers[r + 1 - lo], inv, out=powers[r - lo])
+    weights = np.zeros((nums.size, hi - lo + 1), dtype=complex)
+    for r, coeff in terms:
+        weights[:, r - lo] += coeff * np.exp(-2j * np.pi * ((r * nums) % den) / den)
+    return np.einsum("kr,rn->kn", weights, powers, optimize=False)
 
 
-def left_monomial(f: HeisenbergElement, r: int, s: int) -> HeisenbergElement:
-    """(U^r V^s) . f: first V^s (translation + sector shift), then U^r phase."""
-    ctx, grid, m = f.ctx, f.grid, f.m
-    p = ctx.power(m)
-    S = f.samples.shape[0]
-    xs = grid.xs
-    out = np.empty_like(f.samples)
-    for k in range(S):
-        src = (k - s * p.a) % S
-        vals = f.evaluate(xs - s / p.c, src) if s != 0 else f.samples[src]
-        if r != 0:
-            phase = np.exp(2j * np.pi * r * (xs / ctx.eps_pow_float(m) - k / p.c))
-            vals = vals * phase
-        out[k] = vals
-    return f.with_samples(out)
+def _by_v_power(b: TorusElement) -> dict:
+    """The terms of b grouped by V power: {s: [(r, coeff), ...]}."""
+    by_s: dict = {}
+    for (r, s), coeff in b.coeffs.items():
+        by_s.setdefault(s, []).append((r, coeff))
+    return by_s
+
+
+def _generator(gen: str, theta: float) -> TorusElement:
+    if gen == "U":
+        return TorusElement.U(theta)
+    if gen == "V":
+        return TorusElement.V(theta)
+    raise ValueError("gen must be 'U' or 'V'")
 
 
 def right_act(gen: str, f: HeisenbergElement) -> HeisenbergElement:
-    if gen == "U":
-        return right_monomial(f, 1, 0)
-    if gen == "V":
-        return right_monomial(f, 0, 1)
-    raise ValueError("gen must be 'U' or 'V'")
+    """f . U or f . V."""
+    return right_act_torus(f, _generator(gen, f.ctx.theta_float))
 
 
 def left_act(gen: str, f: HeisenbergElement) -> HeisenbergElement:
-    if gen == "U":
-        return left_monomial(f, 1, 0)
-    if gen == "V":
-        return left_monomial(f, 0, 1)
-    raise ValueError("gen must be 'U' or 'V'")
+    """U . f or V . f."""
+    return left_act_torus(_generator(gen, f.ctx.theta_float), f)
 
 
 def right_act_torus(f: HeisenbergElement, b: TorusElement) -> HeisenbergElement:
     """f . b for b = sum b_{rs} U^r V^s.
 
-    Monomials sharing the V power share one translation; U phases are
-    applied analytically on top, so each sector is interpolated once per
-    distinct s.
+    (f.U)(x,k) = e^{2 pi i (x - k d_m/c_m)} f(x,k);
+    (f.V)(x,k) = f(x - eps^m/c_m, k-1).  Monomials sharing the V power
+    share one translation; the U phases, evaluated at the translated
+    coordinates, are applied analytically on top, so each sector is
+    interpolated once per distinct s.
     """
     ctx, grid, m = f.ctx, f.grid, f.m
     p = ctx.power(m)
     S = f.samples.shape[0]
-    xs = grid.xs
-    by_s: dict = {}
-    for (r, s), coeff in b.coeffs.items():
-        by_s.setdefault(s, []).append((r, coeff))
     out = np.zeros_like(f.samples)
-    for s, terms in by_s.items():
-        shift = s * ctx.eps_pow_float(m) / p.c
+    for s, terms in _by_v_power(b).items():
+        pts = grid.xs - s * ctx.eps_pow_float(m) / p.c
+        phases = _u_rows(pts, [(k - s) * p.d for k in range(S)], p.c, terms)
         for k in range(S):
             src = (k - s) % S
-            vals = f.evaluate(xs - shift, src) if s != 0 else f.samples[src]
-            base = np.exp(2j * np.pi * ((xs - shift) - ((k - s) * p.d) / p.c))
-            acc = sum(coeff * base**r for r, coeff in terms)
-            out[k] += acc * vals
+            vals = f.evaluate(pts, src) if s != 0 else f.samples[src]
+            out[k] += phases[k] * vals
     return f.with_samples(out)
 
 
 def left_act_torus(b: TorusElement, f: HeisenbergElement) -> HeisenbergElement:
+    """b . f: per monomial, first V^s (translation by s/c_m and sector
+    shift by s a_m), then the U^r phase e^{2 pi i r (x/eps^m - k/c_m)}."""
     ctx, grid, m = f.ctx, f.grid, f.m
     p = ctx.power(m)
     S = f.samples.shape[0]
     xs = grid.xs
-    by_s: dict = {}
-    for (r, s), coeff in b.coeffs.items():
-        by_s.setdefault(s, []).append((r, coeff))
+    scaled = xs / ctx.eps_pow_float(m)
     out = np.zeros_like(f.samples)
-    em = ctx.eps_pow_float(m)
-    for s, terms in by_s.items():
+    for s, terms in _by_v_power(b).items():
+        phases = _u_rows(scaled, range(S), p.c, terms)
+        pts = xs - s / p.c
         for k in range(S):
             src = (k - s * p.a) % S
-            vals = f.evaluate(xs - s / p.c, src) if s != 0 else f.samples[src]
-            base = np.exp(2j * np.pi * (xs / em - k / p.c))
-            acc = sum(coeff * base**r for r, coeff in terms)
-            out[k] += acc * vals
+            vals = f.evaluate(pts, src) if s != 0 else f.samples[src]
+            out[k] += phases[k] * vals
     return f.with_samples(out)
 
 
@@ -466,6 +468,13 @@ def _pair_to_torus(f: HeisenbergElement, g: HeisenbergElement) -> TorusElement:
     is set by overlap of translates, which is slow when the first factor
     has positive grade), the U box is grid.modes + 4 since Fourier decay
     of Schwartz data is fast; both warn when the cap is hit non-negligibly.
+
+    The U phase of sector k at the scaled points factors as
+    e0(x)^{n1} omega^{k n1}, with e0 = e^{-2 pi i x/(eps^m eps^{m_f})} and
+    omega = e^{2 pi i/c_f}.  The powers of e0, times the trapezoid weights,
+    form one (2 b1 + 1, N) table built by recurrence, and the powers of
+    omega one (2 b1 + 1, S) matrix, so each V-row is S spline reads, one
+    contraction over the grid points and a sum over sectors.
     """
     ctx, grid = f.ctx, f.grid
     m = g.m
@@ -473,14 +482,23 @@ def _pair_to_torus(f: HeisenbergElement, g: HeisenbergElement) -> TorusElement:
     pf = ctx.power(f.m)
     S = g.samples.shape[0]
     xs = grid.xs
-    em = ctx.eps_pow_float(m)
-    emf = ctx.eps_pow_float(f.m)
-    scaled = xs / em
+    scaled = xs / ctx.eps_pow_float(m)
     b1 = grid.modes + 4
     n2_cap = 8 * grid.modes
-    g_rows = [g.samples[(-p.a * k) % S] for k in range(S)]
-    # U phase per unit n1 at the scaled evaluation points, per f-sector k
-    u_phase = [np.exp(-2j * np.pi * (scaled / emf - k / pf.c)) for k in range(S)]
+    g_rows = g.samples[[(-p.a * k) % S for k in range(S)]]
+    n1s = np.arange(-b1, b1 + 1)
+    e0 = np.exp(-2j * np.pi * scaled / ctx.eps_pow_float(f.m))
+    steps = np.diff(xs) / 2.0
+    weighted = np.empty((n1s.size, grid.N), dtype=complex)
+    weighted[b1, :-1] = steps
+    weighted[b1, -1] = 0.0
+    weighted[b1, 1:] += steps
+    e0_inv = np.conj(e0)
+    for n in range(1, b1 + 1):
+        np.multiply(weighted[b1 + n - 1], e0, out=weighted[b1 + n])
+        np.multiply(weighted[b1 - n + 1], e0_inv, out=weighted[b1 - n])
+    roots = np.exp(2j * np.pi * np.outer(n1s, np.arange(S)) / pf.c)
+    rows = np.empty((S, grid.N), dtype=complex)
 
     coeffs: dict = {}
     total_max = 0.0
@@ -490,16 +508,16 @@ def _pair_to_torus(f: HeisenbergElement, g: HeisenbergElement) -> TorusElement:
         # into one evaluation of the original spline so mass that leaves the
         # window is still seen; then exact U phases per n1 on top
         pts = scaled + n2 / pf.c
-        t_scaled = [f.evaluate(pts, (k + n2 * pf.a) % S) for k in range(S)]
-        row_max = 0.0
-        for n1 in range(-b1, b1 + 1):
-            reorder = np.exp(2j * np.pi * ((ctx.theta_float * n1 * n2) % 1.0))
-            val = 0.0 + 0.0j
-            for k in range(S):
-                val += np.trapezoid(u_phase[k] ** n1 * t_scaled[k] * g_rows[k], xs)
-            coeffs[(n1, n2)] = complex(reorder * val)
-            row_max = max(row_max, abs(val))
-        return row_max
+        for k in range(S):
+            rows[k] = f.evaluate(pts, (k + n2 * pf.a) % S)
+        np.multiply(rows, g_rows, out=rows)
+        # sum over the grid per (n1, sector), then over sectors with the roots
+        per_sector = np.einsum("nj,kj->nk", weighted, rows, optimize=False)
+        vals = (per_sector * roots).sum(axis=1)
+        reorder = np.exp(2j * np.pi * ((ctx.theta_float * n1s * n2) % 1.0))
+        for n1, val in zip(n1s.tolist(), (reorder * vals).tolist()):
+            coeffs[(n1, n2)] = val
+        return float(np.max(np.abs(vals)))
 
     total_max = do_row(0)
     quiet = 0

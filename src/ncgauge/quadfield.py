@@ -143,15 +143,33 @@ class FieldElement:
         When r and s*sqrt(Delta) have opposite signs the direct sum loses
         digits (eps^-m is a small difference of two large terms), so that
         branch divides the exact norm by the like-signed sum instead:
-        r + s*sqrt(Delta) = N(x) / (r - s*sqrt(Delta)).
+        r + s*sqrt(Delta) = N(x) / (r - s*sqrt(Delta)).  There r, s and
+        N(x) may lie beyond the float range while the value is tiny (eps^-800
+        is about 1e-334), so each is scaled by a power of two before it is
+        rounded and the quotient is scaled back by ldexp, which gives 0.0 or
+        a subnormal on underflow and still raises OverflowError on overflow.
         """
         root = math.sqrt(self.delta)
         if self.r * self.s < 0:
-            return float(self.norm()) / (float(self.r) - float(self.s) * root)
+            e = max(_binary_exponent(self.r), _binary_exponent(self.s))
+            den = _scaled_float(self.r, e) - _scaled_float(self.s, e) * root
+            n = self.norm()
+            en = _binary_exponent(n)
+            return math.ldexp(_scaled_float(n, en) / den, en - e)
         return float(self.r) + float(self.s) * root
 
     def __repr__(self):
         return f"({self.r} + {self.s}*sqrt({self.delta}))"
+
+
+def _binary_exponent(q: Fraction) -> int:
+    """An e with |q| / 2**e in [1/2, 2]: the difference of bit lengths."""
+    return abs(q.numerator).bit_length() - q.denominator.bit_length()
+
+
+def _scaled_float(q: Fraction, e: int) -> float:
+    """float(q / 2**e), with the scaling done exactly before rounding."""
+    return float(q / 2**e) if e >= 0 else float(q * 2**-e)
 
 
 def norm(x: FieldElement) -> Fraction:

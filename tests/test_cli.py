@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from ncgauge import hopf
+from ncgauge import cli, heisenberg, hopf
 from ncgauge.cli import main, parse_q_token, parse_theta, ConfigError
 
 
@@ -65,6 +65,39 @@ class TestTorusCheck:
         _, out1 = run(capsys, ["torus-check", "--theta", "0,1,2", "--seed", "7"])
         _, out2 = run(capsys, ["torus-check", "--theta", "0,1,2", "--seed", "7"])
         assert out1 == out2
+
+
+class TestHeisenbergMemoryGuard:
+    def test_grade_8_estimate(self):
+        # |c_8| = 470 832 sectors for sqrt2: 7.7 GB per sample array
+        need, m = cli.commutator_table_bytes(
+            parse_theta("0,1,2"), heisenberg.GridSpec(), 8
+        )
+        assert m == 8
+        assert need == cli.COMMUTATOR_ARRAYS * 470_832 * 1024 * 16
+
+    def test_grade_8_exits_2_before_allocating(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "memory_budget", lambda: 8 * 2**30)
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled a grade the guard should refuse")
+
+        monkeypatch.setattr(heisenberg, "gaussian", no_sampling)
+        code = main(["heisenberg-verify", "--theta", "0,1,2", "--grades", "8"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "35.9 GiB" in err and "470832 sectors" in err
+
+    def test_budget_sets_the_limit(self, capsys, monkeypatch):
+        ctx, grid = parse_theta("1/2,1/2,5"), heisenberg.GridSpec()
+        need, _ = cli.commutator_table_bytes(ctx, grid, 2)
+        monkeypatch.setattr(cli, "memory_budget", lambda: need - 1)
+        assert main(["heisenberg-verify", "--theta", "1/2,1/2,5", "--grades", "2"]) == 2
+        code, out = run(capsys, ["heisenberg-verify", "--theta", "1/2,1/2,5", "--grades", "1"])
+        assert code == 0 and json.loads(out)["pass"]
+
+    def test_memory_budget_is_positive(self):
+        assert cli.memory_budget() > 0
 
 
 class TestMonopole:

@@ -22,7 +22,7 @@ from ncgauge.heisenberg import (
     partial,
     random_packet,
     right_act,
-    right_monomial,
+    right_act_torus,
     sector_count,
     sigma,
     star_P,
@@ -99,7 +99,8 @@ class TestModuleActions:
         rhs = right_act("V", rhs).scale(LAM)
         assert rel(lhs, rhs) < 2e-5
         # the single-step monomial route is exact up to phase rounding
-        assert rel(right_monomial(f, 1, 1).scale(LAM), lhs) < 2e-5
+        uv = TorusElement(CTX.theta_float, {(1, 1): 1})
+        assert rel(right_act_torus(f, uv).scale(LAM), lhs) < 2e-5
 
     # composed actions interpolate oscillatory data; the left U phase has
     # frequency eps^{-m}, so negative grades carry a larger error floor

@@ -1,6 +1,7 @@
 """Exact tests for the real quadratic field layer."""
 
 import math
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -370,6 +371,26 @@ class TestFloatBoundary:
                 ref = eps**m
                 rel = abs((mpmath.mpf(ctx.eps_pow_float(m)) - ref) / ref)
                 assert rel <= 1e-14, (t, m, float(rel))
+
+    @pytest.mark.parametrize("t", THETAS)
+    @pytest.mark.parametrize("m", [-740, -800])
+    def test_eps_pow_float_underflows_to_zero_or_subnormal(self, t, m):
+        # r and s of eps^m are near 1e334 here while eps^m is below the
+        # smallest normal float; the result must round, not raise
+        ctx = ThetaContext(t)
+        with mpmath.workdps(60):
+            eps = (mpmath.mpf(ctx.unit.u) + ctx.unit.v * mpmath.sqrt(t.delta)) / 2
+            ref = float(eps**m)
+        assert abs(ctx.eps_pow_float(m) - ref) <= math.ulp(ref)
+
+    def test_golden_eps_pow_float_minus_740_is_subnormal(self):
+        value = ThetaContext(GOLDEN).eps_pow_float(-740)
+        assert 0.0 < value < sys.float_info.min
+
+    @pytest.mark.parametrize("t", THETAS)
+    def test_eps_pow_float_overflow_still_raises(self, t):
+        with pytest.raises(OverflowError):
+            ThetaContext(t).eps_pow_float(800)
 
     @pytest.mark.parametrize(
         "r,s",
