@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
 import json
 import math
 import os
@@ -294,6 +295,27 @@ def commutator_table_bytes(ctx: ThetaContext, grid: heisenberg.GridSpec, M: int)
     return COMMUTATOR_ARRAYS * heisenberg.sample_bytes(ctx, grid, m), m
 
 
+@contextlib.contextmanager
+def count_truncations(counts: dict, section: str):
+    """Count the TruncationWarnings raised inside the block into counts[section].
+
+    A window-clipped product marks the check it belongs to; it does not fail
+    it.  Warnings of any other category are passed on unchanged.
+    """
+    caught = []
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", heisenberg.TruncationWarning)
+            yield
+    finally:
+        n = sum(issubclass(w.category, heisenberg.TruncationWarning) for w in caught)
+        if n:
+            counts[section] = n
+        for w in caught:
+            if not issubclass(w.category, heisenberg.TruncationWarning):
+                warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+
+
 def cmd_heisenberg_verify(args) -> tuple[dict, int]:
     ctx = parse_theta(args.theta)
     grid = parse_grid(args.grid, args.tol_grid)
@@ -317,9 +339,9 @@ def cmd_heisenberg_verify(args) -> tuple[dict, int]:
     }
     G = heisenberg
     failures = []
+    truncations = {}
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", G.TruncationWarning)
+        with count_truncations(truncations, "commutator_eigenvalues"):
             # commutator eigenvalue table
             eig = {}
             for m in range(-M, M + 1):
@@ -343,6 +365,7 @@ def cmd_heisenberg_verify(args) -> tuple[dict, int]:
                     failures.append(f"twist3 at m={m}: {rel:.2e}")
             report["commutator_eigenvalues"] = eig
 
+        with count_truncations(truncations, "right_module_relation"):
             # module laws
             f = G.random_packet(ctx, grid, 1, rng)
             lam = cmath.exp(2j * math.pi * ctx.theta_float)
@@ -353,7 +376,8 @@ def cmd_heisenberg_verify(args) -> tuple[dict, int]:
             if mod > 10 * tol:
                 failures.append(f"module law: {mod:.2e}")
 
-            # twisted Leibniz and star-twist on the required grade pairs
+        with count_truncations(truncations, "twist1"):
+            # twisted Leibniz on the required grade pairs
             parts = {
                 0: G.GradedElement.from_torus(
                     torus.TorusElement(
@@ -368,9 +392,10 @@ def cmd_heisenberg_verify(args) -> tuple[dict, int]:
             tw1 = {}
             for a, b in [(0, 1), (1, 0), (1, 1), (-1, 1)]:
                 p, q = parts[a], parts[b]
+                pq = G.mul_P(p, q)
                 worst = 0.0
                 for j in (1, 2):
-                    lhs = G.partial(j, G.mul_P(p, q))
+                    lhs = G.partial(j, pq)
                     rhs = G.mul_P(G.partial(j, p), G.sigma(q)) + G.mul_P(
                         p, G.partial(j, q)
                     )
@@ -380,6 +405,9 @@ def cmd_heisenberg_verify(args) -> tuple[dict, int]:
                 if worst > tol:
                     failures.append(f"twist1 ({a},{b}): {worst:.2e}")
             report["twist1"] = tw1
+
+        with count_truncations(truncations, "twist2"):
+            # star-twist
             tw2 = {}
             for m in (1, -1):
                 p = parts[m]
@@ -395,6 +423,7 @@ def cmd_heisenberg_verify(args) -> tuple[dict, int]:
                     failures.append(f"twist2 m={m}: {worst:.2e}")
             report["twist2"] = tw2
 
+        with count_truncations(truncations, "mul_associativity"):
             # associativity
             assoc = {}
             for triple in [(1, 1, -1), (1, -1, 1), (0, 1, 1)]:
@@ -410,6 +439,7 @@ def cmd_heisenberg_verify(args) -> tuple[dict, int]:
     except G.WindowOverflow as exc:
         report["window_overflow"] = str(exc)
         failures.append("window overflow")
+    report["truncations"] = truncations
     report["failures"] = failures
     report["pass"] = not failures
     return report, 0 if not failures else 1
@@ -536,8 +566,8 @@ def cmd_cohomology(args) -> tuple[dict, int]:
             else hopf.zero_cochain(inst, "M")
         )
         op = hopf.op_report(inst, sigma0, mu0 if inst.dB is not None else None)
-        report["op"] = {"max": op["max"]}
-        if op["max"] > 1e-10:
+        report["op"] = {**op, "tol": hopf.TOL}
+        if op["max"] > hopf.TOL:
             failures.append("Op realization")
     else:
         skipped.append({

@@ -1,6 +1,6 @@
 """Lazy Sweedler/Hochschild cohomology for finite-dimensional Hopf *-algebras.
 
-Everything is dense structure tensors over a fixed basis: a Hopf *-algebra
+All data are structure tensors over a fixed basis: a Hopf *-algebra
 H, a right H-module *-algebra B, an H-equivariant B-*-bimodule M (playing
 the role of the one-forms), optionally a derivation d_B : B -> M and a
 degree-2 block (Omega^2, wedge, d_1) for curvature.
@@ -16,7 +16,10 @@ conditions, coboundaries, the Maurer-Cartan and curvature maps, the
 module-algebra axioms) is written once, as one contraction of these tables
 with the coproduct.  The Hochschild cocycle space is solved as a linear
 system whose rows are the same residuals evaluated on the standard basis of
-cochains; the crossed-product realizations Op are checked entrywise.
+cochains.  The crossed-product realizations Op are checked entrywise on the
+basis of B x| H, one H basis index at a time, against left-multiplication
+blocks contracted from the same tables; the crossed product keeps no
+product tensor of its own.
 
 Shipped instances are group algebras C[Z_n] acting on the function algebra
 C(Z_n) by shift: the symmetric cycle calculus (e+, e- with e+* = e-, the
@@ -548,51 +551,54 @@ def graded_bracket(mu: ConvolutionElement, nu: ConvolutionElement) -> Convolutio
 
 
 class CrossedProduct:
-    """Dense realization of B x| H on the basis e_i (x) beta_b.
+    """Factored realization of B x| H on the basis e_i (x) beta_b.
 
     Elements are flattened vectors over (dim H) x (dim B); one-forms live
-    over (dim H) x (dim M) and two-forms over (dim H) x (dim O2).  All
-    products and stars are precomputed dense tensors so entrywise checks
-    over the full basis are plain tensor algebra.
+    over (dim H) x (dim M) and two-forms over (dim H) x (dim O2).  The
+    product (h x x)(h' x y) = h h'_1 x (x <| h'_2) y is kept as its factors
+    (the coproduct and product of H, the action on x and the typed product
+    x.y), and `left` contracts them into left-multiplication matrices one
+    batch of elements at a time, so no tensor of cubic size in
+    dim H * dim B is built.  The antilinear star matrices SP (on B x| H) and
+    SW (on M x| H) are quadratic and precomputed.
     """
 
     def __init__(self, inst: ModuleAlgebra):
         self.inst = inst
-        self.H = inst.H
-        H, dH = inst.H, inst.H.dim
-        # (h x b)(h' x b') = h h'_1 x (b <| h'_2) b'
-        self.T = _contract(
-            "pjk,ijt,bku,uce->ibpcte", H.comul, H.mul, inst.actB, inst.mulB,
-        ).reshape(dH * inst.dimB, dH * inst.dimB, dH * inst.dimB)
-        # (h x b) . (h' x m) and (h x m) . (h' x b)
-        self.TL = _contract(
-            "pjk,ijt,bku,ume->ibpmte", H.comul, H.mul, inst.actB, inst.leftM,
-        ).reshape(dH * inst.dimB, dH * inst.dimM, dH * inst.dimM)
-        self.TR = _contract(
-            "pjk,ijt,mku,ube->impbte", H.comul, H.mul, inst.actM, inst.rightM,
-        ).reshape(dH * inst.dimM, dH * inst.dimB, dH * inst.dimM)
-        # star matrices (antilinear): star(u) = conj(u) @ S
-        self.SP = _contract(
-            "ijk,jt,ks,bu,use->ibte",
-            np.conj(H.comul), H.star, H.star, inst.starB, inst.actB,
-        ).reshape(dH * inst.dimB, dH * inst.dimB)
-        self.SW = _contract(
-            "ijk,jt,ks,mu,use->imte",
-            np.conj(H.comul), H.star, H.star, inst.starM, inst.actM,
-        ).reshape(dH * inst.dimM, dH * inst.dimM)
-        if inst.wedge is not None:
-            self.WT = _contract(
-                "pjk,ijt,mku,une->impnte", H.comul, H.mul, inst.actM, inst.wedge,
-            ).reshape(dH * inst.dimM, dH * inst.dimM, dH * inst.dimO2)
-        else:
-            self.WT = None
+        self.H = H = inst.H
+        # star matrices (antilinear) of B x| H and M x| H: star(u) = conj(u) @ S
+        self.SP, self.SW = (
+            _contract(
+                "ijk,jt,ks,bu,use->ibte",
+                np.conj(H.comul), H.star, H.star, inst.stars[t], inst.actions[t],
+            ).reshape(H.dim * len(inst.stars[t]), -1)
+            for t in ("B", "M")
+        )
 
     @property
     def dim(self):
         return self.H.dim * self.inst.dimB
 
+    def left(self, tx: str, ty: str, X) -> np.ndarray:
+        """Left-multiplication matrices of a batch of elements of tx x| H.
+
+        X is an (n, dim H * dim tx) array, or an int i standing for the
+        dim tx rows e_i (x) beta_b of the identity (these slice H.mul[i]
+        instead of contracting with X).  Returns L of shape
+        (n, dim H * dim ty, dim H * dim tz), tz the target of tx . ty, with
+        x . y = y @ L[r] for the r-th element x of the batch.
+        """
+        H, A = self.H, self.inst.actions[tx]
+        _, P = self.inst.product(tx, ty)
+        if isinstance(X, int):
+            L = _contract("bku,pjk,jt,uce->bpcte", A, H.comul, H.mul[X], P)
+        else:
+            X = np.reshape(X, (len(X), H.dim, A.shape[0]))
+            L = _contract("nib,bku,pjk,ijt,uce->npcte", X, A, H.comul, H.mul, P)
+        return L.reshape(len(L), H.dim * P.shape[1], H.dim * P.shape[2])
+
     def mul(self, u, v):
-        return _contract("x,y,xyz->z", u, v, self.T)
+        return v @ self.left("B", "B", u[None])[0]
 
     def star(self, u):
         return np.conj(u) @ self.SP
@@ -640,61 +646,73 @@ def op_report(inst: ModuleAlgebra, sigma: ConvolutionElement,
     that Op(mu) is an H-covariant *-derivation restricting to d_B, and the
     gauge compatibility Op(sigma) |> Op(mu) = Op(sigma |> mu + MC(sigma)).
     When upsilon is given, also checks Op(D upsilon) = Ad_upsilon.
+
+    The multiplicativity checks run one H basis index i at a time: for the
+    basis elements x = e_i (x) beta_b they compare L(x) G with G' L(G x)
+    (L from `CrossedProduct.left`) and keep the running max, so memory
+    stays quadratic in dim H * dim B.
     """
     cp = CrossedProduct(inst)
-    dP = cp.dim
     F = op_gauge_matrix(sigma)
-    rep = {}
-    # homomorphism: T . F = (F (x) F) . T entrywise
-    lhs = _contract("xyz,zw->xyw", cp.T, F)
-    rhs = _contract("xa,yb,abw->xyw", F, F, cp.T)
-    rep["op_sigma_hom"] = float(np.abs(lhs - rhs).max())
-    # star-automorphism: SP . F = conj(F) . SP
-    rep["op_sigma_star"] = float(np.abs(cp.SP @ F - np.conj(F) @ cp.SP).max())
-    # fixes B and the unit
-    EB = _contract("i,bc->bic", inst.H.unit, np.eye(inst.dimB)).reshape(
-        inst.dimB, dP
-    )
-    rep["op_sigma_fixes_B"] = float(np.abs(EB @ F - EB).max())
-    rep["op_sigma_unit"] = float(np.abs(cp.unit() @ F - cp.unit()).max())
-    # induced bijection on one-forms intertwines the bimodule structure
     Fm = op_gauge_matrix(sigma, "M")
-    lhs = _contract("xyz,zw->xyw", cp.TL, Fm)
-    rhs = _contract("xa,yb,abw->xyw", F, Fm, cp.TL)
-    rep["op_sigma_forms_left"] = float(np.abs(lhs - rhs).max())
-    lhs = _contract("xyz,zw->xyw", cp.TR, Fm)
-    rhs = _contract("xa,yb,abw->xyw", Fm, F, cp.TR)
-    rep["op_sigma_forms_right"] = float(np.abs(lhs - rhs).max())
-    if cp.WT is not None:
-        F2 = op_gauge_matrix(sigma, "O2")
-        lhs = _contract("xyz,zw->xyw", cp.WT, F2)
-        rhs = _contract("xa,yb,abw->xyw", Fm, Fm, cp.WT)
-        rep["op_sigma_prolongable"] = float(np.abs(lhs - rhs).max())
+    # G_z(x . y) = G_x(x) . G_y(y) for x in tx x| H and y in ty x| H
+    homs = {
+        "op_sigma_hom": ("B", "B", F, F, F),
+        "op_sigma_forms_left": ("B", "M", F, Fm, Fm),
+        "op_sigma_forms_right": ("M", "B", Fm, F, Fm),
+    }
+    if inst.wedge is not None:
+        homs["op_sigma_prolongable"] = ("M", "M", Fm, Fm, op_gauge_matrix(sigma, "O2"))
+    worst = {}
+
+    def note(key, resid):  # running max over the H basis index
+        worst[key] = max(worst.get(key, 0.0), _maxabs(resid))
+
+    if mu is not None:
+        D = op_potential_matrix(mu)
     if upsilon is not None:
         FD = op_gauge_matrix(coboundary_S(inst, upsilon))
         eu = cp.embed_B(np.asarray(upsilon, dtype=complex))
         eus = cp.embed_B(inst.star("B", np.asarray(upsilon, dtype=complex)))
-        ad = np.array([cp.mul(cp.mul(eu, e), eus) for e in np.eye(dP)])
-        rep["op_coboundary_is_ad"] = float(np.abs(FD - ad).max())
+        right = []  # row blocks of the matrix of x -> x . eus
+    for i in range(inst.H.dim):
+        L = {}  # L(e_i (x) beta_b) on B x| H and on M x| H, reused below
+        for key, (tx, ty, Gx, Gy, Gz) in homs.items():
+            Li = cp.left(tx, ty, i)
+            resid = Gy @ cp.left(tx, ty, Gx[i * len(Li):(i + 1) * len(Li)])
+            resid -= Li @ Gz
+            note(key, resid)
+            if tx == "B":
+                L[ty] = Li
+        if mu is not None:
+            # derivation: D(xy) = D(x).y + x.D(y)
+            resid = L["B"] @ D
+            resid -= cp.left("M", "B", D[i * inst.dimB:(i + 1) * inst.dimB])
+            resid -= D @ L["M"]
+            note("op_mu_derivation", resid)
+        if upsilon is not None:
+            right.append(eus @ L["B"])
+    rep = {"op_sigma_hom": worst.pop("op_sigma_hom")}
+    # star-automorphism: SP . F = conj(F) . SP
+    rep["op_sigma_star"] = _maxabs(cp.SP @ F - np.conj(F) @ cp.SP)
+    # fixes B and the unit
+    EB = np.kron(inst.H.unit, np.eye(inst.dimB))
+    rep["op_sigma_fixes_B"] = _maxabs(EB @ F - EB)
+    rep["op_sigma_unit"] = _maxabs(cp.unit() @ F - cp.unit())
+    rep.update(worst)
+    if upsilon is not None:
+        # Ad_upsilon(x) = eu . x . eus
+        ad = cp.left("B", "B", eu[None])[0] @ np.vstack(right)
+        rep["op_coboundary_is_ad"] = _maxabs(FD - ad)
     if mu is not None:
-        D = op_potential_matrix(mu)
-        # derivation: D(xy) = D(x).y + x.D(y)
-        lhs = _contract("xyz,zw->xyw", cp.T, D)
-        rhs = _contract("xa,ayw->xyw", D, cp.TR) + _contract(
-            "yb,xbw->xyw", D, cp.TL
-        )
-        rep["op_mu_derivation"] = float(np.abs(lhs - rhs).max())
         # star-derivation: D(x^*) = -(D x)^*
-        rep["op_mu_star"] = float(np.abs(cp.SP @ D + np.conj(D) @ cp.SW).max())
+        rep["op_mu_star"] = _maxabs(cp.SP @ D + np.conj(D) @ cp.SW)
         # restriction to B is d_B
-        dB_flat = _contract("i,bm->bim", inst.H.unit, inst.dB).reshape(
-            inst.dimB, inst.H.dim * inst.dimM
-        )
-        rep["op_mu_restricts"] = float(np.abs(EB @ D - dB_flat).max())
+        rep["op_mu_restricts"] = _maxabs(EB @ D - np.kron(inst.H.unit, inst.dB))
         # gauge compatibility
         Finv = op_gauge_matrix(conv_inverse(sigma))
         target = op_potential_matrix(conj_action(sigma, mu) + mc_cocycle(sigma))
-        rep["op_gauge_compat"] = float(np.abs(Finv @ D @ Fm - target).max())
+        rep["op_gauge_compat"] = _maxabs(Finv @ D @ Fm - target)
     rep["max"] = max(v for v in rep.values())
     return rep
 

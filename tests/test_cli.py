@@ -1,6 +1,7 @@
 """CLI contract tests: subcommands, formats, exit codes."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -100,6 +101,36 @@ class TestHeisenbergMemoryGuard:
         assert cli.memory_budget() > 0
 
 
+class TestHeisenbergTruncations:
+    @pytest.mark.parametrize(
+        "theta", ["1/2,1/2,5", "0,1,2", "1,1,3"], ids=["golden", "sqrt2", "one_plus_sqrt3"]
+    )
+    def test_clipped_product_is_counted_not_failed(self, capsys, theta):
+        # the associativity triple (1, 1, -1) builds P_2 x P_-1, whose mass is
+        # window-clipped on all three thetas
+        code, out = run(
+            capsys, ["heisenberg-verify", "--theta", theta, "--grades", "3", "--seed", "1"]
+        )
+        data = json.loads(out)
+        assert data["truncations"] == {"mul_associativity": 1}
+        assert not any(f.startswith("assoc") for f in data["failures"])
+        assert data["pass"] == (not data["failures"])
+        assert code == (0 if data["pass"] else 1)
+
+    def test_counts_survive_an_overflow_and_other_warnings_pass_on(self):
+        counts = {}
+        with pytest.warns(RuntimeWarning, match="passed on"):
+            with cli.count_truncations(counts, "first"):
+                warnings.warn("clipped", heisenberg.TruncationWarning)
+                warnings.warn("passed on", RuntimeWarning)
+        with pytest.raises(heisenberg.WindowOverflow):
+            with cli.count_truncations(counts, "second"):
+                warnings.warn("clipped", heisenberg.TruncationWarning)
+                warnings.warn("clipped", heisenberg.TruncationWarning)
+                raise heisenberg.WindowOverflow("window exhausted")
+        assert counts == {"first": 1, "second": 2}
+
+
 class TestMonopole:
     def test_sweep(self, capsys):
         code, out = run(
@@ -132,6 +163,21 @@ class TestCohomology:
         assert data["hochschild"]["dim_Z"] == data["hochschild"]["brute_force_Z"]
         assert "op" in data and data["skipped"] == []
         assert data["maurer_cartan"]["sigma"] == "unit"
+
+    @pytest.mark.parametrize("token", ["cycle:4", "jet:2"])
+    def test_op_block_carries_every_residual(self, capsys, token):
+        code, out = run(capsys, ["cohomology", "--builtin", token])
+        assert code == 0
+        op = json.loads(out)["op"]
+        keys = {
+            "op_sigma_hom", "op_sigma_star", "op_sigma_fixes_B", "op_sigma_unit",
+            "op_sigma_forms_left", "op_sigma_forms_right", "op_sigma_prolongable",
+            "op_mu_derivation", "op_mu_star", "op_mu_restricts", "op_gauge_compat",
+            "max", "tol",
+        }
+        assert set(op) == keys
+        assert op["tol"] == 1e-10
+        assert op["max"] == max(v for k, v in op.items() if k != "tol") <= op["tol"]
 
     def test_size_gate_names_the_skipped_op_checks(self, capsys):
         code, out = run(capsys, ["cohomology", "--builtin", "jet:5"])
