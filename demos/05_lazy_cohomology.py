@@ -88,7 +88,8 @@ print("gauge equivariance residual:", equiv)
 
 print("\n== crossed-product realizations ==")
 rep = op_report(inst, sigma, mu, upsilon=u)
+print("  multiplicativity checked on:", ", ".join(rep["generators"]))
 for k, v in rep.items():
-    if k != "max":
+    if k not in ("max", "generators"):
         print(f"  {k:<28} {v:.2e}")
 print("max violation:", f"{rep['max']:.2e}")

@@ -486,7 +486,19 @@ def _builtin_instance(token: str) -> hopf.ModuleAlgebra:
     }
     if kind not in makers:
         raise ConfigError(f"unknown builtin instance kind {kind!r}")
+    if n < 1:
+        raise ConfigError(f"--builtin {token!r}: n must be at least 1")
     return makers[kind](n)
+
+
+def cohomology_bytes(inst: hopf.ModuleAlgebra) -> tuple[int, str]:
+    """(bytes, name) of the larger of the two big allocations of `cohomology`:
+    the Hochschild solver's stacked system and the largest chunk of
+    crossed-product multiplication blocks."""
+    return max(
+        (hopf.hochschild_system_bytes(inst), "stacked Hochschild system"),
+        (hopf.op_chunk_bytes(inst), "largest chunk of crossed-product blocks"),
+    )
 
 
 def cmd_cohomology(args) -> tuple[dict, int]:
@@ -498,6 +510,15 @@ def cmd_cohomology(args) -> tuple[dict, int]:
             raise ConfigError(f"cannot load instance: {exc}") from exc
     else:
         inst = _builtin_instance(args.builtin)
+    need, what = cohomology_bytes(inst)
+    budget = memory_budget()
+    if need > budget:
+        raise ConfigError(
+            f"{inst.name or args.instance or args.builtin} needs about "
+            f"{need / 2**30:.1f} GiB for the "
+            f"{what} (dim H = {inst.H.dim}, dim B = {inst.dimB}, dim M = {inst.dimM}); "
+            f"this process can use {budget / 2**30:.1f} GiB"
+        )
     n = inst.H.dim
     rng = np.random.default_rng(args.seed)
     report = {"instance": inst.name or args.builtin, "dim_H": n, "dim_B": inst.dimB}
@@ -512,7 +533,6 @@ def cmd_cohomology(args) -> tuple[dict, int]:
     data = inst.data_report()
     report["data_gate"] = data["max"]
     failures = []
-    skipped = []
     if data["max"] > 1e-10:
         failures.append("module-algebra data")
     sol = hopf.solve_hochschild_space(inst)
@@ -555,27 +575,20 @@ def cmd_cohomology(args) -> tuple[dict, int]:
         if max(mc_res, ident) > 1e-10:
             failures.append("Maurer-Cartan identities")
     # Op realization checks
-    if n <= 4 or inst.dimB <= n:
-        zeta = np.exp(2j * np.pi / n)
-        sigma0 = hopf.ConvolutionElement(
-            inst, "B", np.array([inst.unitB * zeta**j for j in range(n)])
-        )
-        mu0 = (
-            sol["basis"][0]
-            if sol["basis"]
-            else hopf.zero_cochain(inst, "M")
-        )
-        op = hopf.op_report(inst, sigma0, mu0 if inst.dB is not None else None)
-        report["op"] = {**op, "tol": hopf.TOL}
-        if op["max"] > hopf.TOL:
-            failures.append("Op realization")
-    else:
-        skipped.append({
-            "check": "op",
-            "reason": "dense crossed-product checks run only for dim H <= 4 or "
-                      f"dim B <= dim H; here dim H = {n} and dim B = {inst.dimB}",
-        })
-    report["skipped"] = skipped
+    zeta = np.exp(2j * np.pi / n)
+    sigma0 = hopf.ConvolutionElement(
+        inst, "B", np.array([inst.unitB * zeta**j for j in range(n)])
+    )
+    mu0 = (
+        sol["basis"][0]
+        if sol["basis"]
+        else hopf.zero_cochain(inst, "M")
+    )
+    op = hopf.op_report(inst, sigma0, mu0 if inst.dB is not None else None)
+    report["op"] = {**op, "tol": hopf.TOL}
+    if op["max"] > hopf.TOL:
+        failures.append("Op realization")
+    report["skipped"] = []
     report["failures"] = failures
     report["pass"] = not failures
     return report, 0 if not failures else 1

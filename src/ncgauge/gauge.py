@@ -223,10 +223,6 @@ class QCalculus:
     def number(self, n: int):
         return q_number(n, self.q)
 
-    def group_weight(self, m: int) -> float:
-        """Action of z -> z^m on the covariant 1-forms."""
-        return self.q**m
-
 
 def q_number(n: int, q):
     """[n]_q = (1 - q^n)/(1 - q) for q != 1, and n at q = 1.

@@ -143,9 +143,6 @@ class HeisenbergElement:
     def scale(self, c) -> "HeisenbergElement":
         return self.with_samples(self.samples * c)
 
-    def conj_samples(self) -> np.ndarray:
-        return np.conj(self.samples)
-
     def norm(self) -> float:
         """l^2 norm: sqrt of sum over sectors of the trapezoid integral."""
         dens = np.abs(self.samples) ** 2
@@ -426,13 +423,6 @@ def sigma(p: GradedElement) -> GradedElement:
     return GradedElement(out, p.ctx, p.grid)
 
 
-def sigma_inverse(p: GradedElement) -> GradedElement:
-    out = {}
-    for m, part in p.parts.items():
-        out[m] = part if m == 0 else part.scale(p.ctx.eps_pow_float(m))
-    return GradedElement(out, p.ctx, p.grid)
-
-
 def star_P(p: GradedElement) -> GradedElement:
     out = {}
     for m, part in p.parts.items():
@@ -691,20 +681,3 @@ def random_packet(
         weights = rng.standard_normal(S) + 1j * rng.standard_normal(S)
         samples += np.outer(weights, base)
     return HeisenbergElement(m, samples, ctx, grid)
-
-
-def random_graded(
-    ctx, grid, grades, rng: np.random.Generator, torus_terms: int = 3
-) -> GradedElement:
-    parts = {}
-    for m in grades:
-        if m == 0:
-            coeffs = {}
-            for _ in range(torus_terms):
-                r = int(rng.integers(-2, 3))
-                s = int(rng.integers(-2, 3))
-                coeffs[(r, s)] = complex(rng.standard_normal(), rng.standard_normal())
-            parts[0] = TorusElement(ctx.theta_float, coeffs)
-        else:
-            parts[m] = random_packet(ctx, grid, m, rng)
-    return GradedElement(parts, ctx, grid)

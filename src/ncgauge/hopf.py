@@ -16,10 +16,19 @@ conditions, coboundaries, the Maurer-Cartan and curvature maps, the
 module-algebra axioms) is written once, as one contraction of these tables
 with the coproduct.  The Hochschild cocycle space is solved as a linear
 system whose rows are the same residuals evaluated on the standard basis of
-cochains.  The crossed-product realizations Op are checked entrywise on the
-basis of B x| H, one H basis index at a time, against left-multiplication
-blocks contracted from the same tables; the crossed product keeps no
-product tensor of its own.
+cochains.  The crossed-product realizations Op are checked against
+multiplication blocks contracted from the same tables; the crossed product
+keeps no product tensor of its own.  Each multiplicativity check
+G(x . y) = G(x) . G(y) (and the Leibniz rule of Op(mu)) runs with x on a
+generating set of B x| H, the unit block 1 (x) B and e_g (x) 1_B for the
+generators g of H, and y on the whole basis.  Induction on word length
+extends it to every x, because the x on which it holds are closed under
+products as soon as B x| H is associative, which is what the Hopf gate
+(`FiniteHopf.axiom_report`) and the data gate (`ModuleAlgebra.data_report`)
+establish.  So the checks are only as sound as those gates; the CLI runs
+them first and reports a failed gate.  The checks contract about
+dim B + dim M multiplication blocks, dim H times fewer than a pass over the
+whole basis, and the CLI runs them on every instance: there is no size gate.
 
 Shipped instances are group algebras C[Z_n] acting on the function algebra
 C(Z_n) by shift: the symmetric cycle calculus (e+, e- with e+* = e-, the
@@ -32,9 +41,11 @@ derivation is inner and MC vanishes on all lazy Sweedler cocycles).
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -46,12 +57,27 @@ _DEGREE = {"B": 0, "M": 1, "O2": 2}
 
 def _contract(spec: str, *operands) -> np.ndarray:
     """np.einsum contracted pairwise along a greedy path (Smith & Gray,
-    "opt_einsum", JOSS 2018), never as one nested loop over all indices."""
-    return np.einsum(spec, *operands, optimize=True)
+    "opt_einsum", JOSS 2018), never as one nested loop over all indices.
+    The path depends only on the spec and the operand shapes, so it is
+    searched once for each and cached."""
+    path = _greedy_path(spec, tuple(np.shape(op) for op in operands))
+    return np.einsum(spec, *operands, optimize=path)
+
+
+@lru_cache(maxsize=1024)
+def _greedy_path(spec: str, shapes: tuple) -> tuple:
+    operands = (np.broadcast_to(0.0, s) for s in shapes)
+    return tuple(np.einsum_path(spec, *operands, optimize="greedy")[0])
 
 
 def _maxabs(a) -> float:
     return float(np.max(np.abs(a), initial=0.0))
+
+
+def _row_span(A, tol: float = 1e-9) -> np.ndarray:
+    """Orthonormal rows spanning the rows of A."""
+    _, s, vh = np.linalg.svd(A, full_matrices=False)
+    return vh[: int(np.sum(s > tol * max(1.0, s[0])))]
 
 
 class TargetMismatch(ValueError):
@@ -87,6 +113,29 @@ class FiniteHopf:
     @property
     def dim(self) -> int:
         return self.counit.shape[0]
+
+    @cached_property
+    def generators(self) -> tuple:
+        """Basis indices whose words, starting from the unit, span H.
+
+        Greedy: e_i joins the set when it is not in the span of the words in
+        the indices chosen so far.  That gives (1,) for C[Z_n] (the words
+        in g are its powers), two transpositions for C[S_3] and five of the
+        six delta functions for C(S_3).  The span is grown by right
+        multiplication, w -> w e_g, until its dimension stops growing.
+        """
+        gens = []
+        span = _row_span(self.unit[None])
+        for i, e in enumerate(np.eye(self.dim, dtype=complex)):
+            if _maxabs(e - (e @ np.conj(span).T) @ span) <= 1e-9:
+                continue
+            gens.append(i)
+            while True:
+                grown = _row_span(np.vstack([span] + [span @ self.mul[:, g, :] for g in gens]))
+                if len(grown) == len(span):
+                    break
+                span = grown
+        return tuple(gens)
 
     def axiom_report(self) -> dict:
         """Max violation of each Hopf *-algebra axiom; gate before use."""
@@ -249,7 +298,8 @@ class ModuleAlgebra:
     def data_report(self) -> dict:
         """Module-algebra axioms over the tables: every action is a
         representation, every product is H-equivariant and *-compatible
-        (with the graded sign on M ^ M); then the derivation identities."""
+        (with the graded sign on M ^ M), the products are associative; then
+        the derivation identities."""
         rep = {}
         H, acts, stars = self.H, self.actions, self.stars
         for t, A in acts.items():
@@ -273,6 +323,22 @@ class ModuleAlgebra:
                 np.conj(T) @ stars[tc]
                 - sign * _contract("xu,yv,vuk->xyk", stars[ta], stars[tb], reverse)
             )
+        # (x y) z = x (y z) for every typed triple whose four products exist;
+        # with the equivariance above it makes B x| H associative and its
+        # forms bimodules over it
+        for ta, tb, tc in itertools.product(_DEGREE, repeat=3):
+            try:
+                tab, P = self.product(ta, tb)
+                _, Q = self.product(tab, tc)
+                tbc, R = self.product(tb, tc)
+                _, S = self.product(ta, tbc)
+            except TargetMismatch:
+                continue
+            # both sides as (x, y z, w) matrix products, with no transpose
+            (x, y, u), (z, w) = P.shape, Q.shape[1:]
+            rhs = R.reshape(y * z, R.shape[2]) @ S
+            lhs = P.reshape(x * y, u) @ Q.reshape(u, z * w)
+            rep[f"assoc_{ta}{tb}{tc}"] = _maxabs(lhs.reshape(rhs.shape) - rhs)
         if self.dB is not None:
             # derivation: d(bb') = d(b) b' + b d(b')
             lhs = _contract("ijx,xm->ijm", self.mulB, self.dB)
@@ -557,7 +623,7 @@ class CrossedProduct:
     over (dim H) x (dim M) and two-forms over (dim H) x (dim O2).  The
     product (h x x)(h' x y) = h h'_1 x (x <| h'_2) y is kept as its factors
     (the coproduct and product of H, the action on x and the typed product
-    x.y), and `left` contracts them into left-multiplication matrices one
+    x.y), and `left`/`right` contract them into multiplication matrices one
     batch of elements at a time, so no tensor of cubic size in
     dim H * dim B is built.  The antilinear star matrices SP (on B x| H) and
     SW (on M x| H) are quadratic and precomputed.
@@ -579,23 +645,54 @@ class CrossedProduct:
     def dim(self):
         return self.H.dim * self.inst.dimB
 
+    def _factors(self, tx: str, ty: str):
+        """The action on tx, the coproduct and product of H, and tx . ty."""
+        _, P = self.inst.product(tx, ty)
+        return self.inst.actions[tx], self.H.comul, self.H.mul, P
+
     def left(self, tx: str, ty: str, X) -> np.ndarray:
         """Left-multiplication matrices of a batch of elements of tx x| H.
 
-        X is an (n, dim H * dim tx) array, or an int i standing for the
-        dim tx rows e_i (x) beta_b of the identity (these slice H.mul[i]
-        instead of contracting with X).  Returns L of shape
+        X is an (n, dim H * dim tx) array.  Returns L of shape
         (n, dim H * dim ty, dim H * dim tz), tz the target of tx . ty, with
         x . y = y @ L[r] for the r-th element x of the batch.
         """
-        H, A = self.H, self.inst.actions[tx]
-        _, P = self.inst.product(tx, ty)
-        if isinstance(X, int):
-            L = _contract("bku,pjk,jt,uce->bpcte", A, H.comul, H.mul[X], P)
-        else:
-            X = np.reshape(X, (len(X), H.dim, A.shape[0]))
-            L = _contract("nib,bku,pjk,ijt,uce->npcte", X, A, H.comul, H.mul, P)
-        return L.reshape(len(L), H.dim * P.shape[1], H.dim * P.shape[2])
+        A, C, M, P = self._factors(tx, ty)
+        h = self.H.dim
+        X = np.reshape(X, (len(X), h, A.shape[0]))
+        L = _contract("nib,bku,pjk,ijt,uce->npcte", X, A, C, M, P)
+        return L.reshape(len(L), h * P.shape[1], h * P.shape[2])
+
+    def right(self, tx: str, ty: str, Y) -> np.ndarray:
+        """Right-multiplication matrices of a batch of elements of ty x| H.
+
+        The mirror of `left`: Y is an (n, dim H * dim ty) array, and R of
+        shape (n, dim H * dim tx, dim H * dim tz) has x . y = x @ R[r] for
+        the r-th element y of the batch.
+        """
+        A, C, M, P = self._factors(tx, ty)
+        h = self.H.dim
+        Y = np.reshape(Y, (len(Y), h, P.shape[1]))
+        R = _contract("npc,bku,pjk,ijt,uce->nibte", Y, A, C, M, P)
+        return R.reshape(len(R), h * A.shape[0], h * P.shape[2])
+
+    def generators(self) -> tuple[list, np.ndarray]:
+        """Labels and rows of a generating set of B x| H as an algebra.
+
+        The rows are the unit block 1_H (x) beta_b, which spans B, and
+        e_g (x) 1_B for each g in `FiniteHopf.generators`; since
+        h (x) b = (h (x) 1_B)(1_H (x) b), words in them span B x| H.
+        """
+        H, inst = self.H, self.inst
+        gens = H.generators
+        labels = ["B (x) 1"] + [
+            f"1 (x) {H.labels[g] if g < len(H.labels) else f'e_{g}'}" for g in gens
+        ]
+        rows = np.vstack(
+            [np.kron(H.unit, np.eye(inst.dimB))]
+            + [np.kron(np.eye(H.dim)[g], inst.unitB) for g in gens]
+        )
+        return labels, rows
 
     def mul(self, u, v):
         return v @ self.left("B", "B", u[None])[0]
@@ -636,6 +733,25 @@ def op_potential_matrix(mu: ConvolutionElement) -> np.ndarray:
     return (term1 + term2).reshape(H.dim * inst.dimB, H.dim * inst.dimM)
 
 
+# rows of a generating set whose multiplication blocks op_report holds at once
+_OP_CHUNK = 8
+# blocks of n x (dim H d)^2 entries alive at once per chunk of n rows, d the
+# largest of dim B, dim M and dim O2: the left blocks on B and M, a block of
+# the image, the two products and their difference (tracemalloc peak of
+# op_report: 4.7 to 6.7 blocks on jet:5-8 and cycle:8-16)
+_OP_BLOCKS = 7
+
+
+def op_chunk_bytes(inst: ModuleAlgebra) -> int:
+    """Bytes of the largest chunk of multiplication blocks op_report holds."""
+    side = inst.H.dim * max(inst.dimB, inst.dimM, inst.dimO2)
+    return _OP_BLOCKS * _OP_CHUNK * side * side * 16
+
+
+def _chunks(rows):
+    return (rows[r:r + _OP_CHUNK] for r in range(0, len(rows), _OP_CHUNK))
+
+
 def op_report(inst: ModuleAlgebra, sigma: ConvolutionElement,
               mu: ConvolutionElement | None = None,
               upsilon=None) -> dict:
@@ -647,51 +763,48 @@ def op_report(inst: ModuleAlgebra, sigma: ConvolutionElement,
     gauge compatibility Op(sigma) |> Op(mu) = Op(sigma |> mu + MC(sigma)).
     When upsilon is given, also checks Op(D upsilon) = Ad_upsilon.
 
-    The multiplicativity checks run one H basis index i at a time: for the
-    basis elements x = e_i (x) beta_b they compare L(x) G with G' L(G x)
-    (L from `CrossedProduct.left`) and keep the running max, so memory
-    stays quadratic in dim H * dim B.
+    The multiplicativity checks G(x . y) = G(x) . G(y) and the Leibniz rule
+    of Op(mu) run with x on the generating set of `CrossedProduct.generators`
+    and y on all of the basis.  By induction on word length they then hold
+    for every x: the x for which they hold for all y are closed under
+    products, once B x| H is associative, which the Hopf and data gates
+    (`FiniteHopf.axiom_report`, `ModuleAlgebra.data_report`) check.  On
+    one-forms times B the reduction is on the right factor y, through
+    `CrossedProduct.right`.  The wedge check runs with its right factor in
+    1 (x) M, which generates M x| H as a right B x| H-module; the wedge is
+    right B x| H-linear, so this needs Op(sigma) on two-forms to be right
+    B x| H-linear as well, and `op_sigma_prolongable` is the larger of the
+    two residuals.  `generators` names the rows.  Memory stays quadratic
+    in dim H * dim B: the rows are taken `_OP_CHUNK` at a time.
     """
     cp = CrossedProduct(inst)
+    labels, X = cp.generators()
     F = op_gauge_matrix(sigma)
     Fm = op_gauge_matrix(sigma, "M")
-    # G_z(x . y) = G_x(x) . G_y(y) for x in tx x| H and y in ty x| H
-    homs = {
-        "op_sigma_hom": ("B", "B", F, F, F),
-        "op_sigma_forms_left": ("B", "M", F, Fm, Fm),
-        "op_sigma_forms_right": ("M", "B", Fm, F, Fm),
-    }
-    if inst.wedge is not None:
-        homs["op_sigma_prolongable"] = ("M", "M", Fm, Fm, op_gauge_matrix(sigma, "O2"))
     worst = {}
 
-    def note(key, resid):  # running max over the H basis index
+    def note(key, resid):  # running max over the chunks
         worst[key] = max(worst.get(key, 0.0), _maxabs(resid))
 
+    if inst.wedge is not None:
+        Fo = op_gauge_matrix(sigma, "O2")
     if mu is not None:
         D = op_potential_matrix(mu)
-    if upsilon is not None:
-        FD = op_gauge_matrix(coboundary_S(inst, upsilon))
-        eu = cp.embed_B(np.asarray(upsilon, dtype=complex))
-        eus = cp.embed_B(inst.star("B", np.asarray(upsilon, dtype=complex)))
-        right = []  # row blocks of the matrix of x -> x . eus
-    for i in range(inst.H.dim):
-        L = {}  # L(e_i (x) beta_b) on B x| H and on M x| H, reused below
-        for key, (tx, ty, Gx, Gy, Gz) in homs.items():
-            Li = cp.left(tx, ty, i)
-            resid = Gy @ cp.left(tx, ty, Gx[i * len(Li):(i + 1) * len(Li)])
-            resid -= Li @ Gz
-            note(key, resid)
-            if tx == "B":
-                L[ty] = Li
+    for x in _chunks(X):
+        LB, LM = cp.left("B", "B", x), cp.left("B", "M", x)
+        note("op_sigma_hom", LB @ F - F @ cp.left("B", "B", x @ F))
+        note("op_sigma_forms_left", LM @ Fm - Fm @ cp.left("B", "M", x @ F))
+        note("op_sigma_forms_right", cp.right("M", "B", x) @ Fm - Fm @ cp.right("M", "B", x @ F))
+        if inst.wedge is not None:
+            note("op_sigma_prolongable",
+                 cp.right("O2", "B", x) @ Fo - Fo @ cp.right("O2", "B", x @ F))
         if mu is not None:
             # derivation: D(xy) = D(x).y + x.D(y)
-            resid = L["B"] @ D
-            resid -= cp.left("M", "B", D[i * inst.dimB:(i + 1) * inst.dimB])
-            resid -= D @ L["M"]
-            note("op_mu_derivation", resid)
-        if upsilon is not None:
-            right.append(eus @ L["B"])
+            note("op_mu_derivation", LB @ D - cp.left("M", "B", x @ D) - D @ LM)
+    if inst.wedge is not None:
+        for w in _chunks(np.kron(inst.H.unit, np.eye(inst.dimM))):
+            note("op_sigma_prolongable",
+                 cp.right("M", "M", w) @ Fo - Fm @ cp.right("M", "M", w @ Fm))
     rep = {"op_sigma_hom": worst.pop("op_sigma_hom")}
     # star-automorphism: SP . F = conj(F) . SP
     rep["op_sigma_star"] = _maxabs(cp.SP @ F - np.conj(F) @ cp.SP)
@@ -702,8 +815,10 @@ def op_report(inst: ModuleAlgebra, sigma: ConvolutionElement,
     rep.update(worst)
     if upsilon is not None:
         # Ad_upsilon(x) = eu . x . eus
-        ad = cp.left("B", "B", eu[None])[0] @ np.vstack(right)
-        rep["op_coboundary_is_ad"] = _maxabs(FD - ad)
+        upsilon = np.asarray(upsilon, dtype=complex)
+        FD = op_gauge_matrix(coboundary_S(inst, upsilon))
+        eu, eus = cp.embed_B(upsilon)[None], cp.embed_B(inst.star("B", upsilon))[None]
+        rep["op_coboundary_is_ad"] = _maxabs(FD - cp.left("B", "B", eu)[0] @ cp.right("B", "B", eus)[0])
     if mu is not None:
         # star-derivation: D(x^*) = -(D x)^*
         rep["op_mu_star"] = _maxabs(cp.SP @ D + np.conj(D) @ cp.SW)
@@ -714,6 +829,7 @@ def op_report(inst: ModuleAlgebra, sigma: ConvolutionElement,
         target = op_potential_matrix(conj_action(sigma, mu) + mc_cocycle(sigma))
         rep["op_gauge_compat"] = _maxabs(Finv @ D @ Fm - target)
     rep["max"] = max(v for v in rep.values())
+    rep["generators"] = labels
     return rep
 
 
@@ -761,6 +877,20 @@ def _complex_nullspace(A: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     _, s, vh = np.linalg.svd(A, full_matrices=False)
     rank = int(np.sum(s > tol * max(A.shape)))
     return np.conj(vh[rank:]).T
+
+
+# stacks of the Hochschild system alive at the solver's peak: the residual
+# blocks, their stacked copy and the SVD's working copy (tracemalloc peak:
+# 3.1 to 3.6 stacks on jet:3-8 and cycle:8-16)
+_SOLVER_COPIES = 4
+
+
+def hochschild_system_bytes(inst: ModuleAlgebra) -> int:
+    """Bytes `solve_hochschild_space` allocates at its peak: _SOLVER_COPIES
+    times the stacked complex system of (dim H^2 dim M + dim H dim B dim M)
+    rows by dim H dim M unknowns (without the graded-centrality rows)."""
+    dH, dB, dM = inst.H.dim, inst.dimB, inst.dimM
+    return _SOLVER_COPIES * (dH * dH * dM + dH * dB * dM) * dH * dM * 16
 
 
 def solve_hochschild_space(inst: ModuleAlgebra, prolongable: bool = False) -> dict:

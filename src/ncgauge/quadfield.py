@@ -121,9 +121,6 @@ class FieldElement:
     def norm(self) -> Fraction:
         return self.r * self.r - self.delta * self.s * self.s
 
-    def is_rational(self) -> bool:
-        return self.s == 0
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.r == other and self.s == 0

@@ -242,14 +242,6 @@ class OneFormB:
         # (b dtau^j)^* = dtau^{j*} b^* = -dtau^j b^* = -b^* dtau^j
         return OneFormB(-self.b1.star(), -self.b2.star())
 
-    def as_pair(self) -> tuple[TorusElement, TorusElement]:
-        """Coefficients in the (e_1, e_2) pair basis of B + B."""
-        return (self.b1 * complex(0, -1), self.b2 * complex(0, -1))
-
-    @classmethod
-    def from_pair(cls, c1: TorusElement, c2: TorusElement) -> "OneFormB":
-        return cls(c1 * 1j, c2 * 1j)
-
     def norm(self):
         return math.hypot(self.b1.norm(), self.b2.norm())
 

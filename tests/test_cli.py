@@ -173,19 +173,20 @@ class TestCohomology:
             "op_sigma_hom", "op_sigma_star", "op_sigma_fixes_B", "op_sigma_unit",
             "op_sigma_forms_left", "op_sigma_forms_right", "op_sigma_prolongable",
             "op_mu_derivation", "op_mu_star", "op_mu_restricts", "op_gauge_compat",
-            "max", "tol",
+            "max", "tol", "generators",
         }
         assert set(op) == keys
         assert op["tol"] == 1e-10
-        assert op["max"] == max(v for k, v in op.items() if k != "tol") <= op["tol"]
+        assert op["generators"] == ["B (x) 1", "1 (x) g^1"]
+        residuals = [v for k, v in op.items() if k not in ("tol", "generators")]
+        assert op["max"] == max(residuals) <= op["tol"]
 
-    def test_size_gate_names_the_skipped_op_checks(self, capsys):
+    def test_jet_5_runs_the_op_checks(self, capsys):
         code, out = run(capsys, ["cohomology", "--builtin", "jet:5"])
         assert code == 0
         data = json.loads(out)
-        assert "op" not in data
-        assert [s["check"] for s in data["skipped"]] == ["op"]
-        assert "dim H = 5" in data["skipped"][0]["reason"]
+        assert "op" in data and data["skipped"] == []
+        assert data["op"]["max"] <= data["op"]["tol"]
         assert data["maurer_cartan"]["sigma"] == "jet_unitary"
 
     def test_jet_name_without_the_jet_layout_uses_the_unit(self, capsys, tmp_path):
@@ -216,6 +217,35 @@ class TestCohomology:
 
     def test_bad_builtin(self):
         assert main(["cohomology", "--builtin", "nope:3"]) == 2
+
+    @pytest.mark.parametrize("token", ["cycle:0", "jet:0", "function:0", "cycle:-2", "jet:-1"])
+    def test_builtin_size_below_one_is_config_error(self, capsys, token):
+        assert main(["cohomology", "--builtin", token]) == 2
+        assert "n must be at least 1" in capsys.readouterr().err
+
+    def test_memory_guard_exits_2_before_solving(self, capsys, monkeypatch):
+        inst = hopf.jet_instance(5)
+        need, what = cli.cohomology_bytes(inst)
+        assert need == hopf.hochschild_system_bytes(inst) > hopf.op_chunk_bytes(inst)
+        monkeypatch.setattr(cli, "memory_budget", lambda: need - 1)
+
+        def no_solving(*args, **kwargs):
+            raise AssertionError("solved a system the guard should refuse")
+
+        monkeypatch.setattr(hopf, "solve_hochschild_space", no_solving)
+        assert main(["cohomology", "--builtin", "jet:5"]) == 2
+        err = capsys.readouterr().err
+        assert what in err and f"{need / 2**30:.1f} GiB" in err
+
+    def test_memory_guard_names_the_op_chunk(self, monkeypatch):
+        # on function:3 the op chunk is the larger of the two estimates
+        inst = hopf.function_instance(3)
+        need, what = cli.cohomology_bytes(inst)
+        assert (need, what) == (hopf.op_chunk_bytes(inst), "largest chunk of crossed-product blocks")
+        monkeypatch.setattr(cli, "memory_budget", lambda: need)
+        assert main(["cohomology", "--builtin", "function:3"]) == 0
+        monkeypatch.setattr(cli, "memory_budget", lambda: need - 1)
+        assert main(["cohomology", "--builtin", "function:3"]) == 2
 
 
 class TestConfigFile:

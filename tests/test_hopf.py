@@ -69,6 +69,11 @@ class TestHopfAxioms:
     def test_instance_data(self, mk, n):
         assert mk(n).data_report()["max"] <= 1e-12
 
+    def test_nonassociative_product_fails(self):
+        inst = jet_instance(2)
+        inst.mulB = inst.mulB + 0.1 * np.random.default_rng(0).standard_normal(inst.mulB.shape)
+        assert inst.data_report()["assoc_BBB"] > 1e-3
+
     def test_wrong_two_form_action_fails(self):
         # the trivial action is a representation, but the products into
         # Omega^2 are then not equivariant
