@@ -501,6 +501,15 @@ def cohomology_bytes(inst: hopf.ModuleAlgebra) -> tuple[int, str]:
     )
 
 
+def _is_cyclic_group_hopf(H: hopf.FiniteHopf) -> bool:
+    """Is H entry for entry the C[Z_n] of `hopf.cyclic_group_hopf`?"""
+    Z = hopf.cyclic_group_hopf(H.dim)
+    return all(
+        np.array_equal(getattr(H, f), getattr(Z, f))
+        for f in ("mul", "comul", "counit", "antipode", "star", "unit")
+    )
+
+
 def cmd_cohomology(args) -> tuple[dict, int]:
     if args.instance:
         try:
@@ -510,18 +519,18 @@ def cmd_cohomology(args) -> tuple[dict, int]:
             raise ConfigError(f"cannot load instance: {exc}") from exc
     else:
         inst = _builtin_instance(args.builtin)
+    name = inst.name or args.instance or args.builtin
     need, what = cohomology_bytes(inst)
     budget = memory_budget()
     if need > budget:
         raise ConfigError(
-            f"{inst.name or args.instance or args.builtin} needs about "
-            f"{need / 2**30:.1f} GiB for the "
+            f"{name} needs about {need / 2**30:.1f} GiB for the "
             f"{what} (dim H = {inst.H.dim}, dim B = {inst.dimB}, dim M = {inst.dimM}); "
             f"this process can use {budget / 2**30:.1f} GiB"
         )
     n = inst.H.dim
     rng = np.random.default_rng(args.seed)
-    report = {"instance": inst.name or args.builtin, "dim_H": n, "dim_B": inst.dimB}
+    report = {"instance": name, "dim_H": n, "dim_B": inst.dimB}
     gate = inst.H.axiom_report()
     report["hopf_gate"] = {"max": gate["max"]}
     if gate["max"] > 1e-12:
@@ -532,20 +541,33 @@ def cmd_cohomology(args) -> tuple[dict, int]:
         return report, 1
     data = inst.data_report()
     report["data_gate"] = data["max"]
-    failures = []
+    failures, skipped = [], []
     if data["max"] > 1e-10:
         failures.append("module-algebra data")
+    # the enumerator and the characters h -> zeta^j exist on C[Z_n] only
+    cyclic = _is_cyclic_group_hopf(inst.H)
     sol = hopf.solve_hochschild_space(inst)
-    bf = hopf.brute_force_group_z1(inst, n)
     report["hochschild"] = {
         "dim_Z": sol["dim_Z"],
         "dim_B": sol["dim_B"],
         "dim_HH": sol["dim_H"],
-        "brute_force_Z": bf["dim_Z"],
-        "brute_force_B": bf["dim_B"],
     }
-    if (sol["dim_Z"], sol["dim_B"]) != (bf["dim_Z"], bf["dim_B"]):
-        failures.append("cohomology dimensions disagree with the enumerator")
+    if cyclic:
+        bf = hopf.brute_force_group_z1(inst, n)
+        report["hochschild"].update(brute_force_Z=bf["dim_Z"], brute_force_B=bf["dim_B"])
+        if (sol["dim_Z"], sol["dim_B"]) != (bf["dim_Z"], bf["dim_B"]):
+            failures.append("cohomology dimensions disagree with the enumerator")
+        zeta = np.exp(2j * np.pi / n)
+        char = hopf.ConvolutionElement(
+            inst, "B", np.array([inst.unitB * zeta**j for j in range(n)])
+        )
+    else:
+        skipped.append({
+            "check": "enumerator",
+            "reason": "brute_force_group_z1 enumerates the group cohomology of "
+                      "Z_n, and H is not C[Z_n] in the basis g^0 .. g^(n-1)",
+        })
+        char = hopf.unit_cocycle(inst)
     # MC residuals on a sampled Sweedler cocycle, when a derivation exists
     if inst.dB is not None and np.abs(inst.dB).max() > 0:
         # jet_unitary fills one 4-dimensional block of B per element of Z_n
@@ -554,10 +576,6 @@ def cmd_cohomology(args) -> tuple[dict, int]:
         if u is None:
             sigma = hopf.unit_cocycle(inst)
         else:
-            zeta = np.exp(2j * np.pi / n)
-            char = hopf.ConvolutionElement(
-                inst, "B", np.array([inst.unitB * zeta**j for j in range(n)])
-            )
             sigma = hopf.convolve(char, hopf.coboundary_S(inst, u))
         tau = sigma
         mc = hopf.mc_cocycle(sigma)
@@ -575,20 +593,16 @@ def cmd_cohomology(args) -> tuple[dict, int]:
         if max(mc_res, ident) > 1e-10:
             failures.append("Maurer-Cartan identities")
     # Op realization checks
-    zeta = np.exp(2j * np.pi / n)
-    sigma0 = hopf.ConvolutionElement(
-        inst, "B", np.array([inst.unitB * zeta**j for j in range(n)])
-    )
     mu0 = (
         sol["basis"][0]
         if sol["basis"]
         else hopf.zero_cochain(inst, "M")
     )
-    op = hopf.op_report(inst, sigma0, mu0 if inst.dB is not None else None)
+    op = hopf.op_report(inst, char, mu0 if inst.dB is not None else None)
     report["op"] = {**op, "tol": hopf.TOL}
     if op["max"] > hopf.TOL:
         failures.append("Op realization")
-    report["skipped"] = []
+    report["skipped"] = skipped
     report["failures"] = failures
     report["pass"] = not failures
     return report, 0 if not failures else 1

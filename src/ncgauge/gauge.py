@@ -272,6 +272,38 @@ def _as_field(ctx: ThetaContext, q) -> FieldElement | None:
     return None
 
 
+def _factorization_test(ctx: ThetaContext, q, M: int, tol: float, numerator):
+    """Do the ratios numerator(m) / ([m]_q q^{-m}) agree over m in [-M, M] \\ {0}?
+
+    numerator(m) is exact in Q[sqrt(Delta)].  When q lies there too, the
+    denominator is formed as -[-m]_q (one power of q) and the ratios are
+    compared with ==; otherwise in floats, compared relatively at tol.
+    Returns the report without its wrapper's key, and the common ratio
+    (None unless adapted).
+    """
+    if M < 2:
+        raise ValueError("M must be at least 2")
+    qf = _as_field(ctx, q)
+    exact = qf is not None
+    qv = float(qf) if exact else float(q)
+    ratios = {}
+    for m in range(-M, M + 1):
+        if m == 0:
+            continue
+        den = -q_number(-m, qf) if exact else q_number(m, qv) * qv ** (-m)
+        if den == 0:
+            return {"q": qv, "adapted": False, "reason": f"[{m}]_q = 0", "exact": exact}, None
+        ratios[m] = (numerator(m) if exact else float(numerator(m))) / den
+    vals = list(ratios.values())
+    if exact:
+        adapted = all(v == vals[0] for v in vals)
+    else:
+        adapted = all(abs(v - vals[0]) <= tol * max(abs(vals[0]), 1.0) for v in vals)
+    report = {"q": qv, "adapted": adapted, "ratios": {m: float(v) for m, v in ratios.items()},
+              "exact": exact}
+    return report, float(vals[0]) if adapted else None
+
+
 def adaptedness_test(ctx: ThetaContext, q, M: int = 4, tol: float = 1e-8) -> dict:
     """Does F[nabla] factor through the q-vertical derivative?
 
@@ -282,43 +314,12 @@ def adaptedness_test(ctx: ThetaContext, q, M: int = 4, tol: float = 1e-8) -> dic
     back to relative comparison at tol.  The report carries the curvature
     constant c = F(d_qt)-coefficient, equal to -i eps c_1 at q = eps^2.
     """
-    if M < 2:
-        raise ValueError("M must be at least 2")
-    qf = _as_field(ctx, q)
-    exact = qf is not None
-    ratios = {}
-    for m in range(-M, M + 1):
-        if m == 0:
-            continue
-        if exact:
-            qn = -q_number(-m, qf)  # [m]_q q^{-m}, with one power of q
-            if qn == 0:
-                return {"q": float(qf), "adapted": False, "curvature_constant": None,
-                        "reason": f"[{m}]_q = 0", "exact": True}
-            ratios[m] = (ctx.eps_pow(-m) * ctx.c(m)) / qn
-        else:
-            qn = q_number(m, float(q))
-            if qn == 0:
-                return {"q": float(q), "adapted": False, "curvature_constant": None,
-                        "reason": f"[{m}]_q = 0", "exact": False}
-            ratios[m] = float(ctx.eps_pow(-m) * ctx.c(m)) / (qn * float(q) ** (-m))
-    vals = list(ratios.values())
-    if exact:
-        adapted = all(v == vals[0] for v in vals)
-    else:
-        base = vals[0]
-        adapted = all(abs(v - base) <= tol * max(abs(base), 1.0) for v in vals)
-    constant = None
-    if adapted:
-        # F(d_qt) = c vol_B with c = -i * ratio
-        constant = complex(0.0, -float(vals[0]))
-    return {
-        "q": float(qf) if exact else float(q),
-        "adapted": bool(adapted),
-        "curvature_constant": constant,
-        "ratios": {m: float(v) for m, v in ratios.items()},
-        "exact": exact,
-    }
+    report, ratio = _factorization_test(
+        ctx, q, M, tol, lambda m: ctx.eps_pow(-m) * ctx.c(m)
+    )
+    # F(d_qt) = c vol_B with c = -i * ratio
+    report["curvature_constant"] = None if ratio is None else complex(0.0, -ratio)
+    return report
 
 
 def relative_adaptedness_test(ctx: ThetaContext, q, M: int = 4, tol: float = 1e-8) -> dict:
@@ -329,40 +330,9 @@ def relative_adaptedness_test(ctx: ThetaContext, q, M: int = 4, tol: float = 1e-
     true precisely at q = eps, where the connection one-form coefficient is
     -(eps - 1)/(2 pi) per unit s_j.
     """
-    if M < 2:
-        raise ValueError("M must be at least 2")
-    qf = _as_field(ctx, q)
-    exact = qf is not None
-    ratios = {}
-    for m in range(-M, M + 1):
-        if m == 0:
-            continue
-        if exact:
-            qn = -q_number(-m, qf)  # [m]_q q^{-m}, with one power of q
-            if qn == 0:
-                return {"q": float(qf), "adapted": False, "form_coefficient": None,
-                        "reason": f"[{m}]_q = 0", "exact": True}
-            ratios[m] = (ctx.eps_pow(-m) - 1) / qn
-        else:
-            qn = q_number(m, float(q))
-            if qn == 0:
-                return {"q": float(q), "adapted": False, "form_coefficient": None,
-                        "reason": f"[{m}]_q = 0", "exact": False}
-            ratios[m] = (float(ctx.eps_pow(-m)) - 1.0) / (qn * float(q) ** (-m))
-    vals = list(ratios.values())
-    if exact:
-        adapted = all(v == vals[0] for v in vals)
-    else:
-        base = vals[0]
-        adapted = all(abs(v - base) <= tol * max(abs(base), 1.0) for v in vals)
-    coeff = float(vals[0]) / TWO_PI if adapted else None
-    return {
-        "q": float(qf) if exact else float(q),
-        "adapted": bool(adapted),
-        "form_coefficient": coeff,
-        "ratios": {m: float(v) for m, v in ratios.items()},
-        "exact": exact,
-    }
+    report, ratio = _factorization_test(ctx, q, M, tol, lambda m: ctx.eps_pow(-m) - 1)
+    report["form_coefficient"] = None if ratio is None else ratio / TWO_PI
+    return report
 
 
 def q_sweep(ctx: ThetaContext, qs, M: int = 4, tol: float = 1e-8) -> list:

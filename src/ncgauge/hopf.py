@@ -75,9 +75,10 @@ def _maxabs(a) -> float:
 
 
 def _row_span(A, tol: float = 1e-9) -> np.ndarray:
-    """Orthonormal rows spanning the rows of A."""
+    """Orthonormal rows spanning the rows of A; its rank counts the singular
+    values above tol * max(1, largest)."""
     _, s, vh = np.linalg.svd(A, full_matrices=False)
-    return vh[: int(np.sum(s > tol * max(1.0, s[0])))]
+    return vh[: int(np.sum(s > tol * np.max(s, initial=1.0)))]
 
 
 class TargetMismatch(ValueError):
@@ -836,15 +837,16 @@ def op_report(inst: ModuleAlgebra, sigma: ConvolutionElement,
 # -- linear-algebra solvers -----------------------------------------------------
 
 
-def _real_nullspace(A: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Orthonormal basis of the nullspace of a real matrix via SVD."""
+def _nullspace(A: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    """Orthonormal columns spanning the nullspace of a real or complex
+    matrix, via SVD; rank counts singular values above tol * max(A.shape)."""
     if A.shape[0] == 0:
-        return np.eye(A.shape[1])
+        return np.eye(A.shape[1], dtype=A.dtype)
     if A.shape[0] < A.shape[1]:
-        A = np.vstack([A, np.zeros((A.shape[1] - A.shape[0], A.shape[1]))])
+        A = np.vstack([A, np.zeros((A.shape[1] - A.shape[0], A.shape[1]), dtype=A.dtype)])
     _, s, vh = np.linalg.svd(A, full_matrices=False)
     rank = int(np.sum(s > tol * max(A.shape)))
-    return vh[rank:].T
+    return np.conj(vh[rank:]).T
 
 
 def _central_sa_basis(inst: ModuleAlgebra) -> np.ndarray:
@@ -864,19 +866,7 @@ def _central_sa_basis(inst: ModuleAlgebra) -> np.ndarray:
     sa_top = np.hstack([np.real(S).T - np.eye(dM), np.imag(S).T])
     sa_bot = np.hstack([np.imag(S).T, -np.real(S).T - np.eye(dM)])
     A = np.vstack([A, sa_top, sa_bot])
-    return _real_nullspace(A)
-
-
-def _complex_nullspace(A: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    if A.shape[0] == 0:
-        return np.eye(A.shape[1], dtype=complex)
-    if A.shape[0] < A.shape[1]:
-        A = np.vstack(
-            [A, np.zeros((A.shape[1] - A.shape[0], A.shape[1]), dtype=A.dtype)]
-        )
-    _, s, vh = np.linalg.svd(A, full_matrices=False)
-    rank = int(np.sum(s > tol * max(A.shape)))
-    return np.conj(vh[rank:]).T
+    return _nullspace(A)
 
 
 # stacks of the Hochschild system alive at the solver's peak: the residual
@@ -917,7 +907,7 @@ def solve_hochschild_space(inst: ModuleAlgebra, prolongable: bool = False) -> di
     ]
     if graded:
         residuals.append(_commutator(inst, "M", unknowns, "M"))
-    Q = _complex_nullspace(
+    Q = _nullspace(
         np.hstack([r.reshape(n_c, math.prod(r.shape[1:])) for r in residuals]).T
     )
     k = Q.shape[1]
@@ -942,7 +932,7 @@ def solve_hochschild_space(inst: ModuleAlgebra, prolongable: bool = False) -> di
                 np.hstack([np.imag(S), -np.real(S) - np.eye(k)]),
             ]
         )
-        coords = _real_nullspace(fix)
+        coords = _nullspace(fix)
         cs = coords[:k] + 1j * coords[k:]
         sols = Q @ cs  # (n_c, z_dim) complex
         null = np.vstack([np.real(sols), np.imag(sols)])
@@ -955,8 +945,8 @@ def solve_hochschild_space(inst: ModuleAlgebra, prolongable: bool = False) -> di
         graded_resid = np.abs(_commutator(inst, "M", _const(inst, ms), "M"))
         ms = ms[np.max(graded_resid, axis=(1, 2, 3), initial=0.0) <= 1e-9]
     d = (_orbit(inst, "M", ms) - _const(inst, ms)).reshape(len(ms), n_c)
-    B = np.hstack([np.real(d), np.imag(d)]).T
-    b_dim = int(np.linalg.matrix_rank(B, tol=1e-9)) if len(ms) else 0
+    # orthonormal basis of the coboundary space
+    b_span = _row_span(np.hstack([np.real(d), np.imag(d)]))
 
     def to_elements(real_cols):
         out = []
@@ -965,19 +955,12 @@ def solve_hochschild_space(inst: ModuleAlgebra, prolongable: bool = False) -> di
             out.append(ConvolutionElement(inst, "M", vals))
         return out
 
-    # independent spanning set of the coboundary space
-    if b_dim:
-        qmat, rmat = np.linalg.qr(B)
-        keep = np.abs(np.diag(rmat)) > 1e-9 * max(1.0, np.abs(rmat).max())
-        b_basis = to_elements(qmat[:, : rmat.shape[0]][:, keep])
-    else:
-        b_basis = []
     return {
         "dim_Z": z_dim,
-        "dim_B": b_dim,
-        "dim_H": z_dim - b_dim,
+        "dim_B": len(b_span),
+        "dim_H": z_dim - len(b_span),
         "basis": to_elements(null),
-        "coboundary_basis": b_basis,
+        "coboundary_basis": to_elements(b_span.T),
     }
 
 

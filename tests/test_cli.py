@@ -215,6 +215,31 @@ class TestCohomology:
         assert code == 0
         assert json.loads(out)["hochschild"]["dim_Z"] == 2
 
+    def test_unnamed_instance_is_reported_by_its_path(self, capsys, tmp_path):
+        inst = hopf.function_instance(3)
+        inst.name = ""
+        path = tmp_path / "unnamed.json"
+        path.write_text(hopf.dump_instance(inst))
+        code, out = run(capsys, ["cohomology", "--instance", str(path)])
+        assert code == 0
+        data = json.loads(out)
+        assert data["instance"] == str(path)
+        # the JSON round trip keeps C[Z_3] exact, so the enumerator still runs
+        assert data["skipped"] == [] and "brute_force_Z" in data["hochschild"]
+
+    def test_non_cyclic_h_skips_the_enumerator(self, capsys, tmp_path):
+        from test_hopf_op import translations_on_s3
+
+        path = tmp_path / "s3.json"
+        path.write_text(hopf.dump_instance(translations_on_s3()))
+        code, out = run(capsys, ["cohomology", "--instance", str(path)])
+        assert code == 0
+        data = json.loads(out)
+        assert data["pass"] and data["failures"] == []
+        assert set(data["hochschild"]) == {"dim_Z", "dim_B", "dim_HH"}
+        assert [entry["check"] for entry in data["skipped"]] == ["enumerator"]
+        assert data["op"]["max"] <= data["op"]["tol"]
+
     def test_bad_builtin(self):
         assert main(["cohomology", "--builtin", "nope:3"]) == 2
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ncgauge.quadfield import GOLDEN, SQRT2, FieldElement, ThetaContext
+from ncgauge.quadfield import GOLDEN, ONE_PLUS_SQRT3, SQRT2, FieldElement, ThetaContext
 from ncgauge.torus import TorusElement
 from ncgauge.heisenberg import (
     GradedElement,
@@ -233,25 +233,41 @@ class TestQNumbers:
 
 
 class TestAdaptedness:
-    def sweep_values(self):
-        eps = CTX.eps
+    def sweep_values(self, ctx):
+        eps, delta = ctx.eps, ctx.t.delta
         return [
-            ("1", FieldElement.of(1, 0, 5), False, False),
+            ("1", FieldElement.of(1, 0, delta), False, False),
             ("eps^-1", eps**-1, False, False),
             ("eps", eps, False, True),
             ("eps^2", eps**2, True, False),
             ("eps^3", eps**3, False, False),
-            ("2", FieldElement.of(2, 0, 5), False, False),
-            ("1/2", FieldElement.of(Fraction(1, 2), 0, 5), False, False),
+            ("2", FieldElement.of(2, 0, delta), False, False),
+            ("1/2", FieldElement.of(Fraction(1, 2), 0, delta), False, False),
         ]
 
     def test_unique_q(self):
-        for name, q, ad, rel in self.sweep_values():
-            a = adaptedness_test(CTX, q, M=4)
-            r = relative_adaptedness_test(CTX, q, M=4)
-            assert a["exact"] and r["exact"]
-            assert a["adapted"] is ad, name
-            assert r["adapted"] is rel, name
+        for theta in (GOLDEN, SQRT2, ONE_PLUS_SQRT3):
+            ctx = ThetaContext(theta)
+            for name, q, ad, rel in self.sweep_values(ctx):
+                a = adaptedness_test(ctx, q, M=4)
+                r = relative_adaptedness_test(ctx, q, M=4)
+                assert a["exact"] and r["exact"]
+                assert a["adapted"] is ad, (theta, name)
+                assert r["adapted"] is rel, (theta, name)
+
+    @pytest.mark.parametrize("q", [-1, -1.0], ids=["exact", "float"])
+    @pytest.mark.parametrize(
+        "test, key",
+        [(adaptedness_test, "curvature_constant"),
+         (relative_adaptedness_test, "form_coefficient")],
+    )
+    def test_vanishing_q_number_is_not_adapted(self, test, key, q):
+        # [m]_q = 0 at q = -1 for every even m
+        rep = test(CTX, q, M=4)
+        assert rep["adapted"] is False and rep[key] is None
+        assert rep["exact"] is isinstance(q, int)
+        assert rep["reason"] == "[-4]_q = 0"
+        assert rep["q"] == -1.0
 
     def test_curvature_constant(self):
         a = adaptedness_test(CTX, CTX.eps**2, M=5)

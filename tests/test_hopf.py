@@ -552,6 +552,38 @@ class TestSolverEdges:
         for mu in sol["coboundary_basis"][:3]:
             assert check_hochschild_cocycle(mu)["passes"]
 
+    @pytest.mark.parametrize(
+        "inst", [jet_instance(3), cycle_instance(4), function_instance(4)],
+        ids=lambda inst: inst.name,
+    )
+    def test_coboundary_basis_spans_the_images_of_the_central_elements(self, inst):
+        from scipy.linalg import orth
+
+        from ncgauge.hopf import _central_sa_basis
+
+        dM = inst.dimM
+        size = 2 * inst.H.dim * dM
+
+        def projector(vectors):
+            vectors = np.reshape(vectors, (-1, size))
+            if not len(vectors):  # cycle:n has no central self-adjoint elements
+                return np.zeros((size, size))
+            q = orth(vectors.T)
+            return q @ q.T
+
+        images = []
+        for col in _central_sa_basis(inst).T:
+            m = col[:dM] + 1j * col[dM:]
+            # D(m)(h) = m <| h - eps(h) m
+            d = np.einsum("u,uhv->hv", m, inst.actM) - np.outer(inst.H.counit, m)
+            images.append(np.concatenate([d.real.ravel(), d.imag.ravel()]))
+        sol = solve_hochschild_space(inst)
+        basis = [np.concatenate([mu.values.real.ravel(), mu.values.imag.ravel()])
+                 for mu in sol["coboundary_basis"]]
+        want, got = projector(images), projector(basis)
+        assert len(basis) == sol["dim_B"] == round(np.trace(got)) == round(np.trace(want))
+        assert np.abs(got - want).max() <= 1e-12
+
     def test_zero_module_gives_zero_dimensions(self):
         from ncgauge.hopf import ModuleAlgebra
 
