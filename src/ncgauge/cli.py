@@ -169,22 +169,19 @@ def cmd_pell(args) -> tuple[dict, int]:
         "epsilon_exact": f"({unit.u} + {unit.v}*sqrt({args.delta}))/2",
         "norm": str(quadfield.norm(unit.value)),
     }
-    # attach the stabilizer matrix and power table when delta has an obvious
-    # type triple (b = delta mod 2 gives theta = (b + sqrt(delta))/2)
+    # the type triple (1, b, (b^2 - delta)/4) with b = delta mod 2 has
+    # discriminant delta: theta = (b + sqrt(delta))/2
     b = args.delta % 2
     c = (b * b - args.delta) // 4
-    try:
-        t = quadfield.QuadraticIrrational(1, b, c)
-        ctx = ThetaContext(t)
-        g = ctx.power(1)
-        report["theta"] = {"a": 1, "b": b, "c": c, "value": float(t)}
-        report["phi"] = [[g.a, g.b], [g.c, g.d]]
-        report["powers"] = {
-            str(m): list(ctx.power(m).matrix().entries())
-            for m in range(-args.grades, args.grades + 1)
-        }
-    except NonQuadratic:
-        pass
+    t = quadfield.QuadraticIrrational(1, b, c)
+    ctx = ThetaContext(t)
+    g = ctx.power(1)
+    report["theta"] = {"a": 1, "b": b, "c": c, "value": float(t)}
+    report["phi"] = [[g.a, g.b], [g.c, g.d]]
+    report["powers"] = {
+        str(m): list(ctx.power(m).matrix().entries())
+        for m in range(-args.grades, args.grades + 1)
+    }
     return report, 0
 
 
@@ -577,12 +574,11 @@ def cmd_cohomology(args) -> tuple[dict, int]:
             sigma = hopf.unit_cocycle(inst)
         else:
             sigma = hopf.convolve(char, hopf.coboundary_S(inst, u))
-        tau = sigma
         mc = hopf.mc_cocycle(sigma)
         mc_res = hopf.check_hochschild_cocycle(mc)["max"]
+        # MC(sigma * sigma) = MC(sigma) + sigma |> MC(sigma)
         ident = (
-            hopf.mc_cocycle(hopf.convolve(sigma, tau))
-            - (hopf.mc_cocycle(sigma) + hopf.conj_action(sigma, hopf.mc_cocycle(tau)))
+            hopf.mc_cocycle(hopf.convolve(sigma, sigma)) - (mc + hopf.conj_action(sigma, mc))
         ).norm()
         report["maurer_cartan"] = {
             "sigma": "unit" if u is None else "jet_unitary",

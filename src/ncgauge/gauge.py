@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .heisenberg import GradedElement, mul_P, partial, sigma, star_P
 from .quadfield import FieldElement, ThetaContext
@@ -272,14 +273,36 @@ def _as_field(ctx: ThetaContext, q) -> FieldElement | None:
     return None
 
 
+@lru_cache(maxsize=1)
+def _denominators(q, M: int) -> tuple:
+    """Pairs (m, [m]_q q^{-m}) over m in [-M, M] \\ {0}.
+
+    q is a FieldElement or a float.  In Q[sqrt(Delta)] the denominator is
+    -[-m]_q = (q^{-m} - 1) / (1 - q), from powers q^{+-k} built with one
+    product each; floats keep the direct form.  The last result is kept,
+    so the two adaptedness tests that q_sweep runs back to back on one q
+    share it.
+    """
+    grades = [m for m in range(-M, M + 1) if m]
+    if not isinstance(q, FieldElement):
+        return tuple((m, q_number(m, q) * q ** (-m)) for m in grades)
+    if q == 1:
+        return tuple((m, FieldElement.of(m, 0, q.delta)) for m in grades)
+    one, inv, scale = FieldElement.of(1, 0, q.delta), q.inverse(), (1 - q).inverse()
+    up, down = [one], [one]  # q^k and q^-k for k = 0 .. M
+    for _ in range(M):
+        up.append(up[-1] * q)
+        down.append(down[-1] * inv)
+    return tuple((m, ((down[m] if m > 0 else up[-m]) - 1) * scale) for m in grades)
+
+
 def _factorization_test(ctx: ThetaContext, q, M: int, tol: float, numerator):
     """Do the ratios numerator(m) / ([m]_q q^{-m}) agree over m in [-M, M] \\ {0}?
 
     numerator(m) is exact in Q[sqrt(Delta)].  When q lies there too, the
-    denominator is formed as -[-m]_q (one power of q) and the ratios are
-    compared with ==; otherwise in floats, compared relatively at tol.
-    Returns the report without its wrapper's key, and the common ratio
-    (None unless adapted).
+    denominator is exact as well and the ratios are compared with ==;
+    otherwise in floats, compared relatively at tol.  Returns the report
+    without its wrapper's key, and the common ratio (None unless adapted).
     """
     if M < 2:
         raise ValueError("M must be at least 2")
@@ -287,10 +310,7 @@ def _factorization_test(ctx: ThetaContext, q, M: int, tol: float, numerator):
     exact = qf is not None
     qv = float(qf) if exact else float(q)
     ratios = {}
-    for m in range(-M, M + 1):
-        if m == 0:
-            continue
-        den = -q_number(-m, qf) if exact else q_number(m, qv) * qv ** (-m)
+    for m, den in _denominators(qf if exact else qv, M):
         if den == 0:
             return {"q": qv, "adapted": False, "reason": f"[{m}]_q = 0", "exact": exact}, None
         ratios[m] = (numerator(m) if exact else float(numerator(m))) / den

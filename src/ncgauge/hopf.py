@@ -36,7 +36,9 @@ sign convention matching d(b*) = -d(b)*), the trivial bimodule M = B, and
 a non-semisimple "jet" coefficient algebra C(Z_n) (x) C[x,y]/(x^2, y^2)
 whose two-nilpotent-direction calculus makes the Maurer-Cartan and
 curvature identities genuinely non-zero (over semisimple B every
-derivation is inner and MC vanishes on all lazy Sweedler cocycles).
+derivation is inner and MC vanishes on all lazy Sweedler cocycles).  Each
+is written as fiber tables, the structure at one point of Z_n, lifted
+pointwise over C(Z_n) by `_lift`.
 """
 
 from __future__ import annotations
@@ -194,21 +196,15 @@ class FiniteHopf:
 
 def cyclic_group_hopf(n: int) -> FiniteHopf:
     """C[Z_n] with group-like basis g^0 .. g^{n-1}."""
-    mul = np.zeros((n, n, n))
-    comul = np.zeros((n, n, n))
-    antipode = np.zeros((n, n))
-    star = np.zeros((n, n))
-    for i in range(n):
-        comul[i, i, i] = 1.0
-        antipode[i, (-i) % n] = 1.0
-        star[i, (-i) % n] = 1.0
-        for j in range(n):
-            mul[i, j, (i + j) % n] = 1.0
-    counit = np.ones(n)
-    unit = np.zeros(n)
-    unit[0] = 1.0
+    g = np.arange(n)
+    e = np.eye(n) + 0j  # e[k] holds the coordinates of g^k
     return FiniteHopf(
-        mul + 0j, comul + 0j, counit + 0j, antipode + 0j, star + 0j, unit + 0j,
+        mul=e[(g[:, None] + g) % n],  # g^i g^j = g^{i+j}
+        comul=_lift(n, [[[1.0]]]),  # Delta(g^i) = g^i (x) g^i
+        counit=np.ones(n) + 0j,
+        antipode=e[-g % n],  # S(g^i) = g^{-i}
+        star=e[-g % n],  # (g^i)^* = g^{-i}
+        unit=e[0],
         labels=[f"g^{i}" for i in range(n)],
     )
 
@@ -1019,14 +1015,28 @@ def group_cocycle(inst: ModuleAlgebra, w) -> ConvolutionElement:
 # -- shipped instances -----------------------------------------------------------
 
 
+def _lift(n: int, fiber, shift=None) -> np.ndarray:
+    """C(Z_n)-pointwise tensor of a fiber table, the structure at one point.
+
+    Axis i of the result runs over the pairs (z_i, e_i), flattened point-major
+    to z_i * fiber.shape[i] + e_i.  The entry at ((z + shift[0], e_0), ...,
+    (z + shift[r-1], e_{r-1})) is fiber[e_0, ..., e_{r-1}] for every z in
+    Z_n, and every other entry is 0; shift (one translation per axis,
+    default none) lets a structure reach a neighbouring point.
+    """
+    fiber = np.asarray(fiber, dtype=float)
+    r = fiber.ndim
+    points = np.zeros((n,) * r)
+    z = np.arange(n)
+    points[tuple((z + s) % n for s in shift or (0,) * r)] = 1.0
+    out = np.multiply.outer(points, fiber)  # axes (z_0, .., z_{r-1}, e_0, .., e_{r-1})
+    out = out.transpose([a for i in range(r) for a in (i, r + i)])
+    return out.reshape([n * k for k in fiber.shape]) + 0j
+
+
 def _shift_action(n: int, blocks: int = 1) -> np.ndarray:
     """Right shift action of C[Z_n]: (delta_x <| g^j) = delta_{x-j}, block-wise."""
-    act = np.zeros((n * blocks, n, n * blocks))
-    for x in range(n):
-        for j in range(n):
-            for e in range(blocks):
-                act[x * blocks + e, j, ((x - j) % n) * blocks + e] = 1.0
-    return act + 0j
+    return np.stack([_lift(n, np.eye(blocks), (0, -j)) for j in range(n)], axis=1)
 
 
 def function_instance(n: int, shift: bool = True) -> ModuleAlgebra:
@@ -1036,26 +1046,18 @@ def function_instance(n: int, shift: bool = True) -> ModuleAlgebra:
     into the trivial bimodule).  With shift=False the H-action on M is
     trivial while B keeps the shift.
     """
-    H = cyclic_group_hopf(n)
-    mul = np.zeros((n, n, n))
-    for x in range(n):
-        mul[x, x, x] = 1.0
-    unit = np.ones(n)
-    star = np.eye(n)
     act = _shift_action(n)
-    actM = act if shift else np.stack([np.eye(n)] * n, axis=1) + 0j
-    left = mul.copy()
-    right = mul.copy()
+    # delta_x delta_y = [x = y] delta_x, and the same on M = B from both sides
     return ModuleAlgebra(
-        H=H,
-        mulB=mul + 0j,
-        unitB=unit + 0j,
-        starB=star + 0j,
+        H=cyclic_group_hopf(n),
+        mulB=_lift(n, [[[1.0]]]),
+        unitB=_lift(n, [1.0]),
+        starB=np.eye(n) + 0j,
         actB=act,
-        leftM=left + 0j,
-        rightM=right + 0j,
-        starM=star + 0j,
-        actM=actM,
+        leftM=_lift(n, [[[1.0]]]),
+        rightM=_lift(n, [[[1.0]]]),
+        starM=np.eye(n) + 0j,
+        actM=act if shift else np.stack([np.eye(n)] * n, axis=1) + 0j,
         dB=np.zeros((n, n), dtype=complex),
         name=f"function(Z_{n}, shift={shift})",
     )
@@ -1069,82 +1071,38 @@ def cycle_instance(n: int) -> ModuleAlgebra:
     v = e+ ^ e- = -e- ^ e+ central and v^* = -v.  The one-generator
     calculus of the half-open cycle admits no *-structure for n >= 3.
     """
-    H = cyclic_group_hopf(n)
-    dB_, dM, dO = n, 2 * n, n
-    mul = np.zeros((n, n, n))
-    for x in range(n):
-        mul[x, x, x] = 1.0
-    unit = np.ones(n)
-    starB = np.eye(n)
-    actB = _shift_action(n)
-
-    def idx(x, s):  # s = 0 for e+, 1 for e-
-        return 2 * x + s
-
-    leftM = np.zeros((n, dM, dM))
-    rightM = np.zeros((dM, n, dM))
-    starM = np.zeros((dM, dM))
-    for x in range(n):
-        for s, sh in ((0, 1), (1, -1)):
-            leftM[x, idx(x, s), idx(x, s)] = 1.0
-            # (delta_x e_s) . delta_y = delta_x R^{sh}(delta_y) e_s
-            y = (x + sh) % n
-            rightM[idx(x, s), y, idx(x, s)] = 1.0
-        starM[idx(x, 0), idx((x + 1) % n, 1)] = 1.0
-        starM[idx(x, 1), idx((x - 1) % n, 0)] = 1.0
-    actM = np.zeros((dM, n, dM))
-    for x in range(n):
-        for s in (0, 1):
-            for j in range(n):
-                actM[idx(x, s), j, idx((x - j) % n, s)] = 1.0
-    dB = np.zeros((n, dM))
-    for y in range(n):
-        dB[y, idx((y - 1) % n, 0)] += 1.0
-        dB[y, idx(y, 0)] -= 1.0
-        dB[y, idx((y + 1) % n, 1)] += 1.0
-        dB[y, idx(y, 1)] -= 1.0
-    # degree 2: B.v, central, v^* = -v
-    leftO2 = np.zeros((n, dO, dO))
-    rightO2 = np.zeros((dO, n, dO))
-    for x in range(n):
-        leftO2[x, x, x] = 1.0
-        rightO2[x, x, x] = 1.0
-    starO2 = -np.eye(dO)
-    actO2 = _shift_action(n)
-    wedge = np.zeros((dM, dM, dO))
-    for x in range(n):
-        for y in range(n):
-            # (delta_x e+) ^ (delta_y e-) = delta_x R(delta_y) v
-            if (y - 1) % n == x:
-                wedge[idx(x, 0), idx(y, 1), x] += 1.0
-            # (delta_x e-) ^ (delta_y e+) = -delta_x R^{-1}(delta_y) v
-            if (y + 1) % n == x:
-                wedge[idx(x, 1), idx(y, 0), x] -= 1.0
-    d1 = np.zeros((dM, dO))
-    for x in range(n):
-        # d1(delta_x e+) = (delta_x - delta_{x+1}) v
-        d1[idx(x, 0), x] += 1.0
-        d1[idx(x, 0), (x + 1) % n] -= 1.0
-        # d1(delta_x e-) = (delta_{x-1} - delta_x) v
-        d1[idx(x, 1), (x - 1) % n] += 1.0
-        d1[idx(x, 1), x] -= 1.0
+    # fiber of Omega^1 on (e+, e-); R(delta_y) = delta_{y-1}
+    plus, minus = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    up = np.array([[0.0, 1.0], [0.0, 0.0]])  # e+ -> e-
+    # (delta_x e+-) . delta_y = delta_x R^{+-1}(delta_y) e+- = [y = x +- 1] delta_x e+-
+    right = _lift(n, plus[:, None], (0, 1, 0)) + _lift(n, minus[:, None], (0, -1, 0))
+    # d(delta_y) = (delta_{y-1} - delta_y) e+ + (delta_{y+1} - delta_y) e-
+    d = _lift(n, [[1.0, 0.0]], (0, -1)) + _lift(n, [[0.0, 1.0]], (0, 1)) - _lift(n, [[1.0, 1.0]])
+    # (delta_x e+) ^ (delta_y e-) = delta_x R(delta_y) v,
+    # (delta_x e-) ^ (delta_y e+) = -delta_x R^{-1}(delta_y) v
+    wedge = _lift(n, up[..., None], (0, 1, 0)) - _lift(n, up.T[..., None], (0, -1, 0))
+    # d1(delta_x e+) = (delta_x - delta_{x+1}) v, d1(delta_x e-) = (delta_{x-1} - delta_x) v
+    d1 = _lift(n, [[1.0], [-1.0]]) - _lift(n, [[1.0], [0.0]], (0, 1))
+    d1 += _lift(n, [[0.0], [1.0]], (0, -1))
     return ModuleAlgebra(
-        H=H,
-        mulB=mul + 0j,
-        unitB=unit + 0j,
-        starB=starB + 0j,
-        actB=actB,
-        leftM=leftM + 0j,
-        rightM=rightM + 0j,
-        starM=starM + 0j,
-        actM=actM,
-        dB=dB + 0j,
-        leftO2=leftO2 + 0j,
-        rightO2=rightO2 + 0j,
-        starO2=starO2 + 0j,
-        actO2=actO2,
-        wedge=wedge + 0j,
-        d1=d1 + 0j,
+        H=cyclic_group_hopf(n),
+        mulB=_lift(n, [[[1.0]]]),
+        unitB=_lift(n, [1.0]),
+        starB=np.eye(n) + 0j,
+        actB=_shift_action(n),
+        leftM=_lift(n, np.eye(2)[None]),
+        rightM=right,
+        # (delta_x e+)^* = delta_{x+1} e-, (delta_x e-)^* = delta_{x-1} e+
+        starM=_lift(n, up, (0, 1)) + _lift(n, up.T, (0, -1)),
+        actM=_shift_action(n, 2),
+        dB=d,
+        # degree 2: B.v, central, v^* = -v
+        leftO2=_lift(n, [[[1.0]]]),
+        rightO2=_lift(n, [[[1.0]]]),
+        starO2=-np.eye(n) + 0j,
+        actO2=_shift_action(n),
+        wedge=wedge,
+        d1=d1,
         name=f"cycle(Z_{n})",
     )
 
@@ -1158,97 +1116,45 @@ def jet_instance(n: int) -> ModuleAlgebra:
     d1((u + vy) dx + (w + zx) dy) = (z - v) dx^dy.  B is non-semisimple,
     which is what makes MC and the curvature coboundary non-trivial.
     """
-    H = cyclic_group_hopf(n)
-    # B basis: (z, e) with e in {1, x, y, xy}
+    # fiber bases: B on (1, x, y, xy), Omega^1 on (dx, y dx, dy, x dy), Omega^2 on dx^dy
     E1, EX, EY, EXY = 0, 1, 2, 3
-    dB_ = 4 * n
-
-    def bi(z, e):
-        return 4 * z + e
-
-    dtable = {  # D2 multiplication on {1,x,y,xy}
-        (E1, E1): [(E1, 1.0)], (E1, EX): [(EX, 1.0)], (E1, EY): [(EY, 1.0)],
-        (E1, EXY): [(EXY, 1.0)], (EX, E1): [(EX, 1.0)], (EY, E1): [(EY, 1.0)],
-        (EXY, E1): [(EXY, 1.0)], (EX, EY): [(EXY, 1.0)], (EY, EX): [(EXY, 1.0)],
-        (EX, EX): [], (EY, EY): [], (EX, EXY): [], (EXY, EX): [],
-        (EY, EXY): [], (EXY, EY): [], (EXY, EXY): [],
-    }
-    mulB = np.zeros((dB_, dB_, dB_))
-    for z in range(n):
-        for (e, f), terms in dtable.items():
-            for g, c in terms:
-                mulB[bi(z, e), bi(z, f), bi(z, g)] += c
-    unitB = np.zeros(dB_)
-    for z in range(n):
-        unitB[bi(z, E1)] = 1.0
-    starB = np.eye(dB_)  # x, y self-adjoint
-    actB = _shift_action(n, blocks=4)
-
-    # Omega^1: (z, w, slot): slot dx with w in {1, y}; slot dy with w in {1, x}
-    dM = 4 * n
-
-    def mi(z, w, slot):  # slot 0 = dx, 1 = dy; w in {0,1}: 1 or the nilpotent
-        return 4 * z + 2 * slot + w
-
-    # quotient action of B on Omega^1 (left = right, central)
-    leftM = np.zeros((dB_, dM, dM))
-    for z in range(n):
-        # dx slot: coefficients in C[y]/(y^2): b = f + gx + hy + kxy acts as f + hy
-        # (f + hy)(u + vy) = fu + (fv + hu) y
-        for (e, w_in, w_out, c) in [
-            (E1, 0, 0, 1.0), (E1, 1, 1, 1.0), (EY, 0, 1, 1.0),
-        ]:
-            leftM[bi(z, e), mi(z, w_in, 0), mi(z, w_out, 0)] += c
-        # dy slot: coefficients in C[x]/(x^2): acts as f + gx
-        for (e, w_in, w_out, c) in [
-            (E1, 0, 0, 1.0), (E1, 1, 1, 1.0), (EX, 0, 1, 1.0),
-        ]:
-            leftM[bi(z, e), mi(z, w_in, 1), mi(z, w_out, 1)] += c
-    rightM = np.einsum("bmk->mbk", leftM).copy()
-    starM = -np.eye(dM)
-    actM = _shift_action(n, blocks=4)
-    dB = np.zeros((dB_, dM))
-    for z in range(n):
-        dB[bi(z, EX), mi(z, 0, 0)] = 1.0   # d(x) = dx
-        dB[bi(z, EY), mi(z, 0, 1)] = 1.0   # d(y) = dy
-        dB[bi(z, EXY), mi(z, 1, 0)] = 1.0  # d(xy) = y dx + x dy
-        dB[bi(z, EXY), mi(z, 1, 1)] = 1.0
-
-    # Omega^2 = C(Z_n) dx^dy
-    dO = n
-    leftO2 = np.zeros((dB_, dO, dO))
-    rightO2 = np.zeros((dO, dB_, dO))
-    for z in range(n):
-        leftO2[bi(z, E1), z, z] = 1.0
-        rightO2[z, bi(z, E1), z] = 1.0
-    starO2 = np.eye(dO)
-    actO2 = _shift_action(n)
-    wedge = np.zeros((dM, dM, dO))
-    for z in range(n):
-        # only the scalar parts survive the quotient
-        wedge[mi(z, 0, 0), mi(z, 0, 1), z] += 1.0   # dx ^ dy = +v
-        wedge[mi(z, 0, 1), mi(z, 0, 0), z] -= 1.0   # dy ^ dx = -v
-    d1 = np.zeros((dM, dO))
-    for z in range(n):
-        d1[mi(z, 1, 0), z] -= 1.0  # d1(y dx) = -v
-        d1[mi(z, 1, 1), z] += 1.0  # d1(x dy) = +v
+    DX, YDX, DY, XDY = 0, 1, 2, 3
+    one = np.eye(4)[E1]
+    # D2 multiplication: 1 is the unit, x y = y x = xy, every other product is 0
+    mul = np.zeros((4, 4, 4))
+    mul[E1], mul[:, E1] = np.eye(4), np.eye(4)
+    mul[EX, EY, EXY] = mul[EY, EX, EXY] = 1.0
+    # quotient action of B on Omega^1 (left = right, central): f + gx + hy + kxy
+    # acts on the dx slot (coefficients in C[y]/(y^2)) as f + hy, on dy as f + gx
+    left = np.zeros((4, 4, 4))
+    left[E1] = np.eye(4)
+    left[EY, DX, YDX] = left[EX, DY, XDY] = 1.0
+    d = np.zeros((4, 4))
+    d[EX, DX] = d[EY, DY] = 1.0  # d(x) = dx, d(y) = dy
+    d[EXY, YDX] = d[EXY, XDY] = 1.0  # d(xy) = y dx + x dy
+    # only the scalar parts survive the quotient: dx ^ dy = v = -dy ^ dx
+    wedge = np.zeros((4, 4, 1))
+    wedge[DX, DY], wedge[DY, DX] = 1.0, -1.0
+    d1 = np.zeros((4, 1))
+    d1[YDX], d1[XDY] = -1.0, 1.0  # d1(y dx) = -v, d1(x dy) = +v
     return ModuleAlgebra(
-        H=H,
-        mulB=mulB + 0j,
-        unitB=unitB + 0j,
-        starB=starB + 0j,
-        actB=actB,
-        leftM=leftM + 0j,
-        rightM=rightM + 0j,
-        starM=starM + 0j,
-        actM=actM,
-        dB=dB + 0j,
-        leftO2=leftO2 + 0j,
-        rightO2=rightO2 + 0j,
-        starO2=starO2 + 0j,
-        actO2=actO2,
-        wedge=wedge + 0j,
-        d1=d1 + 0j,
+        H=cyclic_group_hopf(n),
+        mulB=_lift(n, mul),
+        unitB=_lift(n, one),
+        starB=np.eye(4 * n) + 0j,  # x, y self-adjoint
+        actB=_shift_action(n, 4),
+        leftM=_lift(n, left),
+        rightM=_lift(n, left.transpose(1, 0, 2)),
+        starM=-np.eye(4 * n) + 0j,
+        actM=_shift_action(n, 4),
+        dB=_lift(n, d),
+        # Omega^2 = C(Z_n) dx^dy: x, y and xy act by 0 on it
+        leftO2=_lift(n, one[:, None, None]),
+        rightO2=_lift(n, one[None, :, None]),
+        starO2=np.eye(n) + 0j,
+        actO2=_shift_action(n),
+        wedge=_lift(n, wedge),
+        d1=_lift(n, d1),
         name=f"jet(Z_{n})",
     )
 
@@ -1261,13 +1167,15 @@ def jet_unitary(inst: ModuleAlgebra, f=None, a=None, b=None, c=None, rng=None):
         a = rng.standard_normal(n)
         b = rng.standard_normal(n)
         c = rng.standard_normal(n)
-    out = np.zeros(inst.dimB, dtype=complex)
-    for z in range(n):
-        out[4 * z + 0] = f[z]
-        out[4 * z + 1] = 1j * a[z] * f[z]
-        out[4 * z + 2] = 1j * b[z] * f[z]
-        out[4 * z + 3] = (1j * c[z] - a[z] * b[z]) * f[z]
-    return out
+    f, a, b, c = (np.asarray(v) for v in (f, a, b, c))
+    p = np.stack([np.ones(n), 1j * a, 1j * b, 1j * c - a * b], axis=1)
+    # p f from separately rounded real products, as a scalar complex product
+    # rounds them; NumPy's vector complex product may fuse a multiply-add
+    out = np.empty(p.shape, dtype=complex)
+    out.real = p.real * f.real[:, None] - p.imag * f.imag[:, None]
+    out.imag = p.real * f.imag[:, None] + p.imag * f.real[:, None]
+    out[:, 0] = f
+    return out.ravel()
 
 
 # -- JSON round trip --------------------------------------------------------------

@@ -22,6 +22,7 @@ from ncgauge.gauge import (
     GaugePotential,
     HorizontalForm,
     QCalculus,
+    _denominators,
     adaptedness_test,
     apply_potential,
     curvature_coefficient,
@@ -291,6 +292,28 @@ class TestAdaptedness:
         assert adaptedness_test(ctx, ctx.eps**2, M=4)["adapted"]
         assert not adaptedness_test(ctx, ctx.eps, M=4)["adapted"]
         assert relative_adaptedness_test(ctx, ctx.eps, M=4)["adapted"]
+
+    @pytest.mark.parametrize("M", [2, 5])
+    def test_denominators_equal_the_direct_form(self, M):
+        # exact q: -[-m]_q with q^{-m} by binary exponentiation; float q: as written
+        grades = [m for m in range(-M, M + 1) if m]
+        for theta in (GOLDEN, SQRT2, ONE_PLUS_SQRT3):
+            ctx = ThetaContext(theta)
+            exact = [q for _, q, _, _ in self.sweep_values(ctx)] + [
+                ctx.eps**-2, FieldElement.of(-1, 0, ctx.t.delta),
+                FieldElement.of(Fraction(137, 100), 0, ctx.t.delta),
+            ]
+            for q in exact:
+                assert _denominators(q, M) == tuple((m, -q_number(-m, q)) for m in grades)
+        for q in (1.37, -1.0, 0.5, 1.0, CTX.eps_float):
+            assert _denominators(q, M) == tuple((m, q_number(m, q) * q ** (-m)) for m in grades)
+
+    def test_sweep_forms_each_denominator_once(self):
+        qs = [q for _, q, _, _ in self.sweep_values(CTX)]
+        _denominators.cache_clear()
+        q_sweep(CTX, qs, M=4)
+        info = _denominators.cache_info()
+        assert (info.misses, info.hits) == (len(qs), len(qs))
 
     def test_sweep_report(self):
         eps = CTX.eps

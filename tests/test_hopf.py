@@ -1,5 +1,7 @@
 """Tests for the lazy cohomology layer: tensors, cocycles, MC, curvature, Op."""
 
+import dataclasses
+import hashlib
 import itertools
 
 import numpy as np
@@ -542,6 +544,90 @@ class TestSerialization:
         assert back.data_report()["max"] <= 1e-12
         assert back.H.axiom_report()["max"] <= 1e-12
         assert solve_hochschild_space(back)["dim_Z"] == 4
+
+
+# sha256 of dump_instance for n = 1 .. 6: every entry, shape and name of the
+# shipped tensors, as the pointwise fiber construction must reproduce them
+SHIPPED = {
+    "function": function_instance,
+    "function-fixed-M": lambda n: function_instance(n, shift=False),
+    "cycle": cycle_instance,
+    "jet": jet_instance,
+}
+SHIPPED_DIGESTS = {
+    "function": [
+        "709771fd20581fa36dfe947b8530787b4bdf5772e7c4af01aea5b1e1449da8da",
+        "5f65545ddcbadd61005fc240dd1781b661f2e9489e009792c3d1979003443377",
+        "1a5be396155e748e2fe1c08d63319cf7ac220e5ee3bf82eb5f903c8e8a8632ee",
+        "e3a75e8124a95160ef05fbafd0e9ee4615a3c6e083e2ff7e2a302dc05716786d",
+        "8208a6bafa0ea65fd894c297a4fecb9c48be67a3d372a767162f9560f3df2a2b",
+        "e8d7223f7007bfff0c06f875bd8d79c7902d9b53f03e87036a9e8ae13f7ec11f",
+    ],
+    "function-fixed-M": [
+        "87ff34d523be03d1053a32e405153a6efb5ead8aeb367e89ee748bf2268da716",
+        "b1d6d8795d895062090a2b2a2ea20b8e50ec7a423b1e9ab5f1e9447a8c4e6d46",
+        "a9564a647feb1906ba7b9737f09b4e1d33a885ddd7259fa0b76ddc9f44369a28",
+        "0245cfc9bc76ef122163179cd7ce9b32d4b83273de2c3fa27dcc6c300d54d4ab",
+        "cb4d473e4159f799c3254f725266a32e23a7d3ded8f9569d83ad111c09f502ba",
+        "e1909b79debc8f906ab6ae6573ce100a24e0fe50a7f564e86900791d291b5aab",
+    ],
+    "cycle": [
+        "096960111869079fbc0128d8e50436b5d8bb58ab216b7ac942f6601277bd96c5",
+        "d0e45f3072bdc65b57fd9d3764a4210a128717c93e7be8f4be2640c46e5ba9bf",
+        "fed2d9acd1eec47b1e047646b8d502eb065f3d03a60a7ff5298f623eb63d2efb",
+        "8bab95a84a2f4369c264edb254ac2c3a1733a650beb5b33bd71d893411f0bdc3",
+        "3013dd0c7d3444f414212856eea60f128669e69ce9f69eef6fb5c981cdf4a384",
+        "bf9ca17f153b50e762ba7972afefd04b6e86b66373a0351b09304ff22a1eaa10",
+    ],
+    "jet": [
+        "93db52758544e5c36ef2a1290a95ca5cec7bca38c4ec28dc678ab27f4ea17080",
+        "22bc7d3abd24c5a3f5092e37b43aa61a0421b952ff357aa7ff7ebe9184fa84db",
+        "fe9bde25e9a9375c55950f7a46e09448056c03840a9b54ab19283e691e119a3d",
+        "d10ebf47db61229ae9bf95d9f34cd6b2955132899d793b3328a3e607c426dd00",
+        "3e34093d8063c13c3bea020314cab0b286d88b0e0deeadd3f1d35d1c58d3a13d",
+        "6a21bde0f241f1a83047158b65d8b4351ae23474c255faa9d26eabdd8c4b709e",
+    ],
+}
+
+
+class TestShippedTensors:
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("kind", SHIPPED)
+    def test_dump_is_pinned(self, kind, n):
+        text = dump_instance(SHIPPED[kind](n))
+        assert hashlib.sha256(text.encode()).hexdigest() == SHIPPED_DIGESTS[kind][n - 1]
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("kind", SHIPPED)
+    def test_every_tensor_is_complex128(self, kind, n):
+        # the dump cannot tell a float64 tensor from a complex one
+        inst = SHIPPED[kind](n)
+        tensors = {
+            f"{owner}.{f.name}": getattr(obj, f.name)
+            for owner, obj in (("H", inst.H), ("inst", inst))
+            for f in dataclasses.fields(obj)
+            if isinstance(getattr(obj, f.name), np.ndarray)
+        }
+        assert len(tensors) == (21 if inst.wedge is not None else 15)
+        assert {k: a.dtype for k, a in tensors.items() if a.dtype != np.complex128} == {}
+
+
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_jet_unitary_matches_the_pointwise_formula(self, n):
+        # f (1 + i a x + i b y + (i c - a b) xy) at each point, in scalar arithmetic
+        inst = jet_instance(n)
+        for seed in range(5):
+            u = jet_unitary(inst, rng=np.random.default_rng(seed))
+            rng = np.random.default_rng(seed)
+            f = np.exp(2j * np.pi * rng.random(n))
+            a, b, c = (rng.standard_normal(n) for _ in range(3))
+            want = np.zeros(4 * n, dtype=complex)
+            for z in range(n):
+                want[4 * z: 4 * z + 4] = [
+                    f[z], 1j * a[z] * f[z], 1j * b[z] * f[z], (1j * c[z] - a[z] * b[z]) * f[z],
+                ]
+            assert u.dtype == np.complex128
+            assert u.tobytes() == want.tobytes()
 
 
 class TestSolverEdges:
