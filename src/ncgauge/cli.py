@@ -59,7 +59,11 @@ def parse_grid(text: str, tol: float, modes: int = 4) -> heisenberg.GridSpec:
 
 
 def parse_q_token(tok: str, ctx: ThetaContext):
-    """Sweep tokens: 1, 2, 1/2, eps, eps^-1, eps^2, ... or a float."""
+    """Sweep tokens: 1, 2, 1/2, eps, eps^-1, eps^2, ... or a float.
+
+    q must be non-zero and have a finite float value: nan, inf and exact
+    values beyond the float range (1e400, eps^2000) are configuration errors.
+    """
     tok = tok.strip()
     if tok.startswith("eps"):
         power = 1
@@ -68,17 +72,23 @@ def parse_q_token(tok: str, ctx: ThetaContext):
                 power = int(tok.split("^")[1])
             except ValueError as exc:
                 raise ConfigError(f"invalid q token {tok!r}") from exc
-        return ctx.eps_pow(power)
-    q = None
-    try:
-        q = FieldElement.of(Fraction(tok), 0, ctx.t.delta)
-    except ValueError:
+        q = ctx.eps_pow(power)
+    else:
         try:
-            q = float(tok)
-        except ValueError as exc:
-            raise ConfigError(f"invalid q token {tok!r}") from exc
-    if q == 0 or q == 0.0:
-        raise ConfigError("q must be non-zero")
+            q = FieldElement.of(Fraction(tok), 0, ctx.t.delta)
+        except ValueError:
+            try:
+                q = float(tok)
+            except ValueError as exc:
+                raise ConfigError(f"invalid q token {tok!r}") from exc
+        if q == 0 or q == 0.0:
+            raise ConfigError("q must be non-zero")
+    try:
+        finite = math.isfinite(float(q))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ConfigError(f"q token {tok!r} has no finite float value")
     return q
 
 
@@ -350,7 +360,12 @@ def cmd_heisenberg_verify(args) -> tuple[dict, int]:
                     G.partial(1, G.partial(2, g)).parts[m]
                     - G.partial(2, G.partial(1, g)).parts[m]
                 )
-                measured = f.inner(comm) / f.inner(f)
+                f_sq = f.inner(f)
+                if f_sq == 0:
+                    raise ConfigError(
+                        f"--grid {args.grid!r} samples the grade {m} test vector as zero"
+                    )
+                measured = f.inner(comm) / f_sq
                 expected = -2j * math.pi * float(ctx.eps_pow(-m) * ctx.c(m))
                 rel = abs(measured - expected) / abs(expected)
                 eig[str(m)] = {
@@ -607,7 +622,9 @@ def cmd_cohomology(args) -> tuple[dict, int]:
 # -- entry point --------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
+    """The ncgauge parser; `defaults` replaces the built-in defaults of the
+    subcommands' options (the entries of a --config file)."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file; flags override its entries")
     common.add_argument("--format", choices=["json", "csv", "pretty"], default="json")
@@ -655,6 +672,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", help="JSON structure-tensor file")
     p.add_argument("--builtin", default="jet:3", help="cycle:n | jet:n | function:n")
 
+    for p in sub.choices.values():
+        p.set_defaults(**(defaults or {}))
     return ap
 
 
@@ -669,16 +688,16 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config)
-        for key, value in config.items():
-            key = key.replace("-", "_")
-            if hasattr(args, key) and f"--{key.replace('_', '-')}" not in (
-                argv or sys.argv[1:]
-            ):
-                setattr(args, key, value)
+        config = {k.replace("-", "_"): v for k, v in config.items()}
+        config = {k: v for k, v in config.items() if hasattr(args, k)}
+        if config:
+            # parse again with the config entries as defaults, so every
+            # spelling of an explicit flag (--grades 7, --grades=7, --grad 7)
+            # overrides them
+            args = build_parser(config).parse_args(argv)
         report, code = COMMANDS[args.command](args)
         emit(report, args.format, args.out)
         return code

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .quadfield import ThetaContext
 from .torus import TorusElement
@@ -58,10 +57,16 @@ class GridSpec:
     modes: int = 4
 
     def __post_init__(self):
+        if not (math.isfinite(self.L) and self.L > 0):
+            raise ValueError(f"L must be finite and positive, got {self.L}")
         if self.N % 2 != 0:
             raise ValueError("N must be even")
-        if self.L <= 0:
-            raise ValueError("L must be positive")
+        # the 4th-order derivative reads 5 points and a not-a-knot cubic
+        # spline 4; the smallest even N that holds both is 6
+        if self.N < 6:
+            raise ValueError(f"N must be at least 6, got {self.N}")
+        if self.J < 1:
+            raise ValueError(f"J must be at least 1, got {self.J}")
 
     @cached_property
     def xs(self) -> np.ndarray:
@@ -108,8 +113,12 @@ class HeisenbergElement:
         raise AttributeError("HeisenbergElement is immutable")
 
     # -- numeric plumbing -------------------------------------------------
-    def _spline(self, s: int) -> CubicSpline:
+    def _spline(self, s: int):
         if self._splines[s] is None:
+            # scipy.interpolate takes most of the start-up time and memory of
+            # the package; only the grade-m kernels need it, so load it here
+            from scipy.interpolate import CubicSpline
+
             self._splines[s] = CubicSpline(
                 self.grid.xs, self.samples[s], extrapolate=False
             )
@@ -307,6 +316,11 @@ def star_heis(f: HeisenbergElement) -> HeisenbergElement:
     for k in range(S):
         src = (-p.a * k) % S
         out[k] = np.conj(f.evaluate(scl * xs, src))
+    if f.samples.any() and not out.any():
+        raise WindowOverflow(
+            f"star of grade {m} is zero on the grid though its argument is not; "
+            "refine N or enlarge L"
+        )
     res = HeisenbergElement(-m, out, ctx, grid)
     # rescaling by eps^{-m} stretches the data; refuse when the result
     # carries real mass in the outer band (factor 100 leaves room for the

@@ -287,6 +287,22 @@ class TestConfigFile:
     def test_missing_config(self):
         assert main(["pell", "--delta", "5", "--config", "/nonexistent.json"]) == 2
 
+    @pytest.mark.parametrize("flag", [["--grades", "7"], ["--grades=7"]],
+                             ids=["space", "equals"])
+    def test_explicit_flag_overrides_config(self, capsys, tmp_path, flag):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grades": 2}))
+        code, out = run(capsys, ["pell", "--delta", "5", *flag, "--config", str(cfg)])
+        assert code == 0
+        assert sorted(map(int, json.loads(out)["powers"])) == list(range(-7, 8))
+
+    def test_config_strings_go_through_the_option_parser(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": "0x10"}))
+        _, out = run(capsys, ["torus-check", "--theta", "0,1,2", "--config", str(cfg)])
+        _, ref = run(capsys, ["torus-check", "--theta", "0,1,2", "--seed", "16"])
+        assert out == ref
+
 
 class TestParsers:
     def test_q_tokens(self):
@@ -310,3 +326,33 @@ class TestQTokenEdges:
 
     def test_bad_eps_power(self):
         assert main(["monopole", "--theta", "1/2,1/2,5", "--q-sweep", "eps^x"]) == 2
+
+    @pytest.mark.parametrize("tok", ["nan", "inf", "1e400", "eps^2000"])
+    def test_non_finite_q_rejected(self, capsys, tok):
+        with pytest.raises(ConfigError, match="finite"):
+            parse_q_token(tok, parse_theta("0,1,2"))
+        assert main(["monopole", "--theta", "0,1,2", "--q-sweep", tok]) == 2
+        assert "finite float value" in capsys.readouterr().err
+
+
+class TestGridValidation:
+    @pytest.mark.parametrize("grid", [
+        "12,0", "12,2", "12,4", "nan,1024,8", "inf", "-inf", "0", "12,1024,0", "12,1024,-1",
+    ])
+    def test_degenerate_grid_is_config_error(self, capsys, grid):
+        argv = ["heisenberg-verify", "--theta", "0,1,2", "--grades", "1", f"--grid={grid}"]
+        assert main(argv) == 2
+        assert "invalid --grid" in capsys.readouterr().err
+
+    def test_grid_too_wide_for_the_test_vector_is_config_error(self, capsys):
+        argv = ["heisenberg-verify", "--theta", "0,1,2", "--grades", "1", "--grid", "1e5"]
+        assert main(argv) == 2
+        assert "test vector as zero" in capsys.readouterr().err
+
+    def test_coarsest_grid_reports_the_empty_star(self, capsys):
+        argv = ["heisenberg-verify", "--theta", "0,1,2", "--grades", "1", "--grid", "12,6"]
+        code, out = run(capsys, argv)
+        assert code == 1
+        data = json.loads(out)
+        assert "window overflow" in data["failures"]
+        assert "zero on the grid" in data["window_overflow"]

@@ -57,6 +57,21 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(N=1023)
 
+    @pytest.mark.parametrize("kw, msg", [
+        ({"L": float("nan")}, "L must be finite"),
+        ({"L": float("inf")}, "L must be finite"),
+        ({"L": 0.0}, "L must be finite and positive"),
+        ({"N": 4}, "N must be at least 6"),
+        ({"N": 0}, "N must be at least 6"),
+        ({"J": 0}, "J must be at least 1"),
+    ])
+    def test_degenerate_grid_rejected(self, kw, msg):
+        with pytest.raises(ValueError, match=msg):
+            GridSpec(**kw)
+
+    def test_smallest_grid_accepted(self):
+        assert GridSpec(N=6, J=1).N == 6
+
     def test_grade_zero_has_no_sectors(self):
         with pytest.raises(GradeZero):
             sector_count(CTX, 0)
@@ -160,6 +175,12 @@ class TestStar:
     def test_window_overflow(self):
         f = gaussian(CTX, GRID, -1, width=3.5)
         with pytest.raises(WindowOverflow):
+            star_heis(f)
+
+    def test_star_sampled_only_outside_the_window_overflows(self):
+        # grade 2 scales the points +-2.4 of a 6-point grid to +-16.4 > L
+        f = gaussian(CTX, GridSpec(N=6), 2)
+        with pytest.raises(WindowOverflow, match="zero on the grid"):
             star_heis(f)
 
 
