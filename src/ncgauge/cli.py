@@ -2,8 +2,8 @@
 
 Subcommands: pell, stabilizer, torus-check, heisenberg-verify, monopole,
 cohomology.  JSON is the canonical output; pretty tables and csv are
-derived from it.  Exit codes: 0 all suites pass, 1 tolerance failure,
-2 configuration error.
+derived from it.  Exit codes, set by `verdict` from the suite's checks:
+0 every check holds, 1 a check fails, 2 configuration error.
 """
 
 from __future__ import annotations
@@ -33,6 +33,22 @@ class ConfigError(Exception):
 
 
 # -- argument plumbing ---------------------------------------------------------
+
+
+def _integer(minimum: int):
+    """argparse type: an integer of at least `minimum`."""
+    def integer(text: str) -> int:
+        if int(text) < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {text}")
+        return int(text)
+    return integer
+
+
+def tolerance(text: str) -> float:
+    """argparse type: a finite float >= 0."""
+    if not 0 <= float(text) < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and at least 0, got {text}")
+    return float(text)
 
 
 def parse_theta(text: str) -> ThetaContext:
@@ -97,9 +113,14 @@ def load_config(path: str | None) -> dict:
         return {}
     try:
         with open(path) as fh:
-            return json.load(fh)
+            config = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
+    if not isinstance(config, dict):
+        raise ConfigError(f"config {path!r} holds a JSON {type(config).__name__}, not an object")
+    if "command" in config:
+        raise ConfigError(f"config {path!r} sets 'command'; name the subcommand on the command line")
+    return config
 
 
 def emit(report: dict, fmt: str, out: str | None) -> None:
@@ -166,7 +187,7 @@ def _to_pretty(report) -> str:
 # -- subcommands -----------------------------------------------------------------
 
 
-def cmd_pell(args) -> tuple[dict, int]:
+def cmd_pell(args) -> tuple[dict, None]:
     try:
         unit = quadfield.pell_unit(args.delta)
     except NonQuadratic as exc:
@@ -192,10 +213,10 @@ def cmd_pell(args) -> tuple[dict, int]:
         str(m): list(ctx.power(m).matrix().entries())
         for m in range(-args.grades, args.grades + 1)
     }
-    return report, 0
+    return report, None
 
 
-def cmd_stabilizer(args) -> tuple[dict, int]:
+def cmd_stabilizer(args) -> tuple[dict, list]:
     ctx = parse_theta(args.theta)
     t = ctx.t
     report = {
@@ -226,11 +247,10 @@ def cmd_stabilizer(args) -> tuple[dict, int]:
         for n in range(-args.grades, args.grades + 1)
     )
     report["checks"]["c_cocycle"] = coc
-    code = 0 if (ok and hom and coc) else 1
-    return report, code
+    return report, list(report["checks"].items())
 
 
-def cmd_torus_check(args) -> tuple[dict, int]:
+def cmd_torus_check(args) -> tuple[dict, list]:
     ctx = parse_theta(args.theta)
     th = ctx.theta_float
     rng = np.random.default_rng(args.seed)
@@ -239,36 +259,29 @@ def cmd_torus_check(args) -> tuple[dict, int]:
     lam = cmath.exp(2j * math.pi * th)
     U, V = torus.TorusElement.U(th), torus.TorusElement.V(th)
     residuals["commutation"] = ((V * U) - (U * V) * lam).norm()
-    worst_assoc = worst_star = worst_leib = worst_d2 = 0.0
+    samples = {"associativity": [], "star_antimultiplicative": [],
+               "delta_leibniz": [], "d_squared": []}
     for _ in range(200):
         x = torus.random_sparse(th, rng)
         y = torus.random_sparse(th, rng)
         z = torus.random_sparse(th, rng)
         scale = max(x.norm() * y.norm() * z.norm(), 1.0)
-        worst_assoc = max(worst_assoc, ((x * y) * z - x * (y * z)).norm() / scale)
-        worst_star = max(
-            worst_star,
+        samples["associativity"].append(((x * y) * z - x * (y * z)).norm() / scale)
+        samples["star_antimultiplicative"].append(
             (torus.star(x * y) - torus.star(y) * torus.star(x)).norm()
-            / max(x.norm() * y.norm(), 1.0),
+            / max(x.norm() * y.norm(), 1.0)
         )
         for j in (1, 2):
-            worst_leib = max(
-                worst_leib,
+            samples["delta_leibniz"].append(
                 ((x * y).delta(j) - (x.delta(j) * y + x * y.delta(j))).norm()
-                / max(x.norm() * y.norm(), 1.0),
+                / max(x.norm() * y.norm(), 1.0)
             )
-        worst_d2 = max(
-            worst_d2, torus.d_B1(torus.d_B(x)).norm() / max(x.norm(), 1.0)
-        )
-    residuals["associativity"] = worst_assoc
-    residuals["star_antimultiplicative"] = worst_star
-    residuals["delta_leibniz"] = worst_leib
-    residuals["d_squared"] = worst_d2
+        samples["d_squared"].append(torus.d_B1(torus.d_B(x)).norm() / max(x.norm(), 1.0))
+    residuals.update((k, hopf._maxabs(v)) for k, v in samples.items())
     vol = torus.wedge(torus.dtau1(th), torus.dtau2(th))
     residuals["dtau_wedge_vol"] = (vol.b - torus.TorusElement.one(th)).norm()
-    passed = all(v <= tol for v in residuals.values())
-    report = {"theta": th, "tol": tol, "residuals": residuals, "pass": passed}
-    return report, 0 if passed else 1
+    report = {"theta": th, "tol": tol, "residuals": residuals}
+    return report, [(f"{k}: {r:.2e}", r, tol) for k, r in residuals.items()]
 
 
 # Sample arrays of one grade that the commutator eigenvalue table holds at
@@ -293,11 +306,19 @@ def memory_budget() -> int:
     return min(limits)
 
 
+def require_memory(need: int, subject: str, what: str) -> None:
+    """Exit 2 when `what`, the largest allocation of `subject`, exceeds `memory_budget()`."""
+    budget = memory_budget()
+    if need > budget:
+        raise ConfigError(
+            f"{subject} needs about {need / 2**30:.1f} GiB for {what}; "
+            f"this process can use {budget / 2**30:.1f} GiB"
+        )
+
+
 def commutator_table_bytes(ctx: ThetaContext, grid: heisenberg.GridSpec, M: int):
     """(bytes, grade) of the largest grade of the commutator table."""
     grades = [m for m in range(M, -M - 1, -1) if m != 0]
-    if not grades:
-        return 0, 0
     m = max(grades, key=lambda m: heisenberg.sector_count(ctx, m))
     return COMMUTATOR_ARRAYS * heisenberg.sample_bytes(ctx, grid, m), m
 
@@ -323,21 +344,15 @@ def count_truncations(counts: dict, section: str):
                 warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
 
 
-def cmd_heisenberg_verify(args) -> tuple[dict, int]:
+def cmd_heisenberg_verify(args) -> tuple[dict, list]:
     ctx = parse_theta(args.theta)
     grid = parse_grid(args.grid, args.tol_grid)
     rng = np.random.default_rng(args.seed)
     tol = args.tol
     M = args.grades
     need, m_big = commutator_table_bytes(ctx, grid, M)
-    budget = memory_budget()
-    if need > budget:
-        raise ConfigError(
-            f"--grades {M} needs about {need / 2**30:.1f} GiB for the commutator "
-            f"table ({COMMUTATOR_ARRAYS} arrays of "
-            f"{heisenberg.sector_count(ctx, m_big)} sectors x {grid.N} points "
-            f"at grade {m_big}); this process can use {budget / 2**30:.1f} GiB"
-        )
+    require_memory(need, f"--grades {M}", f"the commutator table ({COMMUTATOR_ARRAYS} arrays of "
+                   f"{heisenberg.sector_count(ctx, m_big)} sectors x {grid.N} points at grade {m_big})")
     report = {
         "theta": ctx.theta_float,
         "epsilon": ctx.eps_float,
@@ -345,7 +360,7 @@ def cmd_heisenberg_verify(args) -> tuple[dict, int]:
         "tol": tol,
     }
     G = heisenberg
-    failures = []
+    checks = []
     truncations = {}
     try:
         with count_truncations(truncations, "commutator_eigenvalues"):
@@ -373,8 +388,7 @@ def cmd_heisenberg_verify(args) -> tuple[dict, int]:
                     "expected_im": expected.imag,
                     "rel_err": rel,
                 }
-                if rel > tol:
-                    failures.append(f"twist3 at m={m}: {rel:.2e}")
+                checks.append((f"twist3 at m={m}: {rel:.2e}", rel, tol))
             report["commutator_eigenvalues"] = eig
 
         with count_truncations(truncations, "right_module_relation"):
@@ -385,8 +399,7 @@ def cmd_heisenberg_verify(args) -> tuple[dict, int]:
             rhs = G.right_act("V", G.right_act("U", f)).scale(lam)
             mod = (lhs - rhs).norm() / max(f.norm(), 1e-30)
             report["right_module_relation"] = mod
-            if mod > 10 * tol:
-                failures.append(f"module law: {mod:.2e}")
+            checks.append((f"module law: {mod:.2e}", mod, 10 * tol))
 
         with count_truncations(truncations, "twist1"):
             # twisted Leibniz on the required grade pairs
@@ -405,17 +418,16 @@ def cmd_heisenberg_verify(args) -> tuple[dict, int]:
             for a, b in [(0, 1), (1, 0), (1, 1), (-1, 1)]:
                 p, q = parts[a], parts[b]
                 pq = G.mul_P(p, q)
-                worst = 0.0
+                res = []
                 for j in (1, 2):
                     lhs = G.partial(j, pq)
                     rhs = G.mul_P(G.partial(j, p), G.sigma(q)) + G.mul_P(
                         p, G.partial(j, q)
                     )
                     sc = max(lhs.norm(), rhs.norm(), p.norm() * q.norm())
-                    worst = max(worst, (lhs - rhs).norm() / sc)
-                tw1[f"({a},{b})"] = worst
-                if worst > tol:
-                    failures.append(f"twist1 ({a},{b}): {worst:.2e}")
+                    res.append((lhs - rhs).norm() / sc)
+                worst = tw1[f"({a},{b})"] = hopf._maxabs(res)
+                checks.append((f"twist1 ({a},{b}): {worst:.2e}", worst, tol))
             report["twist1"] = tw1
 
         with count_truncations(truncations, "twist2"):
@@ -423,16 +435,13 @@ def cmd_heisenberg_verify(args) -> tuple[dict, int]:
             tw2 = {}
             for m in (1, -1):
                 p = parts[m]
-                worst = 0.0
+                res = []
                 for j in (1, 2):
                     lhs = G.partial(j, G.star_P(p))
                     rhs = G.sigma(G.star_P(G.partial(j, p))).scale(-1)
-                    worst = max(
-                        worst, (lhs - rhs).norm() / max(lhs.norm(), rhs.norm())
-                    )
-                tw2[str(m)] = worst
-                if worst > tol:
-                    failures.append(f"twist2 m={m}: {worst:.2e}")
+                    res.append((lhs - rhs).norm() / max(lhs.norm(), rhs.norm()))
+                worst = tw2[str(m)] = hopf._maxabs(res)
+                checks.append((f"twist2 m={m}: {worst:.2e}", worst, tol))
             report["twist2"] = tw2
 
         with count_truncations(truncations, "mul_associativity"):
@@ -445,19 +454,16 @@ def cmd_heisenberg_verify(args) -> tuple[dict, int]:
                 sc = max(lhs.norm(), rhs.norm(), a.norm() * b.norm() * c.norm())
                 r = (lhs - rhs).norm() / sc
                 assoc[str(triple)] = r
-                if r > 10 * tol:
-                    failures.append(f"assoc {triple}: {r:.2e}")
+                checks.append((f"assoc {triple}: {r:.2e}", r, 10 * tol))
             report["mul_associativity"] = assoc
     except G.WindowOverflow as exc:
         report["window_overflow"] = str(exc)
-        failures.append("window overflow")
+        checks.append(("window overflow", False))
     report["truncations"] = truncations
-    report["failures"] = failures
-    report["pass"] = not failures
-    return report, 0 if not failures else 1
+    return report, checks
 
 
-def cmd_monopole(args) -> tuple[dict, int]:
+def cmd_monopole(args) -> tuple[dict, list]:
     ctx = parse_theta(args.theta)
     tokens = [tok for tok in args.q_sweep.split(",") if tok.strip()]
     qs = [parse_q_token(tok, ctx) for tok in tokens]
@@ -473,16 +479,17 @@ def cmd_monopole(args) -> tuple[dict, int]:
         "expected_constant": {"re": 0.0, "im": -ctx.eps_float * ctx.c(1)},
     }
     # consistency: adapted exactly at eps^2, relative exactly at eps
-    ok = True
+    checks = []
     for row, q in zip(rows, qs):
         is_eps2 = isinstance(q, FieldElement) and q == ctx.eps_pow(2)
         is_eps = isinstance(q, FieldElement) and q == ctx.eps
         if not isinstance(q, FieldElement):
             is_eps2 = abs(float(q) - ctx.eps_float**2) < 1e-12
             is_eps = abs(float(q) - ctx.eps_float) < 1e-12
-        ok = ok and (row["adapted"] == is_eps2) and (row["relative_adapted"] == is_eps)
-    report["sweep_consistent"] = ok
-    return report, 0 if ok else 1
+        ok = row["adapted"] == is_eps2 and row["relative_adapted"] == is_eps
+        checks.append((f"sweep at q={row['token']}", ok))
+    report["sweep_consistent"] = all(ok for _, ok in checks)
+    return report, checks
 
 
 def _builtin_instance(token: str) -> hopf.ModuleAlgebra:
@@ -522,40 +529,34 @@ def _is_cyclic_group_hopf(H: hopf.FiniteHopf) -> bool:
     )
 
 
-def cmd_cohomology(args) -> tuple[dict, int]:
+def cmd_cohomology(args) -> tuple[dict, list]:
     if args.instance:
         try:
             with open(args.instance) as fh:
                 inst = hopf.load_instance(fh.read())
-        except (OSError, json.JSONDecodeError, KeyError) as exc:
+        except (OSError, KeyError, ValueError) as exc:
             raise ConfigError(f"cannot load instance: {exc}") from exc
     else:
         inst = _builtin_instance(args.builtin)
     name = inst.name or args.instance or args.builtin
     need, what = cohomology_bytes(inst)
-    budget = memory_budget()
-    if need > budget:
-        raise ConfigError(
-            f"{name} needs about {need / 2**30:.1f} GiB for the "
-            f"{what} (dim H = {inst.H.dim}, dim B = {inst.dimB}, dim M = {inst.dimM}); "
-            f"this process can use {budget / 2**30:.1f} GiB"
-        )
+    require_memory(need, name, f"the {what} (dim H = {inst.H.dim}, dim B = {inst.dimB}, "
+                               f"dim M = {inst.dimM})")
     n = inst.H.dim
     rng = np.random.default_rng(args.seed)
     report = {"instance": name, "dim_H": n, "dim_B": inst.dimB}
     gate = inst.H.axiom_report()
     report["hopf_gate"] = {"max": gate["max"]}
-    if gate["max"] > 1e-12:
+    checks = [("Hopf axioms", gate["max"], 1e-12)]
+    if not gate["max"] <= 1e-12:
         report["hopf_gate"]["detail"] = {
-            k: v for k, v in gate.items() if k != "max" and v > 1e-12
+            k: v for k, v in gate.items() if k != "max" and not v <= 1e-12
         }
-        report["pass"] = False
-        return report, 1
+        return report, checks
     data = inst.data_report()
     report["data_gate"] = data["max"]
-    failures, skipped = [], []
-    if data["max"] > 1e-10:
-        failures.append("module-algebra data")
+    checks.append(("module-algebra data", data["max"], 1e-10))
+    skipped = []
     # the enumerator and the characters h -> zeta^j exist on C[Z_n] only
     cyclic = _is_cyclic_group_hopf(inst.H)
     sol = hopf.solve_hochschild_space(inst)
@@ -567,8 +568,8 @@ def cmd_cohomology(args) -> tuple[dict, int]:
     if cyclic:
         bf = hopf.brute_force_group_z1(inst, n)
         report["hochschild"].update(brute_force_Z=bf["dim_Z"], brute_force_B=bf["dim_B"])
-        if (sol["dim_Z"], sol["dim_B"]) != (bf["dim_Z"], bf["dim_B"]):
-            failures.append("cohomology dimensions disagree with the enumerator")
+        checks.append(("cohomology dimensions disagree with the enumerator",
+                       (sol["dim_Z"], sol["dim_B"]) == (bf["dim_Z"], bf["dim_B"])))
         zeta = np.exp(2j * np.pi / n)
         char = hopf.ConvolutionElement(
             inst, "B", np.array([inst.unitB * zeta**j for j in range(n)])
@@ -601,8 +602,7 @@ def cmd_cohomology(args) -> tuple[dict, int]:
             "mc_is_cocycle": mc_res,
             "cocycle_identity": ident,
         }
-        if max(mc_res, ident) > 1e-10:
-            failures.append("Maurer-Cartan identities")
+        checks.append(("Maurer-Cartan identities", hopf._maxabs([mc_res, ident]), 1e-10))
     # Op realization checks
     mu0 = (
         sol["basis"][0]
@@ -611,12 +611,32 @@ def cmd_cohomology(args) -> tuple[dict, int]:
     )
     op = hopf.op_report(inst, char, mu0 if inst.dB is not None else None)
     report["op"] = {**op, "tol": hopf.TOL}
-    if op["max"] > hopf.TOL:
-        failures.append("Op realization")
+    checks.append(("Op realization", op["max"], hopf.TOL))
     report["skipped"] = skipped
+    return report, checks
+
+
+# -- verdict ------------------------------------------------------------------------
+# A check is (failure text, residual, tol), which holds when residual <= tol
+# (a NaN fails), or (failure text, ok) with a boolean ok.
+
+
+def verdict(report: dict, checks: list | None) -> int:
+    """Write `failures` and `pass` at the end of the report; return the exit
+    code, 0 if every check holds, else 1.  `pell` has no verdict (None); an
+    empty list means no check ran, a configuration error."""
+    if checks is None:
+        return 0
+    if not checks:
+        raise ConfigError("the run checked nothing")
+    failures = [text for text, *test in checks if not _holds(*test)]
     report["failures"] = failures
     report["pass"] = not failures
-    return report, 0 if not failures else 1
+    return 1 if failures else 0
+
+
+def _holds(value, tol=None) -> bool:
+    return bool(value) if tol is None else value <= tol
 
 
 # -- entry point --------------------------------------------------------------------
@@ -624,7 +644,8 @@ def cmd_cohomology(args) -> tuple[dict, int]:
 
 def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     """The ncgauge parser; `defaults` replaces the built-in defaults of the
-    subcommands' options (the entries of a --config file)."""
+    subcommands' options (the entries of a --config file, as strings that
+    the options' types parse and check like a flag's text)."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file; flags override its entries")
     common.add_argument("--format", choices=["json", "csv", "pretty"], default="json")
@@ -640,32 +661,33 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p = sub.add_parser("pell", parents=[common],
                        help="Pell unit and stabilizer data for a discriminant")
     p.add_argument("--delta", type=int, required=True)
-    p.add_argument("--grades", type=int, default=4)
+    p.add_argument("--grades", type=_integer(0), default=4)
 
     p = sub.add_parser("stabilizer", parents=[common],
                        help="Phi(eps^m) table and exact checks")
     p.add_argument("--theta", required=True, help="p,q,d for theta = p + q sqrt(d)")
-    p.add_argument("--grades", type=int, default=6)
+    p.add_argument("--grades", type=_integer(0), default=6)
 
     p = sub.add_parser("torus-check", parents=[common],
                        help="torus calculus identity suite")
     p.add_argument("--theta", required=True)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=tolerance, default=1e-12)
 
     p = sub.add_parser("heisenberg-verify", parents=[common],
                        help="twist and module-law suites")
     p.add_argument("--theta", required=True)
     p.add_argument("--grid", default="12,1024,8", help="L,N,J")
-    p.add_argument("--tol", type=float, default=1e-4)
-    p.add_argument("--tol-grid", type=float, default=1e-6, dest="tol_grid")
-    p.add_argument("--grades", type=int, default=3)
+    p.add_argument("--tol", type=tolerance, default=1e-4)
+    p.add_argument("--tol-grid", type=tolerance, default=1e-6, dest="tol_grid")
+    p.add_argument("--grades", type=_integer(1), default=3)
 
     p = sub.add_parser("monopole", parents=[common],
                        help="q-sweep adaptedness report")
     p.add_argument("--theta", required=True)
     p.add_argument("--q-sweep", default="1,eps^-1,eps,eps^2,eps^3,2,1/2")
-    p.add_argument("--grades", type=int, default=4)
-    p.add_argument("--tol", type=float, default=1e-8)
+    # the factorization test compares ratios over 0 < |m| <= M, M >= 2
+    p.add_argument("--grades", type=_integer(2), default=4)
+    p.add_argument("--tol", type=tolerance, default=1e-8)
 
     p = sub.add_parser("cohomology", parents=[common],
                        help="lazy cohomology suite on an instance")
@@ -690,15 +712,17 @@ COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = load_config(args.config)
-        config = {k.replace("-", "_"): v for k, v in config.items()}
-        config = {k: v for k, v in config.items() if hasattr(args, k)}
+        config = {k.replace("-", "_"): v for k, v in load_config(args.config).items()}
+        # an entry naming an option becomes its default, parsed as the flag's
+        # text; null keeps the built-in default
+        config = {k: str(v) for k, v in config.items() if hasattr(args, k) and v is not None}
         if config:
             # parse again with the config entries as defaults, so every
             # spelling of an explicit flag (--grades 7, --grades=7, --grad 7)
             # overrides them
             args = build_parser(config).parse_args(argv)
-        report, code = COMMANDS[args.command](args)
+        report, checks = COMMANDS[args.command](args)
+        code = verdict(report, checks)
         emit(report, args.format, args.out)
         return code
     except ConfigError as exc:

@@ -67,6 +67,9 @@ class GridSpec:
             raise ValueError(f"N must be at least 6, got {self.N}")
         if self.J < 1:
             raise ValueError(f"J must be at least 1, got {self.J}")
+        # the spline's cubic coefficients scale like 1/h^3
+        if self.h**3 < np.finfo(float).tiny:
+            raise ValueError(f"the step h = 2L/(N-1) = {self.h:.3g} is too small: h^3 underflows")
 
     @cached_property
     def xs(self) -> np.ndarray:

@@ -73,6 +73,8 @@ def _greedy_path(spec: str, shapes: tuple) -> tuple:
 
 
 def _maxabs(a) -> float:
+    """Largest absolute entry of a (0.0 when empty); a NaN entry gives NaN,
+    so a worst-of residual over it fails every `<= tol` check."""
     return float(np.max(np.abs(a), initial=0.0))
 
 
@@ -156,16 +158,14 @@ class FiniteHopf:
         rep["assoc"] = np.abs(
             _contract("ijx,xkl->ijkl", m, m) - _contract("jkx,ixl->ijkl", m, m)
         ).max()
-        rep["unit"] = max(
-            np.abs(_contract("i,ijk->jk", u, m) - eye).max(),
-            np.abs(_contract("j,ijk->ik", u, m) - eye).max(),
+        rep["unit"] = _maxabs(
+            [_contract("i,ijk->jk", u, m) - eye, _contract("j,ijk->ik", u, m) - eye]
         )
         rep["coassoc"] = np.abs(
             _contract("iab,bcd->iacd", c, c) - _contract("ibd,bac->iacd", c, c)
         ).max()
-        rep["counit"] = max(
-            np.abs(_contract("ijk,j->ik", c, eps) - eye).max(),
-            np.abs(_contract("ijk,k->ij", c, eps) - eye).max(),
+        rep["counit"] = _maxabs(
+            [_contract("ijk,j->ik", c, eps) - eye, _contract("ijk,k->ij", c, eps) - eye]
         )
         rep["bialgebra"] = np.abs(
             _contract("ijx,xab->ijab", m, c)
@@ -190,7 +190,7 @@ class FiniteHopf:
         rep["s_star_involutive"] = np.abs(
             np.conj(st @ S) @ (st @ S) - eye
         ).max()
-        rep["max"] = max(v for v in rep.values())
+        rep["max"] = _maxabs(list(rep.values()))
         return rep
 
 
@@ -367,7 +367,7 @@ class ModuleAlgebra:
                 "bu,muo->mbo", self.dB, self.wedge
             )
             rep["graded_leibniz_right"] = np.abs(lhs - rhs).max()
-        rep["max"] = max(v for v in rep.values())
+        rep["max"] = _maxabs(list(rep.values()))
         return rep
 
 
@@ -502,10 +502,10 @@ def check_sweedler_cocycle(sigma: ConvolutionElement) -> dict:
         raise TargetMismatch("Sweedler cocycles are B-valued")
     one = unit_cocycle(inst)
     rep = {}
-    rep["unitary"] = max(
+    rep["unitary"] = _maxabs([
         (convolve(sigma, conv_star(sigma)) - one).norm(),
         (convolve(conv_star(sigma), sigma) - one).norm(),
-    )
+    ])
     rep["unit_value"] = _maxabs(sigma.value_at_unit() - inst.unitB)
     # sigma(h k) = (sigma(h) <| k_1) sigma(k_2) on all basis pairs
     s = sigma.values
@@ -515,10 +515,10 @@ def check_sweedler_cocycle(sigma: ConvolutionElement) -> dict:
     rep["cocycle"], rep["cocycle_worst_pair"] = _worst_pair(resid)
     rep["centrality_B"] = centrality(sigma, "B")
     rep["centrality_M"] = centrality(sigma, "M")
-    rep["max"] = max(
+    rep["max"] = _maxabs([
         rep["unitary"], rep["unit_value"], rep["cocycle"],
         rep["centrality_B"], rep["centrality_M"],
-    )
+    ])
     rep["passes"] = rep["max"] <= TOL
     return rep
 
@@ -539,7 +539,7 @@ def check_hochschild_cocycle(mu: ConvolutionElement, prolongable: bool = False) 
     if prolongable and mu.target == "M" and inst.wedge is not None:
         rep["graded_centrality"] = centrality(mu, "M")
         vals.append(rep["graded_centrality"])
-    rep["max"] = max(vals)
+    rep["max"] = _maxabs(vals)
     rep["passes"] = rep["max"] <= TOL
     return rep
 
@@ -551,16 +551,16 @@ def _check_cent_element(inst: ModuleAlgebra, v) -> float:
     """Max violation of v in Cent_B(B + M): the cochain h -> eps(h) v
     commutes with rho_B and rho_M under convolution."""
     const = ConvolutionElement(inst, "B", _const(inst, v))
-    return max(centrality(const, "B"), centrality(const, "M"))
+    return _maxabs([centrality(const, "B"), centrality(const, "M")])
 
 
 def coboundary_S(inst: ModuleAlgebra, upsilon) -> ConvolutionElement:
     """D(upsilon)(h) = (upsilon <| h) upsilon^*, for unitary central upsilon."""
     upsilon = np.asarray(upsilon, dtype=complex)
     us = inst.star("B", upsilon)
-    if _maxabs(inst.mul("B", "B", upsilon, us) - inst.unitB) > TOL:
+    if not _maxabs(inst.mul("B", "B", upsilon, us) - inst.unitB) <= TOL:
         raise NotAdmissible("upsilon is not unitary")
-    if _check_cent_element(inst, upsilon) > TOL:
+    if not _check_cent_element(inst, upsilon) <= TOL:
         raise NotAdmissible("upsilon is not in Cent_B(B + M)")
     # (upsilon <| h_1) eps(h_2) upsilon^*
     return convolve(
@@ -572,9 +572,9 @@ def coboundary_S(inst: ModuleAlgebra, upsilon) -> ConvolutionElement:
 def coboundary_H(inst: ModuleAlgebra, m, target: str = "M") -> ConvolutionElement:
     """D(m)(h) = m <| h - eps(h) m, for self-adjoint central m."""
     m = np.asarray(m, dtype=complex)
-    if _maxabs(inst.star(target, m) - m) > TOL:
+    if not _maxabs(inst.star(target, m) - m) <= TOL:
         raise NotAdmissible("m is not self-adjoint")
-    if centrality(ConvolutionElement(inst, target, _const(inst, m)), "B") > TOL:
+    if not centrality(ConvolutionElement(inst, target, _const(inst, m)), "B") <= TOL:
         raise NotAdmissible("m is not B-central")
     return ConvolutionElement(inst, target, _orbit(inst, target, m) - _const(inst, m))
 
@@ -781,7 +781,7 @@ def op_report(inst: ModuleAlgebra, sigma: ConvolutionElement,
     worst = {}
 
     def note(key, resid):  # running max over the chunks
-        worst[key] = max(worst.get(key, 0.0), _maxabs(resid))
+        worst[key] = _maxabs([worst.get(key, 0.0), _maxabs(resid)])
 
     if inst.wedge is not None:
         Fo = op_gauge_matrix(sigma, "O2")
@@ -825,7 +825,7 @@ def op_report(inst: ModuleAlgebra, sigma: ConvolutionElement,
         Finv = op_gauge_matrix(conv_inverse(sigma))
         target = op_potential_matrix(conj_action(sigma, mu) + mc_cocycle(sigma))
         rep["op_gauge_compat"] = _maxabs(Finv @ D @ Fm - target)
-    rep["max"] = max(v for v in rep.values())
+    rep["max"] = _maxabs(list(rep.values()))
     rep["generators"] = labels
     return rep
 
@@ -916,7 +916,7 @@ def solve_hochschild_space(inst: ModuleAlgebra, prolongable: bool = False) -> di
             ConvolutionElement(inst, "M", Q.T.reshape(k, dH, dM))
         ).values.reshape(k, n_c).T
         resid = np.abs(starred - Q @ (np.conj(Q).T @ starred)).max()
-        if resid > 1e-8:
+        if not resid <= 1e-8:
             raise RuntimeError(
                 f"cocycle space is not star-invariant (residual {resid:.1e})"
             )
@@ -1188,11 +1188,17 @@ def _arr_to_json(a):
             "im": np.imag(a).ravel().tolist()}
 
 
-def _arr_from_json(d):
+def _arr_from_json(name: str, d):
+    """The tensor `name` from its JSON form; ValueError naming it when its
+    entries do not fill its shape or one of them is not finite."""
     if d is None:
         return None
-    re = np.array(d["re"]).reshape(d["shape"])
-    im = np.array(d["im"]).reshape(d["shape"])
+    try:
+        re, im = (np.array(d[k], dtype=float).reshape(d["shape"]) for k in ("re", "im"))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"tensor {name}: {exc}") from exc
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise ValueError(f"tensor {name} has a non-finite entry")
     return re + 1j * im
 
 
@@ -1226,13 +1232,9 @@ def load_instance(text: str) -> ModuleAlgebra:
     data = json.loads(text)
     h = data["hopf"]
     H = FiniteHopf(
-        mul=_arr_from_json(h["mul"]),
-        comul=_arr_from_json(h["comul"]),
-        counit=_arr_from_json(h["counit"]),
-        antipode=_arr_from_json(h["antipode"]),
-        star=_arr_from_json(h["star"]),
-        unit=_arr_from_json(h["unit"]),
+        **{k: _arr_from_json(f"hopf.{k}", h[k])
+           for k in ("mul", "comul", "counit", "antipode", "star", "unit")},
         labels=h.get("labels", []),
     )
-    co = {k: _arr_from_json(v) for k, v in data["coefficients"].items()}
+    co = {k: _arr_from_json(k, v) for k, v in data["coefficients"].items()}
     return ModuleAlgebra(H=H, name=data.get("name", ""), **co)

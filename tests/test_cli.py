@@ -1,12 +1,13 @@
 """CLI contract tests: subcommands, formats, exit codes."""
 
 import json
+import math
 import warnings
 
 import numpy as np
 import pytest
 
-from ncgauge import cli, heisenberg, hopf
+from ncgauge import cli, heisenberg, hopf, torus
 from ncgauge.cli import main, parse_q_token, parse_theta, ConfigError
 
 
@@ -287,6 +288,32 @@ class TestConfigFile:
     def test_missing_config(self):
         assert main(["pell", "--delta", "5", "--config", "/nonexistent.json"]) == 2
 
+    @pytest.mark.parametrize("text,reason", [
+        ("[1, 2]", "not an object"),
+        ('{"command": "nope"}', "sets 'command'"),
+    ], ids=["list", "command"])
+    def test_config_that_is_not_options_is_config_error(self, capsys, tmp_path, text, reason):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert main(["pell", "--delta", "5", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and reason in err
+
+    def test_unknown_keys_and_nulls_are_ignored(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"colour": "blue", "grades": 1, "out": None}))
+        code, out = run(capsys, ["pell", "--delta", "5", "--config", str(cfg)])
+        assert code == 0 and sorted(json.loads(out)["powers"]) == ["-1", "0", "1"]
+
+    @pytest.mark.parametrize("entry", [{"grades": -1}, {"tol": math.nan}, {"grades": 2.5}])
+    def test_config_entries_are_checked_like_flags(self, capsys, tmp_path, entry):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(entry))
+        argv = ["torus-check", "--theta", "0,1,2"] if "tol" in entry else ["pell", "--delta", "5"]
+        with pytest.raises(SystemExit) as exc:  # an argparse error, as for the flag
+            main([*argv, "--config", str(cfg)])
+        assert exc.value.code == 2
+
     @pytest.mark.parametrize("flag", [["--grades", "7"], ["--grades=7"]],
                              ids=["space", "equals"])
     def test_explicit_flag_overrides_config(self, capsys, tmp_path, flag):
@@ -338,6 +365,7 @@ class TestQTokenEdges:
 class TestGridValidation:
     @pytest.mark.parametrize("grid", [
         "12,0", "12,2", "12,4", "nan,1024,8", "inf", "-inf", "0", "12,1024,0", "12,1024,-1",
+        "1e-300,64",
     ])
     def test_degenerate_grid_is_config_error(self, capsys, grid):
         argv = ["heisenberg-verify", "--theta", "0,1,2", "--grades", "1", f"--grid={grid}"]
@@ -356,3 +384,121 @@ class TestGridValidation:
         data = json.loads(out)
         assert "window overflow" in data["failures"]
         assert "zero on the grid" in data["window_overflow"]
+
+
+class TestNumericFlags:
+    @pytest.mark.parametrize("argv", [
+        ["heisenberg-verify", "--theta", "1/2,1/2,5", "--grades", "1", "--tol", "nan"],
+        ["heisenberg-verify", "--theta", "1/2,1/2,5", "--grades", "1", "--tol", "inf"],
+        ["heisenberg-verify", "--theta", "1/2,1/2,5", "--grades", "1", "--tol-grid", "nan"],
+        ["heisenberg-verify", "--theta", "1/2,1/2,5", "--grades", "1", "--tol-grid=-1e-6"],
+        ["torus-check", "--theta", "0,1,2", "--tol", "nan"],
+        ["torus-check", "--theta", "0,1,2", "--tol=-1"],
+        ["monopole", "--theta", "0,1,2", "--tol", "inf"],
+        ["monopole", "--theta", "0,1,2", "--grades", "1"],
+        ["stabilizer", "--theta", "0,1,2", "--grades=-1"],
+        ["heisenberg-verify", "--theta", "0,1,2", "--grades", "0"],
+        ["pell", "--delta", "5", "--grades=-1"],
+    ], ids=lambda argv: " ".join(argv[:1] + argv[3:]))
+    def test_out_of_range_is_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "must be" in capsys.readouterr().err
+
+    def test_empty_sweep_checks_nothing(self, capsys):
+        assert main(["monopole", "--theta", "0,1,2", "--q-sweep", ","]) == 2
+        assert "checked nothing" in capsys.readouterr().err
+
+    def test_smallest_grades_run(self, capsys):
+        assert main(["monopole", "--theta", "0,1,2", "--grades", "2"]) == 0
+        assert main(["stabilizer", "--theta", "0,1,2", "--grades", "0"]) == 0
+
+
+class TestInstanceFiles:
+    @pytest.mark.parametrize("block,name,edit", [
+        ("coefficients", "actB", lambda t: t["re"].pop()),
+        # one entry would broadcast against re; each part must fill the shape
+        ("coefficients", "actB", lambda t: t.update(im=[0.0])),
+        ("coefficients", "dB", lambda t: t["re"].__setitem__(0, float("nan"))),
+        ("hopf", "mul", lambda t: t["im"].__setitem__(3, float("nan"))),
+    ], ids=["short-re", "one-im", "nan-dB", "nan-mul"])
+    def test_bad_tensor_is_config_error(self, capsys, tmp_path, block, name, edit):
+        data = json.loads(hopf.dump_instance(hopf.cycle_instance(3)))
+        edit(data[block][name])
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert main(["cohomology", "--instance", str(path)]) == 2
+        label = name if block == "coefficients" else f"hopf.{name}"
+        assert f"tensor {label}" in capsys.readouterr().err
+
+
+VERDICT_RUNS = [
+    ["stabilizer", "--theta", "1/2,1/2,5"],
+    ["torus-check", "--theta", "1/2,1/2,5"],
+    ["heisenberg-verify", "--theta", "1/2,1/2,5", "--grades", "1"],
+    ["monopole", "--theta", "1/2,1/2,5"],
+    ["cohomology", "--builtin", "jet:2"],
+]
+
+
+class TestVerdict:
+    @pytest.mark.parametrize("argv", VERDICT_RUNS, ids=lambda argv: argv[0])
+    def test_schema(self, capsys, argv):
+        code, out = run(capsys, argv)
+        data = json.loads(out)
+        assert isinstance(data["pass"], bool)
+        assert isinstance(data["failures"], list)
+        assert all(isinstance(f, str) for f in data["failures"])
+        assert list(data)[-2:] == ["failures", "pass"]
+        assert (code == 0) == data["pass"]
+
+    def test_pell_has_no_verdict(self, capsys):
+        _, out = run(capsys, ["pell", "--delta", "5"])
+        assert not {"pass", "failures"} & set(json.loads(out))
+
+    def test_checks(self):
+        report = {}
+        checks = [("nan", math.nan, 1.0), ("big", 2.0, 1.0), ("edge", 1.0, 1.0),
+                  ("false", False), ("true", True)]
+        assert cli.verdict(report, checks) == 1
+        assert report == {"failures": ["nan", "big", "false"], "pass": False}
+        assert cli.verdict(report, [("fine", 0.0, 0.0)]) == 0 and report["pass"]
+        assert cli.verdict({}, None) == 0
+        with pytest.raises(ConfigError, match="checked nothing"):
+            cli.verdict({}, [])
+
+    def test_nan_torus_residual_fails(self, capsys, monkeypatch):
+        # NaN on the first of 200 samples: a running Python max drops it
+        d_B1, calls = torus.d_B1, []
+
+        def nan_first(w):
+            calls.append(w)
+            return NaNNorm() if len(calls) == 1 else d_B1(w)
+
+        monkeypatch.setattr(torus, "d_B1", nan_first)
+        code, out = run(capsys, ["torus-check", "--theta", "1/2,1/2,5"])
+        data = json.loads(out)
+        assert code == 1 and data["failures"] == ["d_squared: nan"]
+
+    def test_nan_heisenberg_residual_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr(heisenberg.HeisenbergElement, "inner", lambda self, other: math.nan)
+        code, out = run(capsys, ["heisenberg-verify", "--theta", "1/2,1/2,5", "--grades", "1"])
+        data = json.loads(out)
+        assert code == 1
+        assert {"twist3 at m=-1: nan", "twist3 at m=1: nan"} <= set(data["failures"])
+
+    def test_nan_cohomology_residual_fails(self, capsys, monkeypatch):
+        # NaN centrality of the M-valued MC cocycle, third of its four residuals
+        centrality = hopf.centrality
+        monkeypatch.setattr(hopf, "centrality",
+                            lambda f, tx: math.nan if f.target == "M" else centrality(f, tx))
+        code, out = run(capsys, ["cohomology", "--builtin", "cycle:4"])
+        data = json.loads(out)
+        assert code == 1 and data["failures"] == ["Maurer-Cartan identities"]
+        assert math.isnan(data["maurer_cartan"]["mc_is_cocycle"])
+
+
+class NaNNorm:
+    def norm(self):
+        return math.nan

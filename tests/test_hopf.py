@@ -83,6 +83,23 @@ class TestHopfAxioms:
         inst.actO2 = np.stack([np.eye(inst.dimO2)] * 3, axis=1) + 0j
         assert inst.data_report()["max"] > 1e-6
 
+    def test_nan_residual_makes_the_max_nan(self):
+        # a worst-of that dropped the NaN would let a <= tol check pass
+        inst = cycle_instance(3)
+        inst.dB[0, 0] = np.nan
+        rep = inst.data_report()
+        assert rep["actB_rep"] == 0.0  # the first entry is finite
+        assert np.isnan(rep["derivation"]) and np.isnan(rep["max"])
+        H = cyclic_group_hopf(3)
+        H.counit[1] = np.nan
+        gate = H.axiom_report()
+        assert gate["assoc"] == 0.0 and np.isnan(gate["counit"]) and np.isnan(gate["max"])
+        clean = cycle_instance(3)
+        mu = zero_cochain(clean, "M")
+        mu.values[1, 0] = np.nan  # not at the unit, so unit_value stays 0
+        assert np.isnan(check_hochschild_cocycle(mu)["max"])
+        assert np.isnan(op_report(clean, unit_cocycle(clean), mu)["max"])
+
 
 def functions_on_s3():
     """C(S_3) on the delta basis, coefficients B = C with the counit action.
@@ -332,6 +349,13 @@ class TestCoboundaries:
         m[1] = 1.0  # not self-adjoint (starM = -I wants imaginary coords)
         with pytest.raises(NotAdmissible):
             coboundary_H(inst, m)
+
+    def test_nan_is_not_admissible(self):
+        inst = function_instance(2)
+        with pytest.raises(NotAdmissible, match="unitary"):
+            coboundary_S(inst, np.array([1.0, np.nan]))
+        with pytest.raises(NotAdmissible, match="self-adjoint"):
+            coboundary_H(inst, np.array([0.0, np.nan]))
 
 
 class TestConjugationAction:
