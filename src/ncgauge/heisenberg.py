@@ -128,9 +128,15 @@ class HeisenbergElement:
         return self._splines[s]
 
     def evaluate(self, pts: np.ndarray, sector: int) -> np.ndarray:
-        """Spline evaluation at arbitrary points, zero outside the window."""
+        """Spline evaluation at arbitrary points, zero outside the window.
+
+        Only the reads outside [-L, L] are zeroed, by position; a NaN read
+        inside the window (an overflowing spline) stays NaN, so every check
+        built on it fails.
+        """
+        pts = np.asarray(pts)
         vals = self._spline(sector % self.samples.shape[0])(pts)
-        vals[np.isnan(vals)] = 0.0
+        vals[(pts < -self.grid.L) | (pts > self.grid.L)] = 0.0
         return vals
 
     def with_samples(self, samples: np.ndarray) -> "HeisenbergElement":

@@ -14,11 +14,17 @@ each target and `actions` its H-action tensor.  Convolution elements are
 convolution and its star, graded convolution-centrality, the cocycle
 conditions, coboundaries, the Maurer-Cartan and curvature maps, the
 module-algebra axioms) is written once, as one contraction of these tables
-with the coproduct.  The Hochschild cocycle space is solved as a linear
-system whose rows are the same residuals evaluated on the standard basis of
-cochains.  The crossed-product realizations Op are checked against
-multiplication blocks contracted from the same tables; the crossed product
-keeps no product tensor of its own.  Each multiplicativity check
+with the coproduct.  The tables are sparse (a few per cent non-zero on the
+shipped instances, less as they grow), so the large contractions run on
+index forms (`IndexForm`, the non-zero entries and their positions) and
+cost what their non-zeros cost.  The identities that are linear in a
+cochain (the Hochschild cocycle equation, graded convolution-centrality)
+are built as linear maps in index form: a check applies the map to one
+cochain, and `solve_hochschild_space` takes the nullspace of the stacked
+maps, one SVD per connected component of the system.  The crossed-product
+realizations Op are checked against multiplication blocks contracted from
+the same tables, in index form too; the crossed product keeps no product
+tensor of its own.  Each multiplicativity check
 G(x . y) = G(x) . G(y) (and the Leibniz rule of Op(mu)) runs with x on a
 generating set of B x| H, the unit block 1 (x) B and e_g (x) 1_B for the
 generators g of H, and y on the whole basis.  Induction on word length
@@ -29,6 +35,8 @@ establish.  So the checks are only as sound as those gates; the CLI runs
 them first and reports a failed gate.  The checks contract about
 dim B + dim M multiplication blocks, dim H times fewer than a pass over the
 whole basis, and the CLI runs them on every instance: there is no size gate.
+The solver cuts its cocycle rows to the generators of H by the same
+induction, so it too is only as sound as the gates.
 
 Shipped instances are group algebras C[Z_n] acting on the function algebra
 C(Z_n) by shift: the symmetric cycle calculus (e+, e- with e+* = e-, the
@@ -75,7 +83,152 @@ def _greedy_path(spec: str, shapes: tuple) -> tuple:
 def _maxabs(a) -> float:
     """Largest absolute entry of a (0.0 when empty); a NaN entry gives NaN,
     so a worst-of residual over it fails every `<= tol` check."""
+    if isinstance(a, IndexForm):
+        a = a.values
     return float(np.max(np.abs(a), initial=0.0))
+
+
+# -- index form ------------------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class IndexForm:
+    """A tensor in index (COO) form: `index` holds one integer array per
+    axis and `values` the entries at those positions, each position at most
+    once; every entry not listed is 0.  Products join the listed entries, so
+    their cost follows the non-zero counts, not the dense shapes.
+
+    `@` is numpy's matmul on one- to three-axis forms (a leading batch
+    axis on either side), and `+`/`-` add forms of one shape.
+    """
+
+    shape: tuple
+    index: tuple
+    values: np.ndarray
+
+    @classmethod
+    def of(cls, a) -> IndexForm:
+        """The non-zero entries of a dense array; a form passes through."""
+        if isinstance(a, IndexForm):
+            return a
+        a = np.asarray(a)
+        index = np.nonzero(a)
+        return cls(a.shape, index, a[index])
+
+    def dense(self) -> np.ndarray:
+        out = np.zeros(self.shape, dtype=self.values.dtype)
+        out[self.index] = self.values
+        return out
+
+    def reshape(self, *shape) -> IndexForm:
+        """The same entries, read row-major into `shape`."""
+        return IndexForm(shape, np.unravel_index(_flat(self.index, self.shape), shape), self.values)
+
+    def conj(self) -> IndexForm:
+        return IndexForm(self.shape, self.index, np.conj(self.values))
+
+    def __add__(self, other) -> IndexForm:
+        return _summed(self.shape, tuple(map(np.concatenate, zip(self.index, other.index))),
+                       np.concatenate([self.values, other.values]))
+
+    def __sub__(self, other) -> IndexForm:
+        return self + IndexForm(other.shape, other.index, -other.values)
+
+    def __matmul__(self, other) -> IndexForm:
+        a = {1: "q", 2: "pq", 3: "npq"}[len(self.shape)]
+        b = {1: "q", 2: "qr", 3: "nqr"}[len(other.shape)]
+        out = "".join(c for c in "npr" if c in a + b)
+        return _sparse_contract(f"{a},{b}->{out}", self, IndexForm.of(other))
+
+
+def _flat(index, shape) -> np.ndarray:
+    """Row-major flat positions of an index tuple."""
+    return np.ravel_multi_index(tuple(index), tuple(shape))
+
+
+def _summed(shape, index, values) -> IndexForm:
+    """The form with these (possibly repeated) entries, those at one
+    position summed; sums that are exactly 0 are dropped, a NaN is kept."""
+    keys, where = np.unique(_flat(index, shape), return_inverse=True)
+    sums = np.empty(len(keys), dtype=values.dtype)
+    sums.real = np.bincount(where, values.real, len(keys))
+    if np.iscomplexobj(values):
+        sums.imag = np.bincount(where, values.imag, len(keys))
+    keep = sums != 0
+    return IndexForm(shape, np.unravel_index(keys[keep], shape), sums[keep])
+
+
+def _join(a: np.ndarray, b: np.ndarray):
+    """Position arrays (i, j) of every pair with a[i] == b[j]."""
+    order = np.argsort(b, kind="stable")
+    lo = np.searchsorted(b[order], a, "left")
+    count = np.searchsorted(b[order], a, "right") - lo
+    i = np.repeat(np.arange(len(a)), count)
+    # the matches of a[i] are order[lo[i]], order[lo[i] + 1], ...
+    j = order[np.repeat(lo - np.cumsum(count) + count, count) + np.arange(len(i))]
+    return i, j
+
+
+def _sparse_contract(spec: str, *operands) -> IndexForm:
+    """np.einsum over index forms (dense operands are read by `IndexForm.of`).
+
+    The operands are joined from the left on their shared letters; after
+    each join the letters no later operand and not the output needs are
+    summed out, so only non-zero products are ever formed.  List the
+    operands in an order that keeps the intermediate joins small.
+    """
+    inputs, out = spec.split("->")
+    inputs = inputs.split(",")
+    forms = [IndexForm.of(op) for op in operands]
+    size = {c: n for letters, f in zip(inputs, forms) for c, n in zip(letters, f.shape)}
+    axes, values = dict(zip(inputs[0], forms[0].index)), forms[0].values
+
+    def keep(letters):
+        nonlocal axes, values
+        kept = [c for c in axes if c in letters]
+        if len(kept) < len(axes):
+            s = _summed(tuple(size[c] for c in kept), tuple(axes[c] for c in kept), values)
+            axes, values = dict(zip(kept, s.index)), s.values
+
+    for k, (letters, f) in enumerate(zip(inputs[1:], forms[1:]), 1):
+        other = dict(zip(letters, f.index))
+        shared = [c for c in letters if c in axes]
+        # with no shared letter every pair matches on the key 0
+        i, j = _join(*(_flat([ax[c] for c in shared], [size[c] for c in shared]) if shared
+                       else np.zeros(len(v), dtype=np.intp)
+                       for ax, v in ((axes, values), (other, f.values))))
+        axes = {c: a[i] for c, a in axes.items()} | {c: a[j] for c, a in other.items() if c not in axes}
+        values = values[i] * f.values[j]
+        keep(set(out).union(*inputs[k + 1:]))
+    keep(out)
+    return IndexForm(tuple(size[c] for c in out), tuple(axes[c] for c in out), values)
+
+
+def _vstack(forms) -> IndexForm:
+    """Two-axis forms with equal column counts, stacked row-wise."""
+    offsets = np.cumsum([0] + [f.shape[0] for f in forms])
+    rows = np.concatenate([f.index[0] + o for f, o in zip(forms, offsets)])
+    cols = np.concatenate([f.index[1] for f in forms])
+    return IndexForm((int(offsets[-1]), forms[0].shape[1]), (rows, cols),
+                     np.concatenate([f.values for f in forms]))
+
+
+def _as_matrix(linear: IndexForm) -> IndexForm:
+    """A linear map of cochain values, whose last two axes are the
+    cochain's (dim H, dim target), as a matrix with those as its columns."""
+    rows, cols = linear.shape[:-2], linear.shape[-2:]
+    return linear.reshape(math.prod(rows), math.prod(cols))
+
+
+def _apply(linear: IndexForm, values) -> np.ndarray:
+    """Dense image of cochain values (..., dim H, dim target) under a
+    linear map in index form; the result is (..., leading axes of linear)."""
+    values = np.asarray(values)
+    A = _as_matrix(linear)
+    V = values.reshape(math.prod(values.shape[:-2]), A.shape[1])
+    out = np.zeros((len(V), A.shape[0]), dtype=np.result_type(V, A.values))
+    np.add.at(out, (slice(None), A.index[0]), V[:, A.index[1]] * A.values)
+    return out.reshape(values.shape[:-2] + linear.shape[:-2])
 
 
 def _row_span(A, tol: float = 1e-9) -> np.ndarray:
@@ -303,22 +456,23 @@ class ModuleAlgebra:
             if A is not None:
                 # (x <| a) <| b = x <| ab
                 rep[f"act{t}_rep"] = _maxabs(
-                    _contract("iau,ubv->iabv", A, A) - _contract("abx,ixv->iabv", H.mul, A)
+                    _sparse_contract("iau,ubv->iabv", A, A)
+                    - _sparse_contract("abx,ixv->iabv", H.mul, A)
                 )
         for (ta, tb), (tc, T) in self.products.items():
             if T is None:
                 continue
             # (x y) <| h = (x <| h_1)(y <| h_2)
             rep[f"equivariant_{ta}{tb}"] = _maxabs(
-                _contract("xyz,zhk->xyhk", T, acts[tc])
-                - _contract("hab,xau,ybv,uvk->xyhk", H.comul, acts[ta], acts[tb], T)
+                _sparse_contract("xyz,zhk->xyhk", T, acts[tc])
+                - _sparse_contract("hab,xau,ybv,uvk->xyhk", H.comul, acts[ta], acts[tb], T)
             )
             # (x y)^* = (-1)^{|x||y|} y^* x^*
             sign = (-1) ** (_DEGREE[ta] * _DEGREE[tb])
             _, reverse = self.product(tb, ta)
             rep[f"star_{ta}{tb}"] = _maxabs(
-                np.conj(T) @ stars[tc]
-                - sign * _contract("xu,yv,vuk->xyk", stars[ta], stars[tb], reverse)
+                _sparse_contract("xyz,zk->xyk", np.conj(T), stars[tc])
+                - _sparse_contract("xu,yv,vuk->xyk", stars[ta], stars[tb], sign * reverse)
             )
         # (x y) z = x (y z) for every typed triple whose four products exist;
         # with the equivariance above it makes B x| H associative and its
@@ -331,11 +485,9 @@ class ModuleAlgebra:
                 _, S = self.product(ta, tbc)
             except TargetMismatch:
                 continue
-            # both sides as (x, y z, w) matrix products, with no transpose
-            (x, y, u), (z, w) = P.shape, Q.shape[1:]
-            rhs = R.reshape(y * z, R.shape[2]) @ S
-            lhs = P.reshape(x * y, u) @ Q.reshape(u, z * w)
-            rep[f"assoc_{ta}{tb}{tc}"] = _maxabs(lhs.reshape(rhs.shape) - rhs)
+            rep[f"assoc_{ta}{tb}{tc}"] = _maxabs(
+                _sparse_contract("xyu,uzw->xyzw", P, Q) - _sparse_contract("yzv,xvw->xyzw", R, S)
+            )
         if self.dB is not None:
             # derivation: d(bb') = d(b) b' + b d(b')
             lhs = _contract("ijx,xm->ijm", self.mulB, self.dB)
@@ -447,20 +599,27 @@ def conv_inverse(sigma: ConvolutionElement) -> ConvolutionElement:
 # -- cocycle checks ----------------------------------------------------------------
 
 
-def _commutator(inst: ModuleAlgebra, target: str, values, tx: str) -> np.ndarray:
-    """Graded convolution commutator of a cochain with rho_tx.
+def _commutator_map(inst: ModuleAlgebra, target: str, tx: str) -> IndexForm:
+    """Graded convolution commutator with rho_tx, as a linear map of cochains.
 
     f(h_1)(x <| h_2) - (-1)^{|f||x|} (x <| h_1) f(h_2) for the target-valued
-    cochain f with these values and every basis element x of tx.  values
-    may carry leading batch axes; the result is (..., dim H, dim tx, dim out).
+    cochain f and every basis element x of tx: an index form over
+    (h, x, z, j, a), whose entry is the coefficient of f(e_j)_a in
+    component z of the commutator at (h, x).
     """
     _, L = inst.product(target, tx)
     _, R = inst.product(tx, target)
     A, c = inst.actions[tx], inst.H.comul
     sign = (-1) ** (_DEGREE[target] * _DEGREE[tx])
-    return _contract("hjk,...ja,xky,ayz->...hxz", c, values, A, L) - sign * _contract(
-        "hjk,xjy,...kb,ybz->...hxz", c, A, values, R
+    return _sparse_contract("hjk,xky,ayz->hxzja", c, A, L) - _sparse_contract(
+        "hjk,xjy,ybz->hxzkb", c, A, sign * R
     )
+
+
+def _commutator(inst: ModuleAlgebra, target: str, values, tx: str) -> np.ndarray:
+    """`_commutator_map` on cochain values; values may carry leading batch
+    axes, and the result is (..., dim H, dim tx, dim out)."""
+    return _apply(_commutator_map(inst, target, tx), values)
 
 
 def centrality(f: ConvolutionElement, tx: str) -> float:
@@ -472,17 +631,26 @@ def centrality(f: ConvolutionElement, tx: str) -> float:
     return _maxabs(_commutator(f.inst, f.target, f.values, tx))
 
 
+def _hochschild_map(inst: ModuleAlgebra, target: str, K) -> IndexForm:
+    """mu(h k) - mu(h) <| k - eps(h) mu(k) as a linear map of cochains, for
+    k over the rows of K (coordinates in the H basis): an index form over
+    (h, k, v, j, a), whose entry is the coefficient of mu(e_j)_a in
+    component v of the residual at (h, k)."""
+    H = inst.H
+    eye = np.eye(len(inst.stars[target]))
+    return (
+        _sparse_contract("ak,hkj,vw->havjw", K, H.mul, eye)
+        - _sparse_contract("ak,wkv,hj->havjw", K, inst.actions[target], np.eye(H.dim))
+        - _sparse_contract("h,aj,vw->havjw", H.counit, K, eye)
+    )
+
+
 def _hochschild_residual(inst: ModuleAlgebra, target: str, values) -> np.ndarray:
     """mu(h k) - mu(h) <| k - eps(h) mu(k) on all basis pairs (h, k).
 
     values may carry leading batch axes; the result is (..., h, k, dim target).
     """
-    H = inst.H
-    return (
-        _contract("ijk,...kv->...ijv", H.mul, values)
-        - _contract("...iu,ujv->...ijv", values, inst.actions[target])
-        - _contract("i,...jv->...ijv", H.counit, values)
-    )
+    return _apply(_hochschild_map(inst, target, np.eye(inst.H.dim)), values)
 
 
 def _worst_pair(resid: np.ndarray):
@@ -620,10 +788,11 @@ class CrossedProduct:
     over (dim H) x (dim M) and two-forms over (dim H) x (dim O2).  The
     product (h x x)(h' x y) = h h'_1 x (x <| h'_2) y is kept as its factors
     (the coproduct and product of H, the action on x and the typed product
-    x.y), and `left`/`right` contract them into multiplication matrices one
-    batch of elements at a time, so no tensor of cubic size in
-    dim H * dim B is built.  The antilinear star matrices SP (on B x| H) and
-    SW (on M x| H) are quadratic and precomputed.
+    x.y), and `left`/`right` contract them into multiplication blocks of a
+    batch of elements, in index form: every block and every product of
+    blocks lists only its non-zero entries, so no dense tensor in
+    dim H * dim B is built.  The antilinear star matrices SP (on B x| H)
+    and SW (on M x| H) are index forms too.
     """
 
     def __init__(self, inst: ModuleAlgebra):
@@ -631,10 +800,10 @@ class CrossedProduct:
         self.H = H = inst.H
         # star matrices (antilinear) of B x| H and M x| H: star(u) = conj(u) @ S
         self.SP, self.SW = (
-            _contract(
-                "ijk,jt,ks,bu,use->ibte",
-                np.conj(H.comul), H.star, H.star, inst.stars[t], inst.actions[t],
-            ).reshape(H.dim * len(inst.stars[t]), -1)
+            _sparse_contract(
+                "bu,use,ks,ijk,jt->ibte",
+                inst.stars[t], inst.actions[t], H.star, np.conj(H.comul), H.star,
+            ).reshape(H.dim * len(inst.stars[t]), H.dim * len(inst.stars[t]))
             for t in ("B", "M")
         )
 
@@ -647,31 +816,31 @@ class CrossedProduct:
         _, P = self.inst.product(tx, ty)
         return self.inst.actions[tx], self.H.comul, self.H.mul, P
 
-    def left(self, tx: str, ty: str, X) -> np.ndarray:
-        """Left-multiplication matrices of a batch of elements of tx x| H.
+    def left(self, tx: str, ty: str, X) -> IndexForm:
+        """Left-multiplication blocks of a batch of elements of tx x| H.
 
-        X is an (n, dim H * dim tx) array.  Returns L of shape
-        (n, dim H * dim ty, dim H * dim tz), tz the target of tx . ty, with
-        x . y = y @ L[r] for the r-th element x of the batch.
+        X is an (n, dim H * dim tx) array or index form.  Returns the index
+        form L of shape (n, dim H * dim ty, dim H * dim tz), tz the target
+        of tx . ty, with x . y = y @ L[r] for the r-th element x of the batch.
         """
         A, C, M, P = self._factors(tx, ty)
-        h = self.H.dim
-        X = np.reshape(X, (len(X), h, A.shape[0]))
-        L = _contract("nib,bku,pjk,ijt,uce->npcte", X, A, C, M, P)
-        return L.reshape(len(L), h * P.shape[1], h * P.shape[2])
+        h, X = self.H.dim, IndexForm.of(X)
+        L = _sparse_contract("nib,bku,pjk,ijt,uce->npcte", X.reshape(X.shape[0], h, A.shape[0]),
+                             A, C, M, P)
+        return L.reshape(X.shape[0], h * P.shape[1], h * P.shape[2])
 
-    def right(self, tx: str, ty: str, Y) -> np.ndarray:
-        """Right-multiplication matrices of a batch of elements of ty x| H.
+    def right(self, tx: str, ty: str, Y) -> IndexForm:
+        """Right-multiplication blocks of a batch of elements of ty x| H.
 
-        The mirror of `left`: Y is an (n, dim H * dim ty) array, and R of
-        shape (n, dim H * dim tx, dim H * dim tz) has x . y = x @ R[r] for
-        the r-th element y of the batch.
+        The mirror of `left`: Y is an (n, dim H * dim ty) array or index
+        form, and R of shape (n, dim H * dim tx, dim H * dim tz) has
+        x . y = x @ R[r] for the r-th element y of the batch.
         """
         A, C, M, P = self._factors(tx, ty)
-        h = self.H.dim
-        Y = np.reshape(Y, (len(Y), h, P.shape[1]))
-        R = _contract("npc,bku,pjk,ijt,uce->nibte", Y, A, C, M, P)
-        return R.reshape(len(R), h * A.shape[0], h * P.shape[2])
+        h, Y = self.H.dim, IndexForm.of(Y)
+        R = _sparse_contract("npc,uce,bku,pjk,ijt->nibte", Y.reshape(Y.shape[0], h, P.shape[1]),
+                             P, A, C, M)
+        return R.reshape(Y.shape[0], h * A.shape[0], h * P.shape[2])
 
     def generators(self) -> tuple[list, np.ndarray]:
         """Labels and rows of a generating set of B x| H as an algebra.
@@ -692,10 +861,10 @@ class CrossedProduct:
         return labels, rows
 
     def mul(self, u, v):
-        return v @ self.left("B", "B", u[None])[0]
+        return (IndexForm.of(v) @ self.left("B", "B", np.asarray(u)[None])).dense()[0]
 
     def star(self, u):
-        return np.conj(u) @ self.SP
+        return (IndexForm.of(np.conj(u)) @ self.SP).dense()
 
     def unit(self):
         return np.outer(self.H.unit, self.inst.unitB).ravel()
@@ -704,49 +873,40 @@ class CrossedProduct:
         return np.outer(self.H.unit, b).ravel()
 
 
+def _op_gauge(sigma: ConvolutionElement, target: str = "B") -> IndexForm:
+    """`op_gauge_matrix` in index form."""
+    inst = sigma.inst
+    H = inst.H
+    _, L = inst.product("B", target)
+    d = L.shape[1]
+    return _sparse_contract("ijk,kv,vme->imje", H.comul, sigma.values, L).reshape(
+        H.dim * d, H.dim * d
+    )
+
+
 def op_gauge_matrix(sigma: ConvolutionElement, target: str = "B") -> np.ndarray:
     """Matrix of Op(sigma) on target x| H: h (x) x -> h_1 (x) sigma(h_2) x.
 
     On B this is the gauge transformation of the crossed product; on M and
     O2 it is the induced map on one- and two-forms.  Flattened vectors.
     """
-    inst = sigma.inst
-    H = inst.H
-    _, L = inst.product("B", target)
-    d = L.shape[1]
-    return _contract("ijk,kv,vme->imje", H.comul, sigma.values, L).reshape(
-        H.dim * d, H.dim * d
-    )
+    return _op_gauge(sigma, target).dense()
 
 
-def op_potential_matrix(mu: ConvolutionElement) -> np.ndarray:
-    """Matrix of Op(mu)(h (x) b) = h . dB(b) + h_1 . mu(h_2) . b."""
+def _op_potential(mu: ConvolutionElement) -> IndexForm:
+    """`op_potential_matrix` in index form."""
     inst = mu.inst
     H = inst.H
     if inst.dB is None:
         raise TargetMismatch("instance carries no derivation dB")
-    term1 = _contract("ij,bm->ibjm", np.eye(H.dim), inst.dB)
-    term2 = _contract("ijk,km,mbe->ibje", H.comul, mu.values, inst.rightM)
+    term1 = _sparse_contract("ij,bm->ibjm", np.eye(H.dim), inst.dB)
+    term2 = _sparse_contract("ijk,km,mbe->ibje", H.comul, mu.values, inst.rightM)
     return (term1 + term2).reshape(H.dim * inst.dimB, H.dim * inst.dimM)
 
 
-# rows of a generating set whose multiplication blocks op_report holds at once
-_OP_CHUNK = 8
-# blocks of n x (dim H d)^2 entries alive at once per chunk of n rows, d the
-# largest of dim B, dim M and dim O2: the left blocks on B and M, a block of
-# the image, the two products and their difference (tracemalloc peak of
-# op_report: 4.7 to 6.7 blocks on jet:5-8 and cycle:8-16)
-_OP_BLOCKS = 7
-
-
-def op_chunk_bytes(inst: ModuleAlgebra) -> int:
-    """Bytes of the largest chunk of multiplication blocks op_report holds."""
-    side = inst.H.dim * max(inst.dimB, inst.dimM, inst.dimO2)
-    return _OP_BLOCKS * _OP_CHUNK * side * side * 16
-
-
-def _chunks(rows):
-    return (rows[r:r + _OP_CHUNK] for r in range(0, len(rows), _OP_CHUNK))
+def op_potential_matrix(mu: ConvolutionElement) -> np.ndarray:
+    """Matrix of Op(mu)(h (x) b) = h . dB(b) + h_1 . mu(h_2) . b."""
+    return _op_potential(mu).dense()
 
 
 def op_report(inst: ModuleAlgebra, sigma: ConvolutionElement,
@@ -771,59 +931,55 @@ def op_report(inst: ModuleAlgebra, sigma: ConvolutionElement,
     1 (x) M, which generates M x| H as a right B x| H-module; the wedge is
     right B x| H-linear, so this needs Op(sigma) on two-forms to be right
     B x| H-linear as well, and `op_sigma_prolongable` is the larger of the
-    two residuals.  `generators` names the rows.  Memory stays quadratic
-    in dim H * dim B: the rows are taken `_OP_CHUNK` at a time.
+    two residuals.  `generators` names the rows.  Every matrix (Op(sigma),
+    Op(mu), the star matrices, the multiplication blocks of all generator
+    rows at once) and every product of them is an index form, so the work
+    and memory follow their non-zero counts.
     """
     cp = CrossedProduct(inst)
     labels, X = cp.generators()
-    F = op_gauge_matrix(sigma)
-    Fm = op_gauge_matrix(sigma, "M")
-    worst = {}
-
-    def note(key, resid):  # running max over the chunks
-        worst[key] = _maxabs([worst.get(key, 0.0), _maxabs(resid)])
-
-    if inst.wedge is not None:
-        Fo = op_gauge_matrix(sigma, "O2")
-    if mu is not None:
-        D = op_potential_matrix(mu)
-    for x in _chunks(X):
-        LB, LM = cp.left("B", "B", x), cp.left("B", "M", x)
-        note("op_sigma_hom", LB @ F - F @ cp.left("B", "B", x @ F))
-        note("op_sigma_forms_left", LM @ Fm - Fm @ cp.left("B", "M", x @ F))
-        note("op_sigma_forms_right", cp.right("M", "B", x) @ Fm - Fm @ cp.right("M", "B", x @ F))
-        if inst.wedge is not None:
-            note("op_sigma_prolongable",
-                 cp.right("O2", "B", x) @ Fo - Fo @ cp.right("O2", "B", x @ F))
-        if mu is not None:
-            # derivation: D(xy) = D(x).y + x.D(y)
-            note("op_mu_derivation", LB @ D - cp.left("M", "B", x @ D) - D @ LM)
-    if inst.wedge is not None:
-        for w in _chunks(np.kron(inst.H.unit, np.eye(inst.dimM))):
-            note("op_sigma_prolongable",
-                 cp.right("M", "M", w) @ Fo - Fm @ cp.right("M", "M", w @ Fm))
-    rep = {"op_sigma_hom": worst.pop("op_sigma_hom")}
+    X = IndexForm.of(X)
+    F, Fm = _op_gauge(sigma), _op_gauge(sigma, "M")
+    XF = X @ F
+    LB, LM = cp.left("B", "B", X), cp.left("B", "M", X)
+    rep = {"op_sigma_hom": _maxabs(LB @ F - F @ cp.left("B", "B", XF))}
     # star-automorphism: SP . F = conj(F) . SP
-    rep["op_sigma_star"] = _maxabs(cp.SP @ F - np.conj(F) @ cp.SP)
+    rep["op_sigma_star"] = _maxabs(cp.SP @ F - F.conj() @ cp.SP)
     # fixes B and the unit
-    EB = np.kron(inst.H.unit, np.eye(inst.dimB))
+    EB = IndexForm.of(np.kron(inst.H.unit, np.eye(inst.dimB)))
     rep["op_sigma_fixes_B"] = _maxabs(EB @ F - EB)
-    rep["op_sigma_unit"] = _maxabs(cp.unit() @ F - cp.unit())
-    rep.update(worst)
+    one = IndexForm.of(cp.unit())
+    rep["op_sigma_unit"] = _maxabs(one @ F - one)
+    rep["op_sigma_forms_left"] = _maxabs(LM @ Fm - Fm @ cp.left("B", "M", XF))
+    rep["op_sigma_forms_right"] = _maxabs(
+        cp.right("M", "B", X) @ Fm - Fm @ cp.right("M", "B", XF)
+    )
+    if inst.wedge is not None:
+        Fo = _op_gauge(sigma, "O2")
+        EM = IndexForm.of(np.kron(inst.H.unit, np.eye(inst.dimM)))
+        rep["op_sigma_prolongable"] = _maxabs([
+            _maxabs(cp.right("O2", "B", X) @ Fo - Fo @ cp.right("O2", "B", XF)),
+            _maxabs(cp.right("M", "M", EM) @ Fo - Fm @ cp.right("M", "M", EM @ Fm)),
+        ])
+    if mu is not None:
+        D = _op_potential(mu)
+        # derivation: D(xy) = D(x).y + x.D(y)
+        rep["op_mu_derivation"] = _maxabs(LB @ D - cp.left("M", "B", X @ D) - D @ LM)
     if upsilon is not None:
         # Ad_upsilon(x) = eu . x . eus
         upsilon = np.asarray(upsilon, dtype=complex)
-        FD = op_gauge_matrix(coboundary_S(inst, upsilon))
+        FD = _op_gauge(coboundary_S(inst, upsilon))
         eu, eus = cp.embed_B(upsilon)[None], cp.embed_B(inst.star("B", upsilon))[None]
-        rep["op_coboundary_is_ad"] = _maxabs(FD - cp.left("B", "B", eu)[0] @ cp.right("B", "B", eus)[0])
+        ad = cp.left("B", "B", eu) @ cp.right("B", "B", eus)
+        rep["op_coboundary_is_ad"] = _maxabs(FD - ad.reshape(*FD.shape))
     if mu is not None:
         # star-derivation: D(x^*) = -(D x)^*
-        rep["op_mu_star"] = _maxabs(cp.SP @ D + np.conj(D) @ cp.SW)
+        rep["op_mu_star"] = _maxabs(cp.SP @ D + D.conj() @ cp.SW)
         # restriction to B is d_B
-        rep["op_mu_restricts"] = _maxabs(EB @ D - np.kron(inst.H.unit, inst.dB))
+        rep["op_mu_restricts"] = _maxabs(EB @ D - IndexForm.of(np.kron(inst.H.unit, inst.dB)))
         # gauge compatibility
-        Finv = op_gauge_matrix(conv_inverse(sigma))
-        target = op_potential_matrix(conj_action(sigma, mu) + mc_cocycle(sigma))
+        Finv = _op_gauge(conv_inverse(sigma))
+        target = _op_potential(conj_action(sigma, mu) + mc_cocycle(sigma))
         rep["op_gauge_compat"] = _maxabs(Finv @ D @ Fm - target)
     rep["max"] = _maxabs(list(rep.values()))
     rep["generators"] = labels
@@ -833,50 +989,127 @@ def op_report(inst: ModuleAlgebra, sigma: ConvolutionElement,
 # -- linear-algebra solvers -----------------------------------------------------
 
 
-def _nullspace(A: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def _nullspace(A: np.ndarray, tol: float = 1e-9, bound: float | None = None) -> np.ndarray:
     """Orthonormal columns spanning the nullspace of a real or complex
-    matrix, via SVD; rank counts singular values above tol * max(A.shape)."""
+    matrix, via SVD; rank counts singular values above `bound`, by default
+    tol * max(A.shape)."""
+    bound = tol * max(A.shape) if bound is None else bound
     if A.shape[0] == 0:
         return np.eye(A.shape[1], dtype=A.dtype)
+    if A.shape[0] > A.shape[1]:
+        A = np.linalg.qr(A, mode="r")  # the same singular values, square
     if A.shape[0] < A.shape[1]:
         A = np.vstack([A, np.zeros((A.shape[1] - A.shape[0], A.shape[1]), dtype=A.dtype)])
     _, s, vh = np.linalg.svd(A, full_matrices=False)
-    rank = int(np.sum(s > tol * max(A.shape)))
+    rank = int(np.sum(s > bound))
     return np.conj(vh[rank:]).T
 
 
-def _central_sa_basis(inst: ModuleAlgebra) -> np.ndarray:
-    """Real basis of Z_B(M)_sa as real vectors (re, im stacked)."""
-    dM, dB = inst.dimM, inst.dimB
-    # build real system: unknown x = (re m, im m)
-    blocks = []
-    for b in np.eye(dB, dtype=complex):
-        L = (
-            _contract("j,jmk->km", b, inst.leftM)
-            - _contract("mjk,j->km", inst.rightM, b)
-        )
-        blocks.append(np.block([[np.real(L), -np.imag(L)], [np.imag(L), np.real(L)]]))
-    A = np.vstack(blocks) if blocks else np.zeros((0, 2 * dM))
+def _components(A: IndexForm) -> np.ndarray:
+    """Connected component of each column of the two-axis form A, columns
+    being joined when they share a row: union-find over the index arrays,
+    each round hooking the larger root of every edge under the smaller and
+    then compressing every path.  A component is labelled by its least
+    column."""
+    rows, cols = A.index
+    first = np.full(A.shape[0], A.shape[1])
+    np.minimum.at(first, rows, cols)  # each row's first column
+    a, b = cols, first[rows]
+    parent = np.arange(A.shape[1])
+    while not np.array_equal(parent[a], parent[b]):
+        ra, rb = parent[a], parent[b]
+        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+        while not np.array_equal(parent[parent], parent):
+            parent = parent[parent]
+    return parent
+
+
+def _component_parts(A: IndexForm) -> list:
+    """Entry positions of each connected component of the two-axis form A,
+    in order of their least column (components without entries omitted)."""
+    label = _components(A)[A.index[1]]
+    order = np.argsort(label, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(label[order])) + 1) if len(order) else []
+
+
+def component_shapes(A: IndexForm) -> list:
+    """(rows, columns) of the dense block of each connected component of
+    the two-axis form A, the blocks `_sparse_nullspace` factors."""
+    return [tuple(len(np.unique(ax[part])) for ax in A.index) for part in _component_parts(A)]
+
+
+def _sparse_nullspace(A: IndexForm, tol: float = 1e-9) -> np.ndarray:
+    """Orthonormal columns spanning the nullspace of the two-axis form A.
+
+    One dense SVD per connected component of A's row/column graph.  A
+    matrix that is block diagonal after permuting its rows and columns has
+    the union of its blocks' singular values, and every block counts those
+    above tol * max(A.shape), the bound `_nullspace` would use on all of
+    A, so every rank decision is the one that dense SVD would make.  A
+    column in no row is a null vector of its own.
+    """
+    free = np.ones(A.shape[1], dtype=bool)
+    pieces = []  # (columns, null vectors of their block)
+    for part in _component_parts(A):
+        (rows, r), (cols, c) = (np.unique(ax[part], return_inverse=True) for ax in A.index)
+        block = np.zeros((len(rows), len(cols)), dtype=A.values.dtype)
+        block[r, c] = A.values[part]
+        pieces.append((cols, _nullspace(block, bound=tol * max(A.shape))))
+        free[cols] = False
+    pieces.append((np.flatnonzero(free), np.eye(np.count_nonzero(free))))
+    Q = np.zeros((A.shape[1], sum(N.shape[1] for _, N in pieces)), dtype=A.values.dtype)
+    k = 0
+    for cols, N in pieces:
+        Q[cols, k:k + N.shape[1]] = N
+        k += N.shape[1]
+    return Q
+
+
+def central_system(inst: ModuleAlgebra) -> IndexForm:
+    """Real-linear rows cutting Z_B(M)_sa out of M, on x = (re m, im m)."""
+    dM = inst.dimM
+    # b m - m b for every basis element b of B, linear in m: rows (b, k), columns m
+    comm = _sparse_contract("bmk->bkm", inst.leftM) - _sparse_contract("mbk->bkm", inst.rightM)
+    comm = comm.reshape(inst.dimB * dM, dM)
+    # in (re m, im m) it acts as [[re, -im], [im, re]]
+    r, c = comm.index
+    R, C = comm.shape
+    real = _summed(
+        (2 * R, 2 * C),
+        (np.concatenate([r, r, r + R, r + R]), np.concatenate([c, c + C, c, c + C])),
+        np.concatenate([comm.values.real, -comm.values.imag, comm.values.imag, comm.values.real]),
+    )
     # self-adjointness: conj(m) @ starM - m = 0 -> real-linear
     S = inst.starM
     sa_top = np.hstack([np.real(S).T - np.eye(dM), np.imag(S).T])
     sa_bot = np.hstack([np.imag(S).T, -np.real(S).T - np.eye(dM)])
-    A = np.vstack([A, sa_top, sa_bot])
-    return _nullspace(A)
+    return _vstack([real, IndexForm.of(np.vstack([sa_top, sa_bot]))])
 
 
-# stacks of the Hochschild system alive at the solver's peak: the residual
-# blocks, their stacked copy and the SVD's working copy (tracemalloc peak:
-# 3.1 to 3.6 stacks on jet:3-8 and cycle:8-16)
-_SOLVER_COPIES = 4
+def _central_sa_basis(inst: ModuleAlgebra) -> np.ndarray:
+    """Real basis of Z_B(M)_sa as real vectors (re, im stacked)."""
+    return _sparse_nullspace(central_system(inst))
 
 
-def hochschild_system_bytes(inst: ModuleAlgebra) -> int:
-    """Bytes `solve_hochschild_space` allocates at its peak: _SOLVER_COPIES
-    times the stacked complex system of (dim H^2 dim M + dim H dim B dim M)
-    rows by dim H dim M unknowns (without the graded-centrality rows)."""
-    dH, dB, dM = inst.H.dim, inst.dimB, inst.dimM
-    return _SOLVER_COPIES * (dH * dH * dM + dH * dB * dM) * dH * dM * 16
+def hochschild_system(inst: ModuleAlgebra, prolongable: bool = False) -> IndexForm:
+    """Rows of the lazy Hochschild system over the dim H * dim M complex
+    unknowns mu(e_j)_a, as one two-axis index form.
+
+    The rows are (a) the cocycle equation mu(h k) = mu(h) <| k + eps(h) mu(k)
+    for k in {1} together with `FiniteHopf.generators`, (b) centrality against
+    rho_B and, when prolongable, (c) graded centrality against rho_M.  Each
+    row is written from the non-zeros of the structure tensors.  Cutting k
+    to the generators is the word-length induction of `op_report`: the k
+    for which (a) holds at every h are closed under products, once the
+    action is a representation of H and eps is multiplicative, which the
+    Hopf and data gates check; and words in the generators span H.
+    """
+    H = inst.H
+    K = np.vstack([H.unit] + [np.eye(H.dim)[g] for g in H.generators])
+    maps = [_hochschild_map(inst, "M", K), _commutator_map(inst, "M", "B")]
+    if prolongable and inst.wedge is not None:
+        maps.append(_commutator_map(inst, "M", "M"))
+    return _vstack([_as_matrix(m) for m in maps])
 
 
 def solve_hochschild_space(inst: ModuleAlgebra, prolongable: bool = False) -> dict:
@@ -884,28 +1117,18 @@ def solve_hochschild_space(inst: ModuleAlgebra, prolongable: bool = False) -> di
 
     The cocycle equation and convolution-centrality (plus graded centrality
     when prolongable=True) are complex-linear, so the solver first takes
-    the complex nullspace and then cuts out the fixed points of the
-    antilinear involution mu -> mu^* inside it; the complex solution space
-    is star-invariant, which is asserted numerically.
+    the complex nullspace of `hochschild_system`, one SVD per connected
+    component of its rows and unknowns (`_sparse_nullspace`), and then
+    cuts out the fixed points of the antilinear involution mu -> mu^*
+    inside it; the complex solution space is star-invariant, which is
+    asserted numerically.  The cocycle rows run on generators of H only,
+    so the result is sound on data that passes the Hopf and data gates.
     """
     H = inst.H
     dH, dM = H.dim, inst.dimM
     n_c = dH * dM  # complex unknowns
     graded = prolongable and inst.wedge is not None
-
-    # rows: (a) the cocycle equation, (b) centrality against rho_B and (c)
-    # graded centrality against rho_M, each the residual of the standard
-    # basis of cochains (the leading batch axis)
-    unknowns = np.eye(n_c, dtype=complex).reshape(n_c, dH, dM)
-    residuals = [
-        _hochschild_residual(inst, "M", unknowns),
-        _commutator(inst, "M", unknowns, "B"),
-    ]
-    if graded:
-        residuals.append(_commutator(inst, "M", unknowns, "M"))
-    Q = _nullspace(
-        np.hstack([r.reshape(n_c, math.prod(r.shape[1:])) for r in residuals]).T
-    )
+    Q = _sparse_nullspace(hochschild_system(inst, prolongable))
     k = Q.shape[1]
     if k == 0:
         null = np.zeros((2 * n_c, 0))

@@ -250,9 +250,7 @@ class TestCohomology:
         assert "n must be at least 1" in capsys.readouterr().err
 
     def test_memory_guard_exits_2_before_solving(self, capsys, monkeypatch):
-        inst = hopf.jet_instance(5)
-        need, what = cli.cohomology_bytes(inst)
-        assert need == hopf.hochschild_system_bytes(inst) > hopf.op_chunk_bytes(inst)
+        need = cli.cohomology_bytes(hopf.jet_instance(5))
         monkeypatch.setattr(cli, "memory_budget", lambda: need - 1)
 
         def no_solving(*args, **kwargs):
@@ -261,17 +259,16 @@ class TestCohomology:
         monkeypatch.setattr(hopf, "solve_hochschild_space", no_solving)
         assert main(["cohomology", "--builtin", "jet:5"]) == 2
         err = capsys.readouterr().err
-        assert what in err and f"{need / 2**30:.1f} GiB" in err
+        assert "the Hochschild solver and the crossed-product checks" in err
+        assert f"{need / 2**30:.1f} GiB" in err
 
-    def test_memory_guard_names_the_op_chunk(self, monkeypatch):
-        # on function:3 the op chunk is the larger of the two estimates
-        inst = hopf.function_instance(3)
-        need, what = cli.cohomology_bytes(inst)
-        assert (need, what) == (hopf.op_chunk_bytes(inst), "largest chunk of crossed-product blocks")
+    @pytest.mark.parametrize("token", ["function:3", "jet:5", "cycle:8"])
+    def test_memory_guard_runs_at_its_estimate(self, capsys, monkeypatch, token):
+        need = cli.cohomology_bytes(cli._builtin_instance(token))
         monkeypatch.setattr(cli, "memory_budget", lambda: need)
-        assert main(["cohomology", "--builtin", "function:3"]) == 0
+        assert main(["cohomology", "--builtin", token]) == 0
         monkeypatch.setattr(cli, "memory_budget", lambda: need - 1)
-        assert main(["cohomology", "--builtin", "function:3"]) == 2
+        assert main(["cohomology", "--builtin", token]) == 2
 
 
 class TestConfigFile:
@@ -310,9 +307,8 @@ class TestConfigFile:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(entry))
         argv = ["torus-check", "--theta", "0,1,2"] if "tol" in entry else ["pell", "--delta", "5"]
-        with pytest.raises(SystemExit) as exc:  # an argparse error, as for the flag
-            main([*argv, "--config", str(cfg)])
-        assert exc.value.code == 2
+        # an argparse error, as for the flag
+        assert main([*argv, "--config", str(cfg)]) == 2
 
     @pytest.mark.parametrize("flag", [["--grades", "7"], ["--grades=7"]],
                              ids=["space", "equals"])
@@ -401,9 +397,7 @@ class TestNumericFlags:
         ["pell", "--delta", "5", "--grades=-1"],
     ], ids=lambda argv: " ".join(argv[:1] + argv[3:]))
     def test_out_of_range_is_exit_2(self, capsys, argv):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
+        assert main(argv) == 2
         assert "must be" in capsys.readouterr().err
 
     def test_empty_sweep_checks_nothing(self, capsys):
@@ -413,6 +407,18 @@ class TestNumericFlags:
     def test_smallest_grades_run(self, capsys):
         assert main(["monopole", "--theta", "0,1,2", "--grades", "2"]) == 0
         assert main(["stabilizer", "--theta", "0,1,2", "--grades", "0"]) == 0
+
+
+class TestUsage:
+    @pytest.mark.parametrize("argv", [[], ["nope"], ["pell"], ["pell", "--delta", "x"]],
+                             ids=["empty", "command", "required", "type"])
+    def test_usage_error_returns_2(self, capsys, argv):
+        assert main(argv) == 2
+        assert "usage:" in capsys.readouterr().err
+
+    def test_help_returns_0(self, capsys):
+        assert main(["cohomology", "--help"]) == 0
+        assert "--builtin" in capsys.readouterr().out
 
 
 class TestInstanceFiles:

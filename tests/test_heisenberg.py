@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from ncgauge.cli import verdict
 from ncgauge.quadfield import GOLDEN, ThetaContext
 from ncgauge.torus import TorusElement
 from ncgauge.heisenberg import (
@@ -81,6 +82,28 @@ class TestGridSpec:
         assert sector_count(CTX, 2) == 3
         assert sector_count(CTX, 3) == 8
         assert sector_count(CTX, -2) == 3
+
+
+class TestEvaluate:
+    def test_zero_outside_the_window_only(self, rng):
+        grid = GridSpec(L=4.0, N=64)
+        el = HeisenbergElement(1, rng.standard_normal((1, 64)) + 1.0, CTX, grid)
+        vals = el.evaluate(np.array([-4.5, -4.0, 0.1, 4.0, 1e300]), 0)
+        assert vals[0] == vals[-1] == 0.0
+        assert np.isfinite(vals).all() and np.all(vals[1:4] != 0.0)
+
+    def test_interior_nan_fails_the_verdict(self, rng):
+        # samples of size 1e95 on a step of about 3e-102: the spline's
+        # coefficients overflow, and its reads inside the window are NaN
+        grid = GridSpec(L=1e-100, N=64)
+        el = HeisenbergElement(1, 1e95 * rng.standard_normal((1, 64)), CTX, grid)
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = el.evaluate(grid.xs[10:14] + grid.h / 3, 0)
+        assert np.isnan(vals).all()  # not zeroed as if outside the window
+        report = {}
+        residual = float(np.max(np.abs(vals)))
+        assert verdict(report, [("spline reads", residual, 1e-6)]) == 1
+        assert report["failures"] == ["spline reads"] and report["pass"] is False
 
 
 class TestModuleActions:

@@ -1,0 +1,140 @@
+"""The Hochschild solver against its dense reference.
+
+`solve_hochschild_space` writes its rows as index forms, cuts the cocycle
+rows to k in {1} and the generators of H, and takes one SVD per connected
+component of the system.  `dense_solve` is the solver it replaced: the
+residuals of an identity batch of cochains over every basis pair (h, k),
+stacked into one dense system with one SVD, and Z_B(M)_sa from a dense
+system too.  Both must give the same dimensions and the same spans, and
+on C[Z_n] the dimensions of the group-cohomology enumerator.
+"""
+
+import numpy as np
+import pytest
+
+from ncgauge.hopf import (
+    ConvolutionElement,
+    brute_force_group_z1,
+    conv_star,
+    cycle_instance,
+    function_instance,
+    jet_instance,
+    solve_hochschild_space,
+)
+from test_hopf_op import translations_on_s3
+
+
+def nullspace(A, tol=1e-9):
+    """Orthonormal columns spanning the nullspace: one dense SVD, rank
+    counting the singular values above tol * max(A.shape)."""
+    if A.shape[0] == 0:
+        return np.eye(A.shape[1], dtype=A.dtype)
+    if A.shape[0] < A.shape[1]:
+        A = np.vstack([A, np.zeros((A.shape[1] - A.shape[0], A.shape[1]), dtype=A.dtype)])
+    _, s, vh = np.linalg.svd(A, full_matrices=False)
+    return np.conj(vh[int(np.sum(s > tol * max(A.shape))):]).T
+
+
+def commutator(inst, values, tx):
+    """f(h_1)(x <| h_2) - (-1)^{|x|} (x <| h_1) f(h_2) for M-valued f."""
+    _, L = inst.product("M", tx)
+    _, R = inst.product(tx, "M")
+    A, c = inst.actions[tx], inst.H.comul
+    sign = -1 if tx == "M" else 1
+    return np.einsum("hjk,...ja,xky,ayz->...hxz", c, values, A, L, optimize=True) - sign * np.einsum(
+        "hjk,xjy,...kb,ybz->...hxz", c, A, values, R, optimize=True
+    )
+
+
+def central_sa_basis(inst):
+    dM = inst.dimM
+    blocks = []
+    for b in np.eye(inst.dimB, dtype=complex):
+        L = np.einsum("j,jmk->km", b, inst.leftM) - np.einsum("mjk,j->km", inst.rightM, b)
+        blocks.append(np.block([[L.real, -L.imag], [L.imag, L.real]]))
+    S = inst.starM
+    blocks.append(np.hstack([S.real.T - np.eye(dM), S.imag.T]))
+    blocks.append(np.hstack([S.imag.T, -S.real.T - np.eye(dM)]))
+    return nullspace(np.vstack(blocks))
+
+
+def dense_solve(inst, prolongable=False):
+    """(solution vectors, coboundary vectors), real (re, im) columns."""
+    H = inst.H
+    dH, dM = H.dim, inst.dimM
+    n_c = dH * dM
+    unknowns = np.eye(n_c, dtype=complex).reshape(n_c, dH, dM)
+    residuals = [
+        np.einsum("ijk,nkv->nijv", H.mul, unknowns)
+        - np.einsum("niu,ujv->nijv", unknowns, inst.actM)
+        - np.einsum("i,njv->nijv", H.counit, unknowns),
+        commutator(inst, unknowns, "B"),
+    ]
+    graded = prolongable and inst.wedge is not None
+    if graded:
+        residuals.append(commutator(inst, unknowns, "M"))
+    Q = nullspace(np.hstack([r.reshape(n_c, -1) for r in residuals]).T)
+    k = Q.shape[1]
+    sols = np.zeros((n_c, 0))
+    if k:
+        starred = conv_star(ConvolutionElement(inst, "M", Q.T.reshape(k, dH, dM))).values
+        S = np.conj(Q).T @ starred.reshape(k, n_c).T
+        fix = np.block([[S.real - np.eye(k), S.imag], [S.imag, -S.real - np.eye(k)]])
+        coords = nullspace(fix)
+        sols = Q @ (coords[:k] + 1j * coords[k:])
+    cent = central_sa_basis(inst)
+    ms = (cent[:dM] + 1j * cent[dM:]).T
+    if graded:
+        const = np.einsum("h,nv->nhv", H.counit, ms)
+        ms = ms[np.abs(commutator(inst, const, "M")).max(axis=(1, 2, 3), initial=0.0) <= 1e-9]
+    d = (np.einsum("nu,uhv->nhv", ms, inst.actM) - np.einsum("h,nv->nhv", H.counit, ms)).reshape(len(ms), n_c)
+    return np.vstack([sols.real, sols.imag]), np.hstack([d.real, d.imag]).T
+
+
+def projector(columns):
+    """Orthogonal projector onto the span of the columns."""
+    u, s, _ = np.linalg.svd(columns, full_matrices=False)
+    u = u[:, s > 1e-9 * max(1.0, s.max(initial=0.0))]
+    return u @ u.T
+
+
+def vectors(elements, n):
+    out = [np.concatenate([mu.values.real.ravel(), mu.values.imag.ravel()]) for mu in elements]
+    return np.array(out).T if out else np.zeros((2 * n, 0))
+
+
+MAKERS = {"jet": jet_instance, "cycle": cycle_instance, "function": function_instance}
+TOKENS = [f"{kind}:{n}" for kind in MAKERS for n in range(1, 9)] + ["translations:6"]
+
+
+def instance(token):
+    kind, n = token.split(":")
+    return translations_on_s3() if kind == "translations" else MAKERS[kind](int(n))
+
+
+@pytest.mark.parametrize("prolongable", [False, True], ids=["first_order", "prolongable"])
+@pytest.mark.parametrize("token", TOKENS)
+def test_matches_the_dense_solver(token, prolongable):
+    inst = instance(token)
+    n_c = inst.H.dim * inst.dimM
+    sol = solve_hochschild_space(inst, prolongable=prolongable)
+    Z, B = (vectors(sol[key], n_c) for key in ("basis", "coboundary_basis"))
+    Z_ref, B_ref = dense_solve(inst, prolongable)
+    P_Z, P_B = projector(Z), projector(B)
+    assert (sol["dim_Z"], sol["dim_B"]) == (round(np.trace(projector(Z_ref))), round(np.trace(projector(B_ref))))
+    assert sol["dim_H"] == sol["dim_Z"] - sol["dim_B"]
+    assert round(np.trace(P_Z)) == sol["dim_Z"] and round(np.trace(P_B)) == sol["dim_B"]
+    assert np.abs(P_Z - projector(Z_ref)).max(initial=0.0) <= 1e-9
+    assert np.abs(P_B - projector(B_ref)).max(initial=0.0) <= 1e-9
+    # every coboundary is a cocycle
+    assert np.abs(P_Z @ P_B - P_B).max(initial=0.0) <= 1e-9
+    if not token.startswith("translations"):  # H is C[Z_n]
+        bf = brute_force_group_z1(inst, inst.H.dim)
+        assert (sol["dim_Z"], sol["dim_B"], sol["dim_H"]) == (bf["dim_Z"], bf["dim_B"], bf["dim_H"])
+
+
+def test_dimensions_are_not_all_zero():
+    # the comparison above is not vacuous: jet and function carry cocycles
+    dims = {token: solve_hochschild_space(instance(token))["dim_Z"]
+            for token in ("jet:8", "function:8", "translations:6")}
+    assert dims == {"jet:8": 28, "function:8": 7, "translations:6": 5}
