@@ -8,10 +8,13 @@ realize the grade-m pieces as self-Morita bimodules over the torus algebra
 and assemble them into a Z-graded algebra whose grade-0 part is exact
 (a TorusElement).
 
-Translations by irrational amounts are done with cubic splines (zero
-extension outside the window, legitimate for Schwartz-class data), the
-continuous derivation with 4th-order centered finite differences, and
-integrals with the trapezoid rule.
+Translations by irrational amounts are done with not-a-knot cubic splines
+(zero extension outside the window, legitimate for Schwartz-class data),
+the continuous derivation with 4th-order centered finite differences, and
+integrals with the trapezoid rule.  The splines are numpy only: each
+element holds one coefficient table for all its sectors, whose slopes come
+from one tridiagonal solve by parallel cyclic reduction, and the kernels
+read it in batches of sectors.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -94,15 +97,89 @@ def sample_bytes(ctx: ThetaContext, grid: GridSpec, m: int) -> int:
     return sector_count(ctx, m) * grid.N * np.dtype(complex).itemsize
 
 
-class HeisenbergElement:
-    """Grid samples of a grade-m vector: array of shape (|c_m|, N)."""
+@lru_cache(maxsize=None)
+def _slope_levels(N: int) -> tuple:
+    """Parallel cyclic reduction of the not-a-knot slope system on N points.
 
-    __slots__ = ("m", "samples", "ctx", "grid", "_splines")
+    Times h, the system for the slopes depends on N alone: the rows are
+    (1, 2), then (1, 4, 1) in the interior, then (2, 1).  The level of
+    stride d adds lower_i d_{i-d} + upper_i d_{i+d} to each right-hand
+    side d_i, which moves every coupling from distance d to 2d; after
+    ceil(log2 N) levels the system is diagonal.  The couplings shrink
+    like 0.27^d, so the reduction stops as soon as every one is below
+    eps^2 of its diagonal (after stride 32 from N = 64 on): dividing by
+    the diagonal then moves no slope by more than about eps^2 of the
+    largest.  Returns the levels (d, lower, upper) and the reciprocal of
+    the final diagonal.
+    """
+    a, b, c = np.ones(N), np.full(N, 4.0), np.ones(N)
+    a[0], b[0], c[0] = 0.0, 1.0, 2.0
+    a[-1], b[-1], c[-1] = 2.0, 1.0, 0.0
+    levels = []
+    d = 1
+    while d < N and np.max((np.abs(a) + np.abs(c)) / b) > np.finfo(float).eps ** 2:
+        lower = -a[d:] / b[:-d]
+        upper = -c[:-d] / b[d:]
+        new_a, new_b, new_c = np.zeros(N), b.copy(), np.zeros(N)
+        new_a[d:] = lower * a[:-d]
+        new_b[d:] += lower * c[:-d]
+        new_b[:-d] += upper * a[d:]
+        new_c[:-d] = upper * c[d:]
+        a, b, c = new_a, new_b, new_c
+        levels.append((d, lower, upper))
+        d *= 2
+    return tuple(levels), 1.0 / b
+
+
+def spline_table(samples: np.ndarray, h: float) -> np.ndarray:
+    """Not-a-knot cubic coefficients of every row of `samples`, shape (4, S, N-1).
+
+    Row s on [x_i, x_i + h] is sum_j table[j, s, i] (x - x_i)^(3-j), the
+    layout of scipy's `CubicSpline.c`.  The slopes solve the system of
+    `_slope_levels` with right-hand sides (5 m_0 + m_1)/2, then
+    3 (m_{i-1} + m_i), then (m_{N-3} + 5 m_{N-2})/2, where
+    m_i = (y_{i+1} - y_i)/h; the coefficients are the Hermite formulas.
+    """
+    S, N = samples.shape
+    slope = np.diff(samples, axis=1) / h
+    rhs = np.empty((S, N), dtype=slope.dtype)
+    rhs[:, 0] = (5.0 * slope[:, 0] + slope[:, 1]) / 2.0
+    rhs[:, 1:-1] = 3.0 * (slope[:, :-1] + slope[:, 1:])
+    rhs[:, -1] = (slope[:, -2] + 5.0 * slope[:, -1]) / 2.0
+    levels, inv_diag = _slope_levels(N)
+    for d, lower, upper in levels:
+        nxt = rhs.copy()
+        nxt[:, d:] += lower * rhs[:, :-d]
+        nxt[:, :-d] += upper * rhs[:, d:]
+        rhs = nxt
+    s = rhs * inv_diag
+    t = (s[:, :-1] + s[:, 1:] - 2.0 * slope) / h
+    table = np.empty((4, S, N - 1), dtype=slope.dtype)
+    table[0] = t / h
+    table[1] = (slope - s[:, :-1]) / h - t
+    table[2] = s[:, :-1]
+    table[3] = samples[:, :-1]
+    return table
+
+
+class HeisenbergElement:
+    """Grid samples of a grade-m vector: array of shape (|c_m|, N).
+
+    The samples are a read-only array that the element owns, so the spline
+    table cached on the first read always describes them.
+    """
+
+    __slots__ = ("m", "samples", "ctx", "grid", "_table")
 
     def __init__(self, m: int, samples: np.ndarray, ctx: ThetaContext, grid: GridSpec):
         if m == 0:
             raise GradeZero("use TorusElement for grade 0")
+        given = samples
         samples = np.asarray(samples, dtype=complex)
+        if samples is given:
+            # the caller still holds this array and could write to it
+            samples = samples.copy()
+        samples.flags.writeable = False
         S = sector_count(ctx, m)
         if samples.shape != (S, grid.N):
             raise ValueError(f"expected shape {(S, grid.N)}, got {samples.shape}")
@@ -110,33 +187,44 @@ class HeisenbergElement:
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "_splines", [None] * S)
+        object.__setattr__(self, "_table", None)
 
     def __setattr__(self, *a):
         raise AttributeError("HeisenbergElement is immutable")
 
     # -- numeric plumbing -------------------------------------------------
-    def _spline(self, s: int):
-        if self._splines[s] is None:
-            # scipy.interpolate takes most of the start-up time and memory of
-            # the package; only the grade-m kernels need it, so load it here
-            from scipy.interpolate import CubicSpline
+    def evaluate(self, pts: np.ndarray, sector) -> np.ndarray:
+        """Spline reads at arbitrary points, zero outside the window.
 
-            self._splines[s] = CubicSpline(
-                self.grid.xs, self.samples[s], extrapolate=False
-            )
-        return self._splines[s]
-
-    def evaluate(self, pts: np.ndarray, sector: int) -> np.ndarray:
-        """Spline evaluation at arbitrary points, zero outside the window.
-
-        Only the reads outside [-L, L] are zeroed, by position; a NaN read
-        inside the window (an overflowing spline) stays NaN, so every check
-        built on it fails.
+        `sector` is one sector or an array of them; the points carry a
+        trailing axis of P points that broadcasts against the sectors, so
+        one sector reads points of shape (P,), and R sectors points of
+        shape (R, P), or (P,) shared by all.  The interval of a point is
+        floor((x + L)/h) on the uniform grid, and the read is Horner's rule
+        on the coefficient table.  Only the reads outside [-L, L] are
+        zeroed, by position; a NaN read inside the window (an overflowing
+        spline, or a NaN point) stays NaN, so every check built on it fails.
         """
-        pts = np.asarray(pts)
-        vals = self._spline(sector % self.samples.shape[0])(pts)
-        vals[(pts < -self.grid.L) | (pts > self.grid.L)] = 0.0
+        if self._table is None:
+            table = spline_table(self.samples, self.grid.h)
+            object.__setattr__(self, "_table", table.reshape(4, -1))
+        S, N = self.samples.shape
+        L, h = self.grid.L, self.grid.h
+        pts = np.asarray(pts, dtype=float)
+        rows = (np.asarray(sector) % S)[..., None]
+        # reads outside the window are zeroed below; clipping keeps them finite
+        dx = np.clip(pts, -L, L)
+        # x + L >= 0, and fmin sends a NaN point to the last interval, where
+        # its read stays NaN
+        idx = np.fmin((dx + L) / h, N - 2).astype(np.intp)
+        dx -= self.grid.xs[idx]
+        flat = idx + (N - 1) * rows
+        c0, c1, c2, c3 = self._table
+        vals = c0.take(flat)
+        for c in (c1, c2, c3):
+            vals *= dx
+            vals += c.take(flat)
+        np.copyto(vals, 0.0, where=(pts < -L) | (pts > L))
         return vals
 
     def with_samples(self, samples: np.ndarray) -> "HeisenbergElement":
@@ -275,8 +363,8 @@ def right_act_torus(f: HeisenbergElement, b: TorusElement) -> HeisenbergElement:
     (f.U)(x,k) = e^{2 pi i (x - k d_m/c_m)} f(x,k);
     (f.V)(x,k) = f(x - eps^m/c_m, k-1).  Monomials sharing the V power
     share one translation; the U phases, evaluated at the translated
-    coordinates, are applied analytically on top, so each sector is
-    interpolated once per distinct s.
+    coordinates, are applied analytically on top, so each distinct s is
+    one read of all sectors.
     """
     ctx, grid, m = f.ctx, f.grid, f.m
     p = ctx.power(m)
@@ -285,10 +373,8 @@ def right_act_torus(f: HeisenbergElement, b: TorusElement) -> HeisenbergElement:
     for s, terms in _by_v_power(b).items():
         pts = grid.xs - s * ctx.eps_pow_float(m) / p.c
         phases = _u_rows(pts, [(k - s) * p.d for k in range(S)], p.c, terms)
-        for k in range(S):
-            src = (k - s) % S
-            vals = f.evaluate(pts, src) if s != 0 else f.samples[src]
-            out[k] += phases[k] * vals
+        src = [(k - s) % S for k in range(S)]
+        out += phases * (f.evaluate(pts, src) if s != 0 else f.samples[src])
     return f.with_samples(out)
 
 
@@ -303,11 +389,8 @@ def left_act_torus(b: TorusElement, f: HeisenbergElement) -> HeisenbergElement:
     out = np.zeros_like(f.samples)
     for s, terms in _by_v_power(b).items():
         phases = _u_rows(scaled, range(S), p.c, terms)
-        pts = xs - s / p.c
-        for k in range(S):
-            src = (k - s * p.a) % S
-            vals = f.evaluate(pts, src) if s != 0 else f.samples[src]
-            out[k] += phases[k] * vals
+        src = [(k - s * p.a) % S for k in range(S)]
+        out += phases * (f.evaluate(xs - s / p.c, src) if s != 0 else f.samples[src])
     return f.with_samples(out)
 
 
@@ -321,10 +404,7 @@ def star_heis(f: HeisenbergElement) -> HeisenbergElement:
     S = f.samples.shape[0]
     xs = grid.xs
     scl = ctx.eps_pow_float(m)
-    out = np.empty_like(f.samples)
-    for k in range(S):
-        src = (-p.a * k) % S
-        out[k] = np.conj(f.evaluate(scl * xs, src))
+    out = np.conj(f.evaluate(scl * xs, [(-p.a * k) % S for k in range(S)]))
     if f.samples.any() and not out.any():
         raise WindowOverflow(
             f"star of grade {m} is zero on the grid though its argument is not; "
@@ -487,7 +567,9 @@ def _pair_to_torus(f: HeisenbergElement, g: HeisenbergElement) -> TorusElement:
     omega = e^{2 pi i/c_f}.  The powers of e0, times the trapezoid weights,
     form one (2 b1 + 1, N) table built by recurrence, and the powers of
     omega one (2 b1 + 1, S) matrix, so each V-row is S spline reads, one
-    contraction over the grid points and a sum over sectors.
+    contraction over the grid points and a sum over sectors.  The rows
+    read in batches: every row |n2| < modes, which the stopping rule
+    never skips, in one read, then the pairs (n2, -n2).
     """
     ctx, grid = f.ctx, f.grid
     m = g.m
@@ -511,35 +593,34 @@ def _pair_to_torus(f: HeisenbergElement, g: HeisenbergElement) -> TorusElement:
         np.multiply(weighted[b1 + n - 1], e0, out=weighted[b1 + n])
         np.multiply(weighted[b1 - n + 1], e0_inv, out=weighted[b1 - n])
     roots = np.exp(2j * np.pi * np.outer(n1s, np.arange(S)) / pf.c)
-    rows = np.empty((S, grid.N), dtype=complex)
 
     coeffs: dict = {}
-    total_max = 0.0
 
-    def do_row(n2: int) -> float:
+    def do_rows(n2s: list) -> float:
         # (V^{-n2} f)(y, k) = f(y + n2/c_f, k + n2 a_f): fuse the translation
         # into one evaluation of the original spline so mass that leaves the
         # window is still seen; then exact U phases per n1 on top
-        pts = scaled + n2 / pf.c
-        for k in range(S):
-            rows[k] = f.evaluate(pts, (k + n2 * pf.a) % S)
-        np.multiply(rows, g_rows, out=rows)
+        shifts = np.array(n2s)
+        pts = scaled + (shifts / pf.c)[:, None, None]
+        rows = f.evaluate(pts, [[(k + n2 * pf.a) % S for k in range(S)] for n2 in n2s])
+        rows *= g_rows
         # sum over the grid per (n1, sector), then over sectors with the roots
-        per_sector = np.einsum("nj,kj->nk", weighted, rows, optimize=False)
-        vals = (per_sector * roots).sum(axis=1)
-        reorder = np.exp(2j * np.pi * ((ctx.theta_float * n1s * n2) % 1.0))
-        for n1, val in zip(n1s.tolist(), (reorder * vals).tolist()):
-            coeffs[(n1, n2)] = val
+        per_sector = np.einsum("nj,rkj->rnk", weighted, rows, optimize=False)
+        vals = (per_sector * roots).sum(axis=2)
+        reorder = np.exp(2j * np.pi * ((ctx.theta_float * n1s * shifts[:, None]) % 1.0))
+        for n2, row in zip(n2s, (reorder * vals).tolist()):
+            for n1, val in zip(n1s.tolist(), row):
+                coeffs[(n1, n2)] = val
         return float(np.max(np.abs(vals)))
 
-    total_max = do_row(0)
+    total_max = do_rows([0] + [n for n2 in range(1, grid.modes) for n in (n2, -n2)])
     quiet = 0
-    n2 = 0
+    n2 = max(grid.modes - 1, 0)
     while n2 < n2_cap and quiet < 2:
         n2 += 1
-        row = max(do_row(n2), do_row(-n2))
+        row = do_rows([n2, -n2])
         total_max = max(total_max, row)
-        if n2 >= grid.modes and row <= grid.tol * max(total_max, 1e-300):
+        if row <= grid.tol * max(total_max, 1e-300):
             quiet += 1
         else:
             quiet = 0
@@ -553,6 +634,9 @@ def _pair_to_torus(f: HeisenbergElement, g: HeisenbergElement) -> TorusElement:
     return TorusElement(ctx.theta_float, coeffs, tol=1e-9 * total_max)
 
 
+_LATTICE_BLOCK = 8
+
+
 def _pair_to_heis(f: HeisenbergElement, g: HeisenbergElement) -> HeisenbergElement:
     """Product P_m x P_n -> P_{m+n} for m, n, m+n all nonzero.
 
@@ -560,7 +644,9 @@ def _pair_to_heis(f: HeisenbergElement, g: HeisenbergElement) -> HeisenbergEleme
                        . g(x + i/c_n + c_m k/(c_n c_{m+n}), k + a_n i),
     sectors mod |c_m| and |c_n|, k mod |c_{m+n}|; the lattice sum is taken
     over an adaptive window around its center -c_m k / c_{m+n}, capped at
-    J * max(|c_m|, |c_n|) terms per side.
+    J * max(|c_m|, |c_n|) terms per side.  The terms i of one output
+    sector are read in blocks of _LATTICE_BLOCK, which bounds the
+    temporaries of a read.
     """
     ctx, grid = f.ctx, f.grid
     m, n = f.m, g.m
@@ -582,13 +668,15 @@ def _pair_to_heis(f: HeisenbergElement, g: HeisenbergElement) -> HeisenbergEleme
         center = -cm * k / cmn
         i_lo = math.ceil(center - W)
         i_hi = math.floor(center + W)
-        for i in range(i_lo, i_hi + 1):
-            fv = f.evaluate(xs / en - em * (i / cm + k / cmn), (-i) % Sf)
-            gv = g.evaluate(xs + i / cn + cm * k / (cn * cmn), (k + an * i) % Sg)
-            term = fv * gv
-            out[k] += term
-            if i in (i_lo, i_hi):
-                edge_mass = max(edge_mass, float(np.max(np.abs(term))))
+        for start in range(i_lo, i_hi + 1, _LATTICE_BLOCK):
+            block = range(start, min(start + _LATTICE_BLOCK, i_hi + 1))
+            i = np.array(block, dtype=float)[:, None]
+            terms = f.evaluate(xs / en - em * (i / cm + k / cmn), [(-j) % Sf for j in block])
+            terms *= g.evaluate(xs + i / cn + cm * k / (cn * cmn), [(k + an * j) % Sg for j in block])
+            out[k] += terms.sum(axis=0)
+            for j in (i_lo, i_hi):
+                if j in block:
+                    edge_mass = max(edge_mass, float(np.max(np.abs(terms[j - start]))))
     scale = float(np.max(np.abs(out))) if out.size else 0.0
     if scale > 0 and edge_mass > grid.tol * scale:
         warnings.warn(

@@ -106,6 +106,28 @@ class TestEvaluate:
         assert report["failures"] == ["spline reads"] and report["pass"] is False
 
 
+class TestImmutableSamples:
+    def test_samples_are_read_only(self, rng):
+        f = random_packet(CTX, GRID, 1, rng)
+        with pytest.raises(ValueError):
+            f.samples[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            f.samples += 1.0
+
+    def test_callers_array_is_not_shared(self, rng):
+        data = rng.standard_normal((1, GRID.N)) + 0j
+        f = HeisenbergElement(1, data, CTX, GRID)
+        pts = GRID.xs[100:110] + 0.3 * GRID.h
+        before = f.evaluate(pts, 0)  # caches the spline table
+        data[:] = 7.0
+        assert data.flags.writeable
+        assert not np.shares_memory(f.samples, data)
+        assert np.all(f.samples != 7.0)
+        assert np.array_equal(f.evaluate(pts, 0), before)
+        assert np.array_equal(HeisenbergElement(1, data, CTX, GRID).evaluate(pts, 0),
+                              np.full(10, 7.0 + 0j))
+
+
 class TestModuleActions:
     def test_u_preserves_norm(self, rng):
         f = random_packet(CTX, GRID, 1, rng)

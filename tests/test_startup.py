@@ -1,4 +1,4 @@
-"""Start-up stays lean: scipy loads with the first spline, not with the CLI."""
+"""Start-up stays lean: no suite loads scipy, the spline kernel included."""
 
 import json
 import os
@@ -22,6 +22,7 @@ SUITES = [
     ["torus-check", "--theta", THETA],
     ["monopole", "--theta", THETA],
     ["cohomology", "--builtin", "jet:3"],
+    ["heisenberg-verify", "--theta", THETA, "--grid", "12,1024,8", "--grades", "3"],
 ]
 
 CHILD = f"""
@@ -44,7 +45,7 @@ vals = f.evaluate(grid.xs - {SHIFT!r}, 0)
 print(json.dumps({{
     "codes": codes,
     "after_suites": after_suites,
-    "interpolate_after_evaluate": "scipy.interpolate" in sys.modules,
+    "after_evaluate": scipy_modules(),
     "values": vals.tobytes().hex(),
 }}))
 """
@@ -60,12 +61,12 @@ def run_child() -> dict:
     return json.loads(proc.stdout)
 
 
-def test_suites_without_splines_never_load_scipy():
+def test_no_suite_loads_scipy():
     child = run_child()
     assert child["codes"] == [0] * len(SUITES)
     assert child["after_suites"] == []
-    # the first spline loads it, and its values match this process's
-    assert child["interpolate_after_evaluate"]
+    # a spline read loads nothing either, and its values match this process's
+    assert child["after_evaluate"] == []
     grid = heisenberg.GridSpec()
     f = heisenberg.gaussian(parse_theta(THETA), grid, 1, center=0.3)
     expected = f.evaluate(grid.xs - SHIFT, 0)
