@@ -7,10 +7,11 @@ coprime integer triple with a != 0 such that
 
     theta = (b + sqrt(Delta)) / (2a),     Delta = b^2 - 4ac > 0 non-square,
 
-equivalently a*theta^2 - b*theta + c = 0.  Elements of Q[sqrt(Delta)] are
-pairs of rationals, units of the quadratic order are Pell solutions of
-x^2 - Delta y^2 = 4, and the stabilizer of theta in SL(2,Z) is reached
-through the unit group.
+equivalently a*theta^2 - b*theta + c = 0.  An element of Q[sqrt(Delta)]
+is (x + y*sqrt(Delta))/den, integers over one denominator in lowest terms
+(Cohen, A Course in Computational Algebraic Number Theory, ch. 4), units of
+the quadratic order are Pell solutions of x^2 - Delta y^2 = 4, and the
+stabilizer of theta in SL(2,Z) is reached through the unit group.
 """
 
 from __future__ import annotations
@@ -40,75 +41,122 @@ def _is_square(n: int) -> bool:
     return r * r == n
 
 
-@dataclass(frozen=True)
 class FieldElement:
-    """r + s*sqrt(delta) with r, s rational."""
+    """(x + y*sqrt(delta))/den with integers in lowest terms.
 
-    r: Fraction
-    s: Fraction
-    delta: int
+    gcd(x, y, den) = 1 and den > 0, so one element has one representation
+    and each exact result costs one gcd.  `FieldElement(r, s, delta)` builds
+    r + s*sqrt(delta) from rationals r and s; `.r` and `.s` return them as
+    Fractions.  Elements are immutable; pickle and copy rebuild them through
+    `__reduce__`.
+    """
+
+    __slots__ = ("x", "y", "den", "delta")
+
+    def __init__(self, r, s, delta: int):
+        if type(r) is int and type(s) is int:
+            x, y, den = r, s, 1
+        else:
+            r, s = Fraction(r), Fraction(s)
+            # r and s are in lowest terms, so over the lcm of their
+            # denominators gcd(x, y, den) = 1 already
+            den = math.lcm(r.denominator, s.denominator)
+            x, y = r.numerator * (den // r.denominator), s.numerator * (den // s.denominator)
+        _set_x(self, x)
+        _set_y(self, y)
+        _set_den(self, den)
+        _set_delta(self, delta)
 
     @staticmethod
     def of(r, s, delta: int) -> "FieldElement":
-        return FieldElement(Fraction(r), Fraction(s), delta)
+        return FieldElement(r, s, delta)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"FieldElement is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"FieldElement is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return _element, (self.x, self.y, self.den, self.delta)
+
+    @property
+    def r(self) -> Fraction:
+        return Fraction(self.x, self.den)
+
+    @property
+    def s(self) -> Fraction:
+        return Fraction(self.y, self.den)
 
     def _check(self, other: "FieldElement"):
         if self.delta != other.delta:
             raise ValueError(f"discriminant mismatch: {self.delta} vs {other.delta}")
 
     def __add__(self, other):
+        if isinstance(other, int):  # the sum stays in lowest terms
+            return _element(self.x + other * self.den, self.y, self.den, self.delta)
         other = self._coerce(other)
         self._check(other)
-        return FieldElement(self.r + other.r, self.s + other.s, self.delta)
+        d1, d2 = self.den, other.den
+        return _reduced(
+            self.x * d2 + other.x * d1, self.y * d2 + other.y * d1, d1 * d2, self.delta
+        )
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        self._check(other)
-        return FieldElement(self.r - other.r, self.s - other.s, self.delta)
+        return self + (-other if isinstance(other, int) else -self._coerce(other))
 
     def __neg__(self):
-        return FieldElement(-self.r, -self.s, self.delta)
+        return _element(-self.x, -self.y, self.den, self.delta)
 
     def __mul__(self, other):
+        if isinstance(other, int):
+            # dividing out gcd(other, den) alone leaves lowest terms
+            g = gcd(other, self.den)
+            k = other // g
+            return _element(self.x * k, self.y * k, self.den // g, self.delta)
         other = self._coerce(other)
         self._check(other)
-        return FieldElement(
-            self.r * other.r + self.delta * self.s * other.s,
-            self.r * other.s + self.s * other.r,
-            self.delta,
+        x1, y1, x2, y2 = self.x, self.y, other.x, other.y
+        return _reduced(
+            x1 * x2 + self.delta * y1 * y2, x1 * y2 + y1 * x2, self.den * other.den, self.delta
         )
 
     __radd__ = __add__
     __rmul__ = __mul__
 
     def __rsub__(self, other):
-        return self._coerce(other) - self
+        return -self + other
 
     def _coerce(self, other) -> "FieldElement":
         if isinstance(other, FieldElement):
             return other
-        return FieldElement(Fraction(other), Fraction(0), self.delta)
+        q = Fraction(other)
+        return _element(q.numerator, 0, q.denominator, self.delta)
 
     def conjugate(self) -> "FieldElement":
-        return FieldElement(self.r, -self.s, self.delta)
+        return _element(self.x, -self.y, self.den, self.delta)
+
+    def _norm_numerator(self) -> int:
+        """x^2 - Delta y^2, the norm times den^2."""
+        return self.x * self.x - self.delta * self.y * self.y
 
     def inverse(self) -> "FieldElement":
-        n = self.norm()
+        """den (x - y sqrt(Delta)) / (x^2 - Delta y^2)."""
+        n = self._norm_numerator()
         if n == 0:
             raise ZeroDivisionError("zero element of the field")
-        return FieldElement(self.r / n, -self.s / n, self.delta)
+        return _reduced(self.den * self.x, -self.den * self.y, n, self.delta)
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        return self * other.inverse()
+        return self * self._coerce(other).inverse()
 
     def __rtruediv__(self, other):
-        return self._coerce(other) * self.inverse()
+        return self.inverse() * other
 
     def __pow__(self, m: int) -> "FieldElement":
         """Exact x^m by binary exponentiation: O(log |m|) products."""
         base = self if m >= 0 else self.inverse()
-        out = FieldElement(Fraction(1), Fraction(0), self.delta)
+        out = _element(1, 0, 1, self.delta)
         m = abs(m)
         while m:
             if m & 1:
@@ -119,54 +167,86 @@ class FieldElement:
         return out
 
     def norm(self) -> Fraction:
-        return self.r * self.r - self.delta * self.s * self.s
+        return Fraction(self._norm_numerator(), self.den * self.den)
 
     def __eq__(self, other):
+        # both sides are in lowest terms with positive denominators
+        if isinstance(other, FieldElement):
+            return (self.x, self.y, self.den, self.delta) == (other.x, other.y, other.den, other.delta)
         if isinstance(other, (int, Fraction)):
-            return self.r == other and self.s == 0
-        return (
-            isinstance(other, FieldElement)
-            and self.delta == other.delta
-            and self.r == other.r
-            and self.s == other.s
-        )
+            return self.y == 0 and self.x == other.numerator and self.den == other.denominator
+        return False
 
     def __hash__(self):
-        return hash((self.r, self.s, self.delta))
+        # a rational element equals its int or Fraction, so it hashes as one
+        if self.y == 0:
+            return hash(self.x if self.den == 1 else Fraction(self.x, self.den))
+        return hash((self.x, self.y, self.den, self.delta))
 
     def __float__(self) -> float:
-        """r + s*sqrt(Delta) to a few ulp, with no cancellation.
+        """(x + y*sqrt(Delta))/den to a few ulp, with no cancellation.
 
-        When r and s*sqrt(Delta) have opposite signs the direct sum loses
+        When x and y*sqrt(Delta) have opposite signs the direct sum loses
         digits (eps^-m is a small difference of two large terms), so that
         branch divides the exact norm by the like-signed sum instead:
-        r + s*sqrt(Delta) = N(x) / (r - s*sqrt(Delta)).  There r, s and
-        N(x) may lie beyond the float range while the value is tiny (eps^-800
-        is about 1e-334), so each is scaled by a power of two before it is
-        rounded and the quotient is scaled back by ldexp, which gives 0.0 or
-        a subnormal on underflow and still raises OverflowError on overflow.
+        r + s*sqrt(Delta) = N / (r - s*sqrt(Delta)) with r = x/den,
+        s = y/den and N = r^2 - Delta s^2.  There r, s and N may lie beyond
+        the float range while the value is tiny (eps^-800 is about 1e-334),
+        so each is scaled by a power of two before it is rounded and the
+        quotient is scaled back by ldexp, which gives 0.0 or a subnormal on
+        underflow and still raises OverflowError on overflow.
         """
+        x, y, den = self.x, self.y, self.den
         root = math.sqrt(self.delta)
-        if self.r * self.s < 0:
-            e = max(_binary_exponent(self.r), _binary_exponent(self.s))
-            den = _scaled_float(self.r, e) - _scaled_float(self.s, e) * root
-            n = self.norm()
-            en = _binary_exponent(n)
-            return math.ldexp(_scaled_float(n, en) / den, en - e)
-        return float(self.r) + float(self.s) * root
+        if x * y < 0:
+            e = max(_binary_exponent(x, den), _binary_exponent(y, den))
+            scaled = _scaled_float(x, den, e) - _scaled_float(y, den, e) * root
+            n, n_den = self._norm_numerator(), den * den
+            en = _binary_exponent(n, n_den)
+            return math.ldexp(_scaled_float(n, n_den, en) / scaled, en - e)
+        return x / den + y / den * root
 
     def __repr__(self):
         return f"({self.r} + {self.s}*sqrt({self.delta}))"
 
 
-def _binary_exponent(q: Fraction) -> int:
-    """An e with |q| / 2**e in [1/2, 2]: the difference of bit lengths."""
-    return abs(q.numerator).bit_length() - q.denominator.bit_length()
+_new_element = object.__new__
+# the slot setters bypass the refusing __setattr__; only this module uses them
+_set_x, _set_y, _set_den, _set_delta = (
+    vars(FieldElement)[name].__set__ for name in FieldElement.__slots__
+)
 
 
-def _scaled_float(q: Fraction, e: int) -> float:
-    """float(q / 2**e), with the scaling done exactly before rounding."""
-    return float(q / 2**e) if e >= 0 else float(q * 2**-e)
+def _element(x: int, y: int, den: int, delta: int) -> FieldElement:
+    """(x + y sqrt(delta))/den from integers already in lowest terms, den > 0."""
+    out = _new_element(FieldElement)
+    _set_x(out, x)
+    _set_y(out, y)
+    _set_den(out, den)
+    _set_delta(out, delta)
+    return out
+
+
+def _reduced(x: int, y: int, den: int, delta: int) -> FieldElement:
+    """(x + y sqrt(delta))/den brought to lowest terms with den > 0; den != 0."""
+    g = gcd(x, y, den)
+    if den < 0:
+        g = -g
+    if g != 1:
+        x, y, den = x // g, y // g, den // g
+    return _element(x, y, den, delta)
+
+
+def _binary_exponent(num: int, den: int) -> int:
+    """An e with |num/den| / 2**e in [1/2, 2]: the difference of the bit
+    lengths of the fraction in lowest terms."""
+    g = gcd(num, den)
+    return abs(num // g).bit_length() - (den // g).bit_length()
+
+
+def _scaled_float(num: int, den: int, e: int) -> float:
+    """num / (den * 2**e), with the scaling done exactly before the one rounding."""
+    return num / (den << e) if e >= 0 else (num << -e) / den
 
 
 def norm(x: FieldElement) -> Fraction:
@@ -273,7 +353,7 @@ class OrderUnit:
 
     @property
     def value(self) -> FieldElement:
-        return FieldElement(Fraction(self.u, 2), Fraction(self.v, 2), self.delta)
+        return _reduced(self.u, self.v, 2, self.delta)
 
     def __float__(self):
         return float(self.value)

@@ -17,24 +17,30 @@ d tau^2 = 1.
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import math
 
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+PHASE_CACHE_SIZE = 4096  # (theta, k) pairs whose phase e^{2 pi i theta k} is kept
 
 
 class ThetaMismatch(ValueError):
     """Operands live over different deformation parameters."""
 
 
+@functools.lru_cache(maxsize=PHASE_CACHE_SIZE)
 def _phase(theta: float, k: int) -> complex:
     """e^{2 pi i theta k} for exact integer k and double theta.
 
     Reducing theta*k mod 1 before exponentiating keeps the phase error at
     ~|k| ulps (< 1e-13 for the |k| <= 100 reachable at desk scale), well
-    inside the 1e-12 tolerance of the phase-linear identities.
+    inside the 1e-12 tolerance of the phase-linear identities.  Products
+    ask for the same few (theta, k) over and over, so the last
+    PHASE_CACHE_SIZE values are kept; a cached value is the computed one,
+    bit for bit.
     """
     return cmath.exp(2j * math.pi * (theta * k % 1.0))
 
@@ -53,6 +59,20 @@ class TorusElement:
                 if v != 0 and abs(v) > tol:
                     cc[(int(m), int(n))] = v
         self.coeffs = cc
+
+    @classmethod
+    def _of(cls, theta: float, coeffs: dict) -> "TorusElement":
+        """An element from coefficients the class computed itself.
+
+        theta is already a float, the keys integer pairs and the values
+        complex, so only exact zeros are dropped; `__init__` checks
+        callers' input.  A NaN from an overflow stays, so that norm()
+        reads NaN rather than a clean 0.
+        """
+        out = object.__new__(cls)
+        out.theta = theta
+        out.coeffs = {k: v for k, v in coeffs.items() if v}
+        return out
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -87,34 +107,39 @@ class TorusElement:
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():
             out[k] = out.get(k, 0) + v
-        return TorusElement(self.theta, out)
+        return TorusElement._of(self.theta, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TorusElement(self.theta, {k: -v for k, v in self.coeffs.items()})
+        return TorusElement._of(self.theta, {k: -v for k, v in self.coeffs.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, float, complex)):
             other = TorusElement.monomial(self.theta, 0, 0, other)
-        return self + (-other)
+        self._check(other)
+        out = dict(self.coeffs)
+        for k, v in other.coeffs.items():
+            out[k] = out.get(k, 0) - v
+        return TorusElement._of(self.theta, out)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
-            return TorusElement(
+            return TorusElement._of(
                 self.theta, {k: v * other for k, v in self.coeffs.items()}
             )
         self._check(other)
         out: dict = {}
         th = self.theta
+        terms = other.coeffs.items()
         for (m, n), a in self.coeffs.items():
-            for (mp, np_), b in other.coeffs.items():
+            for (mp, np_), b in terms:
                 key = (m + mp, n + np_)
                 out[key] = out.get(key, 0) + a * b * _phase(th, n * mp)
-        return TorusElement(self.theta, out)
+        return TorusElement._of(th, out)
 
     def __rmul__(self, other):
         if isinstance(other, (int, float, complex)):
@@ -136,20 +161,18 @@ class TorusElement:
 
     def star(self) -> "TorusElement":
         """(U^m V^n)^* = e^{2 pi i theta m n} U^{-m} V^{-n}, antilinearly."""
-        out = {}
-        for (m, n), a in self.coeffs.items():
-            out[(-m, -n)] = a.conjugate() * _phase(self.theta, m * n)
-        return TorusElement(self.theta, out)
+        th = self.theta
+        return TorusElement._of(
+            th, {(-m, -n): a.conjugate() * _phase(th, m * n) for (m, n), a in self.coeffs.items()}
+        )
 
     # -- derivations and calculus ---------------------------------------
     def delta(self, j: int) -> "TorusElement":
         """delta_1(U^m V^n) = 2 pi m U^m V^n, delta_2 likewise with n."""
         if j not in (1, 2):
             raise ValueError("j must be 1 or 2")
-        pick = (lambda m, n: m) if j == 1 else (lambda m, n: n)
-        return TorusElement(
-            self.theta,
-            {(m, n): TWO_PI * pick(m, n) * v for (m, n), v in self.coeffs.items()},
+        return TorusElement._of(
+            self.theta, {mn: TWO_PI * mn[j - 1] * v for mn, v in self.coeffs.items()}
         )
 
     # -- analysis helpers ------------------------------------------------
