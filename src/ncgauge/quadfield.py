@@ -54,14 +54,11 @@ class FieldElement:
     __slots__ = ("x", "y", "den", "delta")
 
     def __init__(self, r, s, delta: int):
-        if type(r) is int and type(s) is int:
-            x, y, den = r, s, 1
-        else:
-            r, s = Fraction(r), Fraction(s)
-            # r and s are in lowest terms, so over the lcm of their
-            # denominators gcd(x, y, den) = 1 already
-            den = math.lcm(r.denominator, s.denominator)
-            x, y = r.numerator * (den // r.denominator), s.numerator * (den // s.denominator)
+        r, s = Fraction(r), Fraction(s)
+        # r and s are in lowest terms, so over the lcm of their
+        # denominators gcd(x, y, den) = 1 already
+        den = math.lcm(r.denominator, s.denominator)
+        x, y = r.numerator * (den // r.denominator), s.numerator * (den // s.denominator)
         _set_x(self, x)
         _set_y(self, y)
         _set_den(self, den)
@@ -93,8 +90,6 @@ class FieldElement:
             raise ValueError(f"discriminant mismatch: {self.delta} vs {other.delta}")
 
     def __add__(self, other):
-        if isinstance(other, int):  # the sum stays in lowest terms
-            return _element(self.x + other * self.den, self.y, self.den, self.delta)
         other = self._coerce(other)
         self._check(other)
         d1, d2 = self.den, other.den
@@ -103,7 +98,7 @@ class FieldElement:
         )
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, int) else -self._coerce(other))
+        return self + -self._coerce(other)
 
     def __neg__(self):
         return _element(-self.x, -self.y, self.den, self.delta)
