@@ -42,7 +42,7 @@ g = phi(ctx.unit, GOLDEN)
 print("Phi(eps) for the golden ratio:", g)
 th = GOLDEN.as_field_element()
 print("g |> theta == theta exactly:", g.acts_on(th) == th)
-print("Phi^{-1}(g) = g21 theta + g22 =", phi_inverse(g, GOLDEN), "= eps")
+print("Phi^{-1}(g) = c theta + d =", phi_inverse(g, GOLDEN), "= eps")
 
 print("\n== the power table and its exact identities ==")
 print(" m   (a_m, b_m, c_m, d_m)      c_m*theta + d_m == eps^m")

@@ -17,7 +17,6 @@ from .quadfield import (
     QuadraticIrrational,
     StabilizerMatrix,
     ThetaContext,
-    UnitPowerData,
     classify,
     norm,
     pell_unit,

@@ -210,7 +210,7 @@ def cmd_pell(args) -> tuple[dict, None]:
     report["theta"] = {"a": 1, "b": b, "c": c, "value": float(t)}
     report["phi"] = [[g.a, g.b], [g.c, g.d]]
     report["powers"] = {
-        str(m): list(ctx.power(m).matrix().entries())
+        str(m): list(ctx.power(m).entries())
         for m in range(-args.grades, args.grades + 1)
     }
     return report, None
@@ -222,7 +222,7 @@ def cmd_stabilizer(args) -> tuple[dict, list]:
     report = {
         "theta": {"a": t.a, "b": t.b, "c": t.c, "delta": t.delta, "value": float(t)},
         "epsilon": {"u": ctx.unit.u, "v": ctx.unit.v, "value": ctx.eps_float},
-        "phi": list(ctx.power(1).matrix().entries()),
+        "phi": list(ctx.power(1).entries()),
         "powers": {},
         "checks": {},
     }
@@ -231,11 +231,11 @@ def cmd_stabilizer(args) -> tuple[dict, list]:
     for m in range(-args.grades, args.grades + 1):
         p = ctx.power(m)
         report["powers"][str(m)] = [p.a, p.b, p.c, p.d]
-        ok = ok and (p.matrix().acts_on(th) == th)
+        ok = ok and (p.acts_on(th) == th)
         ok = ok and (p.c * th + p.d == ctx.eps_pow(m))
     report["checks"]["stabilizes_theta"] = ok
     hom = all(
-        ctx.power(m + n).matrix() == ctx.power(m).matrix() @ ctx.power(n).matrix()
+        ctx.power(m + n) == ctx.power(m) @ ctx.power(n)
         for m in range(-args.grades, args.grades + 1)
         for n in range(-args.grades, args.grades + 1)
     )

@@ -15,13 +15,18 @@ convolution and its star, graded convolution-centrality, the cocycle
 conditions, coboundaries, the Maurer-Cartan and curvature maps, the
 module-algebra axioms) is written once, as one contraction of these tables
 with the coproduct.  The tables are sparse (a few per cent non-zero on the
-shipped instances, less as they grow), so the large contractions run on
-index forms (`IndexForm`, the non-zero entries and their positions) and
-cost what their non-zeros cost.  The identities that are linear in a
-cochain (the Hochschild cocycle equation, graded convolution-centrality)
-are built as linear maps in index form: a check applies the map to one
-cochain, and `solve_hochschild_space` takes the nullspace of the stacked
-maps, one SVD per connected component of the system.  The crossed-product
+shipped instances, less as they grow), so every contraction runs on index
+forms (`IndexForm`, the non-zero entries and their positions) through one
+engine, `_sparse_contract`, and costs what its non-zeros cost: the gates,
+the convolutions, the solver's rows and the Op matrices alike.  A gate's
+residual is the largest entry of lhs - rhs over index forms, so the Hopf
+gate on C[Z_n] forms at most n^3 products (for associativity), where the
+dense tables of its four-index identities held n^4 entries each.  The
+identities that are linear in a cochain (the Hochschild cocycle equation,
+graded convolution-centrality) are built as linear maps in index form: a
+check applies the map to one cochain, and `solve_hochschild_space` takes
+the nullspace of the stacked maps, one SVD per connected component of the
+system.  The crossed-product
 realizations Op are checked against multiplication blocks contracted from
 the same tables, in index form too; the crossed product keeps no product
 tensor of its own.  Each multiplicativity check
@@ -55,7 +60,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -63,21 +68,6 @@ TOL = 1e-10
 
 # form degree of each target; it fixes the graded signs
 _DEGREE = {"B": 0, "M": 1, "O2": 2}
-
-
-def _contract(spec: str, *operands) -> np.ndarray:
-    """np.einsum contracted pairwise along a greedy path (Smith & Gray,
-    "opt_einsum", JOSS 2018), never as one nested loop over all indices.
-    The path depends only on the spec and the operand shapes, so it is
-    searched once for each and cached."""
-    path = _greedy_path(spec, tuple(np.shape(op) for op in operands))
-    return np.einsum(spec, *operands, optimize=path)
-
-
-@lru_cache(maxsize=1024)
-def _greedy_path(spec: str, shapes: tuple) -> tuple:
-    operands = (np.broadcast_to(0.0, s) for s in shapes)
-    return tuple(np.einsum_path(spec, *operands, optimize="greedy")[0])
 
 
 def _maxabs(a) -> float:
@@ -99,7 +89,8 @@ class IndexForm:
     their cost follows the non-zero counts, not the dense shapes.
 
     `@` is numpy's matmul on one- to three-axis forms (a leading batch
-    axis on either side), and `+`/`-` add forms of one shape.
+    axis on either side), and `+`/`-` add a form or dense array of one
+    shape.
     """
 
     shape: tuple
@@ -112,8 +103,8 @@ class IndexForm:
         if isinstance(a, IndexForm):
             return a
         a = np.asarray(a)
-        index = np.nonzero(a)
-        return cls(a.shape, index, a[index])
+        flat = np.flatnonzero(a != 0)  # a NaN is not 0
+        return cls(a.shape, np.unravel_index(flat, a.shape), a.reshape(-1)[flat])
 
     def dense(self) -> np.ndarray:
         out = np.zeros(self.shape, dtype=self.values.dtype)
@@ -128,10 +119,12 @@ class IndexForm:
         return IndexForm(self.shape, self.index, np.conj(self.values))
 
     def __add__(self, other) -> IndexForm:
+        other = IndexForm.of(other)
         return _summed(self.shape, tuple(map(np.concatenate, zip(self.index, other.index))),
                        np.concatenate([self.values, other.values]))
 
     def __sub__(self, other) -> IndexForm:
+        other = IndexForm.of(other)
         return self + IndexForm(other.shape, other.index, -other.values)
 
     def __matmul__(self, other) -> IndexForm:
@@ -142,14 +135,20 @@ class IndexForm:
 
 
 def _flat(index, shape) -> np.ndarray:
-    """Row-major flat positions of an index tuple."""
-    return np.ravel_multi_index(tuple(index), tuple(shape))
+    """Row-major flat positions of an index tuple (its one axis, if one)."""
+    return index[0] if len(index) == 1 else np.ravel_multi_index(tuple(index), tuple(shape))
 
 
 def _summed(shape, index, values) -> IndexForm:
     """The form with these (possibly repeated) entries, those at one
-    position summed; sums that are exactly 0 are dropped, a NaN is kept."""
-    keys, where = np.unique(_flat(index, shape), return_inverse=True)
+    position summed in the order given: binned by flat position on a shape
+    of at most 4096 + 4 positions per entry, else by rank, which costs a
+    sort.  Sums that are exactly 0 are dropped, a NaN is kept."""
+    flat = _flat(index, shape)
+    if math.prod(shape) <= 4 * len(flat) + 4096:
+        keys, where = np.arange(math.prod(shape)), flat
+    else:
+        keys, where = np.unique(flat, return_inverse=True)
     sums = np.empty(len(keys), dtype=values.dtype)
     sums.real = np.bincount(where, values.real, len(keys))
     if np.iscomplexobj(values):
@@ -161,8 +160,9 @@ def _summed(shape, index, values) -> IndexForm:
 def _join(a: np.ndarray, b: np.ndarray):
     """Position arrays (i, j) of every pair with a[i] == b[j]."""
     order = np.argsort(b, kind="stable")
-    lo = np.searchsorted(b[order], a, "left")
-    count = np.searchsorted(b[order], a, "right") - lo
+    b = b[order]
+    lo = np.searchsorted(b, a, "left")
+    count = np.searchsorted(b, a, "right") - lo
     i = np.repeat(np.arange(len(a)), count)
     # the matches of a[i] are order[lo[i]], order[lo[i] + 1], ...
     j = order[np.repeat(lo - np.cumsum(count) + count, count) + np.arange(len(i))]
@@ -226,8 +226,7 @@ def _apply(linear: IndexForm, values) -> np.ndarray:
     values = np.asarray(values)
     A = _as_matrix(linear)
     V = values.reshape(math.prod(values.shape[:-2]), A.shape[1])
-    out = np.zeros((len(V), A.shape[0]), dtype=np.result_type(V, A.values))
-    np.add.at(out, (slice(None), A.index[0]), V[:, A.index[1]] * A.values)
+    out = _sparse_contract("nc,rc->nr", V, A).dense()
     return out.reshape(values.shape[:-2] + linear.shape[:-2])
 
 
@@ -297,52 +296,27 @@ class FiniteHopf:
 
     def axiom_report(self) -> dict:
         """Max violation of each Hopf *-algebra axiom; gate before use."""
-        m, c, eps, S, st, u = (
-            self.mul,
-            self.comul,
-            self.counit,
-            self.antipode,
-            self.star,
-            self.unit,
-        )
-        d = self.dim
-        eye = np.eye(d)
-        rep = {}
-        rep["assoc"] = np.abs(
-            _contract("ijx,xkl->ijkl", m, m) - _contract("jkx,ixl->ijkl", m, m)
-        ).max()
-        rep["unit"] = _maxabs(
-            [_contract("i,ijk->jk", u, m) - eye, _contract("j,ijk->ik", u, m) - eye]
-        )
-        rep["coassoc"] = np.abs(
-            _contract("iab,bcd->iacd", c, c) - _contract("ibd,bac->iacd", c, c)
-        ).max()
-        rep["counit"] = _maxabs(
-            [_contract("ijk,j->ik", c, eps) - eye, _contract("ijk,k->ij", c, eps) - eye]
-        )
-        rep["bialgebra"] = np.abs(
-            _contract("ijx,xab->ijab", m, c)
-            - _contract("iac,jbd,abu,cdv->ijuv", c, c, m, m)
-        ).max()
-        rep["counit_hom"] = np.abs(
-            _contract("ijk,k->ij", m, eps) - np.outer(eps, eps)
-        ).max()
-        santi = _contract("ijk,jl,lkx->ix", c, S, m)
-        rep["antipode_left"] = np.abs(santi - np.outer(eps, u)).max()
-        santi_r = _contract("ijk,kl,jlx->ix", c, S, m)
-        rep["antipode_right"] = np.abs(santi_r - np.outer(eps, u)).max()
-        rep["star_involutive"] = np.abs(np.conj(st) @ st - eye).max()
-        # (e_i e_j)^* = e_j^* e_i^* on the basis
-        lhs = _contract("ijk,kl->ijl", np.conj(m), st)
-        rhs = _contract("ja,ib,abl->ijl", st, st, m)
-        rep["star_antimult"] = np.abs(lhs - rhs).max()
-        # Delta(x^*) = (* x *) Delta(x)
-        lhs = _contract("il,lab->iab", st, c)
-        rhs = _contract("ijk,ja,kb->iab", np.conj(c), st, st)
-        rep["star_coalgebra"] = np.abs(lhs - rhs).max()
-        rep["s_star_involutive"] = np.abs(
-            np.conj(st @ S) @ (st @ S) - eye
-        ).max()
+        m, c, eps, S, u = self.mul, self.comul, self.counit, self.antipode, self.unit
+        E, st, eye = _sparse_contract, IndexForm.of(self.star), np.eye(self.dim)
+        T = st @ S
+        rep = {
+            "assoc": E("ijx,xkl->ijkl", m, m) - E("jkx,ixl->ijkl", m, m),
+            "unit": _vstack([E("i,ijk->jk", u, m) - eye, E("j,ijk->ik", u, m) - eye]),
+            "coassoc": E("iab,bcd->iacd", c, c) - E("ibd,bac->iacd", c, c),
+            "counit": _vstack([E("ijk,j->ik", c, eps) - eye, E("ijk,k->ij", c, eps) - eye]),
+            # Delta(e_i e_j) = Delta(e_i) Delta(e_j)
+            "bialgebra": E("ijx,xab->ijab", m, c) - E("iac,abu,jbd,cdv->ijuv", c, m, c, m),
+            "counit_hom": E("ijk,k->ij", m, eps) - np.outer(eps, eps),
+            "antipode_left": E("ijk,jl,lkx->ix", c, S, m) - np.outer(eps, u),
+            "antipode_right": E("ijk,kl,jlx->ix", c, S, m) - np.outer(eps, u),
+            "star_involutive": st.conj() @ st - eye,
+            # (e_i e_j)^* = e_j^* e_i^* on the basis
+            "star_antimult": E("ijk,kl->ijl", np.conj(m), st) - E("ja,abl,ib->ijl", st, m, st),
+            # Delta(x^*) = (* x *) Delta(x)
+            "star_coalgebra": E("il,lab->iab", st, c) - E("ijk,ja,kb->iab", np.conj(c), st, st),
+            "s_star_involutive": T.conj() @ T - eye,
+        }
+        rep = {key: _maxabs(residual) for key, residual in rep.items()}
         rep["max"] = _maxabs(list(rep.values()))
         return rep
 
@@ -436,7 +410,7 @@ class ModuleAlgebra:
         return target, tensor
 
     def mul(self, ta: str, tb: str, x, y):
-        return _contract("i,j,ijk->k", x, y, self.product(ta, tb)[1])
+        return _sparse_contract("i,ijk,j->k", x, self.product(ta, tb)[1], y).dense()
 
     def star(self, t: str, x):
         return np.conj(x) @ self.stars[t]
@@ -451,28 +425,26 @@ class ModuleAlgebra:
         (with the graded sign on M ^ M), the products are associative; then
         the derivation identities."""
         rep = {}
-        H, acts, stars = self.H, self.actions, self.stars
+        E, H, acts, stars, dB = _sparse_contract, self.H, self.actions, self.stars, self.dB
         for t, A in acts.items():
             if A is not None:
                 # (x <| a) <| b = x <| ab
-                rep[f"act{t}_rep"] = _maxabs(
-                    _sparse_contract("iau,ubv->iabv", A, A)
-                    - _sparse_contract("abx,ixv->iabv", H.mul, A)
-                )
+                rep[f"act{t}_rep"] = _maxabs(E("iau,ubv->iabv", A, A)
+                                             - E("abx,ixv->iabv", H.mul, A))
         for (ta, tb), (tc, T) in self.products.items():
             if T is None:
                 continue
             # (x y) <| h = (x <| h_1)(y <| h_2)
             rep[f"equivariant_{ta}{tb}"] = _maxabs(
-                _sparse_contract("xyz,zhk->xyhk", T, acts[tc])
-                - _sparse_contract("hab,xau,ybv,uvk->xyhk", H.comul, acts[ta], acts[tb], T)
+                E("xyz,zhk->xyhk", T, acts[tc])
+                - E("hab,xau,ybv,uvk->xyhk", H.comul, acts[ta], acts[tb], T)
             )
             # (x y)^* = (-1)^{|x||y|} y^* x^*
             sign = (-1) ** (_DEGREE[ta] * _DEGREE[tb])
             _, reverse = self.product(tb, ta)
             rep[f"star_{ta}{tb}"] = _maxabs(
-                _sparse_contract("xyz,zk->xyk", np.conj(T), stars[tc])
-                - _sparse_contract("xu,yv,vuk->xyk", stars[ta], stars[tb], sign * reverse)
+                E("xyz,zk->xyk", np.conj(T), stars[tc])
+                - E("xu,yv,vuk->xyk", stars[ta], stars[tb], sign * reverse)
             )
         # (x y) z = x (y z) for every typed triple whose four products exist;
         # with the equivariance above it makes B x| H associative and its
@@ -485,40 +457,29 @@ class ModuleAlgebra:
                 _, S = self.product(ta, tbc)
             except TargetMismatch:
                 continue
-            rep[f"assoc_{ta}{tb}{tc}"] = _maxabs(
-                _sparse_contract("xyu,uzw->xyzw", P, Q) - _sparse_contract("yzv,xvw->xyzw", R, S)
-            )
-        if self.dB is not None:
+            rep[f"assoc_{ta}{tb}{tc}"] = _maxabs(E("xyu,uzw->xyzw", P, Q)
+                                                 - E("yzv,xvw->xyzw", R, S))
+        if dB is not None:
             # derivation: d(bb') = d(b) b' + b d(b')
-            lhs = _contract("ijx,xm->ijm", self.mulB, self.dB)
-            rhs = _contract("im,mjx->ijx", self.dB, self.rightM) + _contract(
-                "jm,imx->ijx", self.dB, self.leftM
-            )
-            rep["derivation"] = np.abs(lhs - rhs).max()
+            rep["derivation"] = _maxabs(E("ijx,xm->ijm", self.mulB, dB)
+                                        - E("im,mjx->ijx", dB, self.rightM)
+                                        - E("jm,imx->ijx", dB, self.leftM))
             # sign convention in force here: d(b^*) = -d(b)^*
-            lhs = _contract("ij,jm->im", self.starB, np.conj(self.dB))
-            rhs = -_contract("im,mk->ik", np.conj(self.dB), self.starM)
-            rep["star_derivation"] = np.abs(np.conj(lhs) - np.conj(rhs)).max()
+            rep["star_derivation"] = _maxabs(E("ij,jm->im", self.starB, np.conj(dB))
+                                             + E("im,mk->ik", np.conj(dB), self.starM))
             # H-equivariance of dB
-            lhs = _contract("ihk,km->ihm", self.actB, self.dB)
-            rhs = _contract("im,mhk->ihk", self.dB, self.actM)
-            rep["dB_equivariant"] = np.abs(lhs - rhs).max()
+            rep["dB_equivariant"] = _maxabs(E("ihk,km->ihm", self.actB, dB)
+                                            - E("im,mhk->ihk", dB, self.actM))
         if self.wedge is not None:
             # d^2 = 0 and graded Leibniz d1(b m) = dB(b) ^ m + b d1(m)
-            rep["d_squared"] = np.abs(
-                _contract("bm,mo->bo", self.dB, self.d1)
-            ).max()
-            lhs = _contract("bmx,xo->bmo", self.leftM, self.d1)
-            rhs = _contract("bu,umo->bmo", self.dB, self.wedge) + _contract(
-                "mo,boy->bmy", self.d1, self.leftO2
-            )
-            rep["graded_leibniz_left"] = np.abs(lhs - rhs).max()
+            rep["d_squared"] = _maxabs(E("bm,mo->bo", dB, self.d1))
+            rep["graded_leibniz_left"] = _maxabs(E("bmx,xo->bmo", self.leftM, self.d1)
+                                                 - E("bu,umo->bmo", dB, self.wedge)
+                                                 - E("mo,boy->bmy", self.d1, self.leftO2))
             # d1(m b) = d1(m) b - m ^ dB(b)
-            lhs = _contract("mbx,xo->mbo", self.rightM, self.d1)
-            rhs = _contract("mo,oby->mby", self.d1, self.rightO2) - _contract(
-                "bu,muo->mbo", self.dB, self.wedge
-            )
-            rep["graded_leibniz_right"] = np.abs(lhs - rhs).max()
+            rep["graded_leibniz_right"] = _maxabs(E("mbx,xo->mbo", self.rightM, self.d1)
+                                                  - E("mo,oby->mby", self.d1, self.rightO2)
+                                                  + E("bu,muo->mbo", dB, self.wedge))
         rep["max"] = _maxabs(list(rep.values()))
         return rep
 
@@ -569,18 +530,18 @@ def zero_cochain(inst: ModuleAlgebra, target: str = "M") -> ConvolutionElement:
 
 def _const(inst: ModuleAlgebra, x) -> np.ndarray:
     """Values of the cochain h -> eps(h) x; x may carry leading batch axes."""
-    return _contract("h,...v->...hv", inst.H.counit, x)
+    return inst.H.counit[:, None] * np.asarray(x)[..., None, :]
 
 
 def _orbit(inst: ModuleAlgebra, target: str, x) -> np.ndarray:
     """Values of the cochain h -> x <| h; x may carry leading batch axes."""
-    return _contract("...u,uhv->...hv", x, inst.actions[target])
+    return np.tensordot(x, inst.actions[target], axes=1)
 
 
 def convolve(f: ConvolutionElement, g: ConvolutionElement) -> ConvolutionElement:
     """(f * g)(h) = f(h_1) g(h_2) with the typed pointwise product."""
     target, T = f.inst.product(f.target, g.target)
-    vals = _contract("hjk,ja,kb,abc->hc", f.inst.H.comul, f.values, g.values, T)
+    vals = _sparse_contract("hjk,ja,abc,kb->hc", f.inst.H.comul, f.values, T, g.values).dense()
     return ConvolutionElement(f.inst, target, vals)
 
 
@@ -645,14 +606,6 @@ def _hochschild_map(inst: ModuleAlgebra, target: str, K) -> IndexForm:
     )
 
 
-def _hochschild_residual(inst: ModuleAlgebra, target: str, values) -> np.ndarray:
-    """mu(h k) - mu(h) <| k - eps(h) mu(k) on all basis pairs (h, k).
-
-    values may carry leading batch axes; the result is (..., h, k, dim target).
-    """
-    return _apply(_hochschild_map(inst, target, np.eye(inst.H.dim)), values)
-
-
 def _worst_pair(resid: np.ndarray):
     """Largest residual over the basis pairs and the first pair attaining it."""
     per_pair = np.max(np.abs(resid), axis=-1, initial=0.0)
@@ -677,10 +630,10 @@ def check_sweedler_cocycle(sigma: ConvolutionElement) -> dict:
     rep["unit_value"] = _maxabs(sigma.value_at_unit() - inst.unitB)
     # sigma(h k) = (sigma(h) <| k_1) sigma(k_2) on all basis pairs
     s = sigma.values
-    resid = _contract("ijk,kv->ijv", H.mul, s) - _contract(
-        "jab,iu,uax,by,xyv->ijv", H.comul, s, inst.actB, s, inst.mulB
+    resid = _sparse_contract("ijk,kv->ijv", H.mul, s) - _sparse_contract(
+        "jab,uax,iu,xyv,by->ijv", H.comul, inst.actB, s, inst.mulB, s
     )
-    rep["cocycle"], rep["cocycle_worst_pair"] = _worst_pair(resid)
+    rep["cocycle"], rep["cocycle_worst_pair"] = _worst_pair(resid.dense())
     rep["centrality_B"] = centrality(sigma, "B")
     rep["centrality_M"] = centrality(sigma, "M")
     rep["max"] = _maxabs([
@@ -700,8 +653,9 @@ def check_hochschild_cocycle(mu: ConvolutionElement, prolongable: bool = False) 
     rep["unit_value"] = _maxabs(mu.value_at_unit())
     rep["self_adjoint"] = (conv_star(mu) - mu).norm()
     rep["centrality"] = centrality(mu, "B")
+    # mu(h k) - mu(h) <| k - eps(h) mu(k) on all basis pairs (h, k)
     rep["cocycle"], rep["cocycle_worst_pair"] = _worst_pair(
-        _hochschild_residual(inst, mu.target, mu.values)
+        _apply(_hochschild_map(inst, mu.target, np.eye(inst.H.dim)), mu.values)
     )
     vals = [rep["unit_value"], rep["self_adjoint"], rep["centrality"], rep["cocycle"]]
     if prolongable and mu.target == "M" and inst.wedge is not None:
@@ -873,8 +827,13 @@ class CrossedProduct:
         return np.outer(self.H.unit, b).ravel()
 
 
-def _op_gauge(sigma: ConvolutionElement, target: str = "B") -> IndexForm:
-    """`op_gauge_matrix` in index form."""
+def op_gauge_matrix(sigma: ConvolutionElement, target: str = "B") -> IndexForm:
+    """Matrix of Op(sigma) on target x| H: h (x) x -> h_1 (x) sigma(h_2) x.
+
+    On B this is the gauge transformation of the crossed product; on M and
+    O2 it is the induced map on one- and two-forms.  An index form over
+    flattened vectors; `.dense()` gives the array.
+    """
     inst = sigma.inst
     H = inst.H
     _, L = inst.product("B", target)
@@ -884,17 +843,9 @@ def _op_gauge(sigma: ConvolutionElement, target: str = "B") -> IndexForm:
     )
 
 
-def op_gauge_matrix(sigma: ConvolutionElement, target: str = "B") -> np.ndarray:
-    """Matrix of Op(sigma) on target x| H: h (x) x -> h_1 (x) sigma(h_2) x.
-
-    On B this is the gauge transformation of the crossed product; on M and
-    O2 it is the induced map on one- and two-forms.  Flattened vectors.
-    """
-    return _op_gauge(sigma, target).dense()
-
-
-def _op_potential(mu: ConvolutionElement) -> IndexForm:
-    """`op_potential_matrix` in index form."""
+def op_potential_matrix(mu: ConvolutionElement) -> IndexForm:
+    """Matrix of Op(mu)(h (x) b) = h . dB(b) + h_1 . mu(h_2) . b, an index
+    form over flattened vectors."""
     inst = mu.inst
     H = inst.H
     if inst.dB is None:
@@ -902,11 +853,6 @@ def _op_potential(mu: ConvolutionElement) -> IndexForm:
     term1 = _sparse_contract("ij,bm->ibjm", np.eye(H.dim), inst.dB)
     term2 = _sparse_contract("ijk,km,mbe->ibje", H.comul, mu.values, inst.rightM)
     return (term1 + term2).reshape(H.dim * inst.dimB, H.dim * inst.dimM)
-
-
-def op_potential_matrix(mu: ConvolutionElement) -> np.ndarray:
-    """Matrix of Op(mu)(h (x) b) = h . dB(b) + h_1 . mu(h_2) . b."""
-    return _op_potential(mu).dense()
 
 
 def op_report(inst: ModuleAlgebra, sigma: ConvolutionElement,
@@ -939,7 +885,7 @@ def op_report(inst: ModuleAlgebra, sigma: ConvolutionElement,
     cp = CrossedProduct(inst)
     labels, X = cp.generators()
     X = IndexForm.of(X)
-    F, Fm = _op_gauge(sigma), _op_gauge(sigma, "M")
+    F, Fm = op_gauge_matrix(sigma), op_gauge_matrix(sigma, "M")
     XF = X @ F
     LB, LM = cp.left("B", "B", X), cp.left("B", "M", X)
     rep = {"op_sigma_hom": _maxabs(LB @ F - F @ cp.left("B", "B", XF))}
@@ -955,20 +901,20 @@ def op_report(inst: ModuleAlgebra, sigma: ConvolutionElement,
         cp.right("M", "B", X) @ Fm - Fm @ cp.right("M", "B", XF)
     )
     if inst.wedge is not None:
-        Fo = _op_gauge(sigma, "O2")
+        Fo = op_gauge_matrix(sigma, "O2")
         EM = IndexForm.of(np.kron(inst.H.unit, np.eye(inst.dimM)))
         rep["op_sigma_prolongable"] = _maxabs([
             _maxabs(cp.right("O2", "B", X) @ Fo - Fo @ cp.right("O2", "B", XF)),
             _maxabs(cp.right("M", "M", EM) @ Fo - Fm @ cp.right("M", "M", EM @ Fm)),
         ])
     if mu is not None:
-        D = _op_potential(mu)
+        D = op_potential_matrix(mu)
         # derivation: D(xy) = D(x).y + x.D(y)
         rep["op_mu_derivation"] = _maxabs(LB @ D - cp.left("M", "B", X @ D) - D @ LM)
     if upsilon is not None:
         # Ad_upsilon(x) = eu . x . eus
         upsilon = np.asarray(upsilon, dtype=complex)
-        FD = _op_gauge(coboundary_S(inst, upsilon))
+        FD = op_gauge_matrix(coboundary_S(inst, upsilon))
         eu, eus = cp.embed_B(upsilon)[None], cp.embed_B(inst.star("B", upsilon))[None]
         ad = cp.left("B", "B", eu) @ cp.right("B", "B", eus)
         rep["op_coboundary_is_ad"] = _maxabs(FD - ad.reshape(*FD.shape))
@@ -978,8 +924,8 @@ def op_report(inst: ModuleAlgebra, sigma: ConvolutionElement,
         # restriction to B is d_B
         rep["op_mu_restricts"] = _maxabs(EB @ D - IndexForm.of(np.kron(inst.H.unit, inst.dB)))
         # gauge compatibility
-        Finv = _op_gauge(conv_inverse(sigma))
-        target = _op_potential(conj_action(sigma, mu) + mc_cocycle(sigma))
+        Finv = op_gauge_matrix(conv_inverse(sigma))
+        target = op_potential_matrix(conj_action(sigma, mu) + mc_cocycle(sigma))
         rep["op_gauge_compat"] = _maxabs(Finv @ D @ Fm - target)
     rep["max"] = _maxabs(list(rep.values()))
     rep["generators"] = labels

@@ -398,12 +398,12 @@ def pell_unit(delta: int) -> OrderUnit:
 
 @dataclass(frozen=True)
 class StabilizerMatrix:
-    """Element of SL(2,Z)_theta."""
+    """Element (a, b; c, d) of SL(2,Z)_theta; Phi(eps^m) is (a_m, b_m; c_m, d_m)."""
 
-    g11: int
-    g12: int
-    g21: int
-    g22: int
+    a: int
+    b: int
+    c: int
+    d: int
 
     def __post_init__(self):
         if self.det != 1:
@@ -411,28 +411,28 @@ class StabilizerMatrix:
 
     @property
     def det(self) -> int:
-        return self.g11 * self.g22 - self.g12 * self.g21
+        return self.a * self.d - self.b * self.c
 
     def entries(self):
-        return (self.g11, self.g12, self.g21, self.g22)
+        return (self.a, self.b, self.c, self.d)
 
     def __matmul__(self, other: "StabilizerMatrix") -> "StabilizerMatrix":
         return StabilizerMatrix(
-            self.g11 * other.g11 + self.g12 * other.g21,
-            self.g11 * other.g12 + self.g12 * other.g22,
-            self.g21 * other.g11 + self.g22 * other.g21,
-            self.g21 * other.g12 + self.g22 * other.g22,
+            self.a * other.a + self.b * other.c,
+            self.a * other.b + self.b * other.d,
+            self.c * other.a + self.d * other.c,
+            self.c * other.b + self.d * other.d,
         )
 
     def inverse(self) -> "StabilizerMatrix":
-        return StabilizerMatrix(self.g22, -self.g12, -self.g21, self.g11)
+        return StabilizerMatrix(self.d, -self.b, -self.c, self.a)
 
     def acts_on(self, x: FieldElement) -> FieldElement:
-        """Fractional-linear action (g11*x + g12)/(g21*x + g22)."""
-        return (self.g11 * x + self.g12) / (self.g21 * x + self.g22)
+        """Fractional-linear action (a*x + b)/(c*x + d)."""
+        return (self.a * x + self.b) / (self.c * x + self.d)
 
     def __repr__(self):
-        return f"[[{self.g11}, {self.g12}], [{self.g21}, {self.g22}]]"
+        return f"[[{self.a}, {self.b}], [{self.c}, {self.d}]]"
 
 
 IDENTITY = StabilizerMatrix(1, 0, 0, 1)
@@ -464,37 +464,23 @@ def phi(unit: OrderUnit, t: QuadraticIrrational) -> StabilizerMatrix:
 
 
 def phi_inverse(g: StabilizerMatrix, t: QuadraticIrrational) -> FieldElement:
-    """Phi^{-1}(g) = g21*theta + g22, exactly in Q[sqrt(Delta)]."""
+    """Phi^{-1}(g) = c*theta + d, exactly in Q[sqrt(Delta)]."""
     if not stabilizes(g, t):
         raise NotStabilizer(f"{g} does not fix theta")
-    return g.g21 * t.as_field_element() + g.g22
+    return g.c * t.as_field_element() + g.d
 
 
-@dataclass(frozen=True)
-class UnitPowerData:
-    """Integer entries (a_m, b_m; c_m, d_m) of Phi(eps^m)."""
-
-    m: int
-    a: int
-    b: int
-    c: int
-    d: int
-
-    def matrix(self) -> StabilizerMatrix:
-        return StabilizerMatrix(self.a, self.b, self.c, self.d)
-
-
-def unit_power_data(m: int, t: QuadraticIrrational) -> UnitPowerData:
-    """Entries of Phi(eps^m); see `ThetaContext.power`."""
+def unit_power_data(m: int, t: QuadraticIrrational) -> StabilizerMatrix:
+    """Phi(eps^m); see `ThetaContext.power`."""
     return ThetaContext(t).power(m)
 
 
 class ThetaContext:
     """Bundle of exact data for one quadratic irrationality.
 
-    Caches the Pell unit, Phi(eps^m) entries, and exact and float powers of
-    eps; shared by the torus/Heisenberg/gauge layers so every exact quantity
-    has a single source.
+    Caches the Pell unit, the matrices Phi(eps^m), and exact and float
+    powers of eps; shared by the torus/Heisenberg/gauge layers so every
+    exact quantity has a single source.
     """
 
     def __init__(self, t: QuadraticIrrational):
@@ -504,9 +490,7 @@ class ThetaContext:
         self.theta_float = float(t)
         self.eps_float = float(self.eps)
         self._g1 = phi(self.unit, t)
-        self._powers: dict[int, UnitPowerData] = {
-            0: UnitPowerData(0, *IDENTITY.entries())
-        }
+        self._powers: dict[int, StabilizerMatrix] = {0: IDENTITY}
         self._eps_powers: dict[int, FieldElement] = {}
         self._eps_floats: dict[int, float] = {}
 
@@ -514,8 +498,8 @@ class ThetaContext:
     def from_rational(cls, p, q, d: int) -> "ThetaContext":
         return cls(classify(p, q, d))
 
-    def power(self, m: int) -> UnitPowerData:
-        """Entries of Phi(eps^m) by exact integer matrix products.
+    def power(self, m: int) -> StabilizerMatrix:
+        """Phi(eps^m) by exact integer matrix products.
 
         eps is the norm-positive fundamental unit for the discriminant of
         theta; negative m steps with the exact SL(2,Z) inverse.  Each new m
@@ -527,11 +511,10 @@ class ThetaContext:
             k = m
             while k not in self._powers:
                 k -= step
-            out = self._powers[k].matrix()
+            out = self._powers[k]
             while k != m:
                 k += step
-                out = out @ g
-                self._powers[k] = UnitPowerData(k, *out.entries())
+                out = self._powers[k] = out @ g
         return self._powers[m]
 
     def c(self, m: int) -> int:

@@ -59,7 +59,8 @@ class TorusElement:
         if coeffs:
             for (m, n), v in coeffs.items():
                 v = complex(v)
-                if v != 0 and abs(v) > tol:
+                # a NaN is kept, as `_of` keeps it
+                if v != 0 and not abs(v) <= tol:
                     cc[(int(m), int(n))] = v
         self.coeffs = cc
 

@@ -539,8 +539,8 @@ class TestOp:
         inst = jet_instance(3)
         s = coboundary_S(inst, jet_unitary(inst, rng=rng))
         t = coboundary_S(inst, jet_unitary(inst, rng=rng))
-        M_st = op_gauge_matrix(convolve(s, t))
-        M_s, M_t = op_gauge_matrix(s), op_gauge_matrix(t)
+        M_st = op_gauge_matrix(convolve(s, t)).dense()
+        M_s, M_t = op_gauge_matrix(s).dense(), op_gauge_matrix(t).dense()
         # row-vector convention: x (Op(t) then Op(s)) = x @ M_t @ M_s
         assert np.abs(M_st - M_t @ M_s).max() < 1e-12
 

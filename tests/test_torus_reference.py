@@ -133,8 +133,8 @@ class TestBitIdentity:
         assert bits(x * -1.0) == bits(reference_mul(x, -1.0))
 
     def test_an_overflowed_difference_stays_visible(self):
-        # (1e300)^2 is inf + nan i; p - p is nan + nan i, which the public
-        # constructor would drop (abs(nan) > 0 is false) and read as 0
+        # (1e300)^2 is inf + nan i; p - p is nan + nan i, which must not
+        # be dropped and read as 0
         big = TorusElement(THETAS[0], {(0, 0): 1e300})
         p = big * big
         assert math.isnan((p - p).norm())
@@ -150,6 +150,14 @@ class TestBitIdentity:
         assert list(x.coeffs) == [(1, 2)]
         assert all(type(i) is int for i in next(iter(x.coeffs)))
         assert type(x.coeffs[(1, 2)]) is complex
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-12])
+    def test_public_constructor_keeps_nan(self, tol):
+        # as `_of` does: a NaN coefficient is not below any tolerance
+        x = TorusElement(THETAS[0], {(0, 0): math.nan, (1, 0): complex(0, math.nan)}, tol=tol)
+        assert len(x.coeffs) == 2
+        assert math.isnan(x.norm())
+        assert math.isnan(TorusElement(THETAS[0], {(0, 0): math.nan}).norm())
 
 
 class TestPhaseCache:
