@@ -141,14 +141,9 @@ def _flat(index, shape) -> np.ndarray:
 
 def _summed(shape, index, values) -> IndexForm:
     """The form with these (possibly repeated) entries, those at one
-    position summed in the order given: binned by flat position on a shape
-    of at most 4096 + 4 positions per entry, else by rank, which costs a
-    sort.  Sums that are exactly 0 are dropped, a NaN is kept."""
-    flat = _flat(index, shape)
-    if math.prod(shape) <= 4 * len(flat) + 4096:
-        keys, where = np.arange(math.prod(shape)), flat
-    else:
-        keys, where = np.unique(flat, return_inverse=True)
+    position summed in the order given; sums that are exactly 0 are
+    dropped, a NaN is kept."""
+    keys, where = np.unique(_flat(index, shape), return_inverse=True)
     sums = np.empty(len(keys), dtype=values.dtype)
     sums.real = np.bincount(where, values.real, len(keys))
     if np.iscomplexobj(values):
