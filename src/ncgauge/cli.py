@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import contextlib
+import functools
 import json
 import math
 import os
@@ -265,15 +266,16 @@ def cmd_torus_check(args) -> tuple[dict, list]:
         x = torus.random_sparse(th, rng)
         y = torus.random_sparse(th, rng)
         z = torus.random_sparse(th, rng)
+        xy = x * y
         scale = max(x.norm() * y.norm() * z.norm(), 1.0)
-        samples["associativity"].append(((x * y) * z - x * (y * z)).norm() / scale)
+        samples["associativity"].append((xy * z - x * (y * z)).norm() / scale)
         samples["star_antimultiplicative"].append(
-            (torus.star(x * y) - torus.star(y) * torus.star(x)).norm()
+            (torus.star(xy) - torus.star(y) * torus.star(x)).norm()
             / max(x.norm() * y.norm(), 1.0)
         )
         for j in (1, 2):
             samples["delta_leibniz"].append(
-                ((x * y).delta(j) - (x.delta(j) * y + x * y.delta(j))).norm()
+                (xy.delta(j) - (x.delta(j) * y + x * y.delta(j))).norm()
                 / max(x.norm() * y.norm(), 1.0)
             )
         samples["d_squared"].append(torus.d_B1(torus.d_B(x)).norm() / max(x.norm(), 1.0))
@@ -285,8 +287,9 @@ def cmd_torus_check(args) -> tuple[dict, list]:
 
 
 # Sample arrays of one grade that the commutator eigenvalue table holds at
-# once: f, partial_2 f, its derivative and the temporaries of the finite
-# difference (tracemalloc peak: 5.0 to 5.1 arrays for sqrt2 at m = 3, 4, 5).
+# once (tracemalloc peak: 5.0 to 5.1 arrays for sqrt2 at m = 3, 4, 5).  The
+# finite difference writes into one array and stays at 4; f, the commutator
+# and the temporaries of their trapezoid inner product set the peak.
 COMMUTATOR_ARRAYS = 5
 
 
@@ -720,12 +723,19 @@ COMMANDS = {
 }
 
 
+@functools.lru_cache(maxsize=1)
+def default_parser() -> argparse.ArgumentParser:
+    """The parser with the built-in defaults, built once per process;
+    parsing leaves it unchanged, so every call of `main` can reuse it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     """Run one subcommand; the exit code is 0 (pass), 1 (a check failed),
     2 (a configuration or usage error) or 0 after --help, also when main
     is called in-process: argparse's own exit comes back as a return."""
     try:
-        args = build_parser().parse_args(argv)
+        args = default_parser().parse_args(argv)
         config = {k.replace("-", "_"): v for k, v in load_config(args.config).items()}
         # an entry naming an option becomes its default, parsed as the flag's
         # text; null keeps the built-in default

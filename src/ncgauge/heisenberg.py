@@ -13,8 +13,17 @@ Translations by irrational amounts are done with not-a-knot cubic splines
 the continuous derivation with 4th-order centered finite differences, and
 integrals with the trapezoid rule.  The splines are numpy only: each
 element holds one coefficient table for all its sectors, whose slopes come
-from one tridiagonal solve by parallel cyclic reduction, and the kernels
-read it in batches of sectors.
+from one tridiagonal solve by parallel cyclic reduction.
+
+There are two reads of the table.  `evaluate` takes arbitrary points and
+finds each one's interval.  `translate` takes the grid translated by one
+shift per row, which meets every interval at the same offset, so a row is
+Horner's rule on a window of the table with one scalar; it serves the V
+translations of the module actions and the g-factor of the lattice sum.
+The scaled grids (the f-factor of the lattice sum, the torus pairing, the
+star) go through `evaluate`.  Every kernel reads in blocks of at most
+_ROW_BUDGET rows of N points, which bounds its temporaries whatever the
+number of sectors or of terms.
 """
 
 from __future__ import annotations
@@ -25,6 +34,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .quadfield import ThetaContext
 from .torus import TorusElement
@@ -131,14 +141,15 @@ def _slope_levels(N: int) -> tuple:
     return tuple(levels), 1.0 / b
 
 
-def spline_table(samples: np.ndarray, h: float) -> np.ndarray:
+def spline_table(samples: np.ndarray, h: float, out: np.ndarray | None = None) -> np.ndarray:
     """Not-a-knot cubic coefficients of every row of `samples`, shape (4, S, N-1).
 
     Row s on [x_i, x_i + h] is sum_j table[j, s, i] (x - x_i)^(3-j), the
     layout of scipy's `CubicSpline.c`.  The slopes solve the system of
     `_slope_levels` with right-hand sides (5 m_0 + m_1)/2, then
     3 (m_{i-1} + m_i), then (m_{N-3} + 5 m_{N-2})/2, where
-    m_i = (y_{i+1} - y_i)/h; the coefficients are the Hermite formulas.
+    m_i = (y_{i+1} - y_i)/h; the coefficients are the Hermite formulas,
+    written into `out` when it is given.
     """
     S, N = samples.shape
     slope = np.diff(samples, axis=1) / h
@@ -154,12 +165,20 @@ def spline_table(samples: np.ndarray, h: float) -> np.ndarray:
         rhs = nxt
     s = rhs * inv_diag
     t = (s[:, :-1] + s[:, 1:] - 2.0 * slope) / h
-    table = np.empty((4, S, N - 1), dtype=slope.dtype)
+    table = np.empty((4, S, N - 1), dtype=slope.dtype) if out is None else out
     table[0] = t / h
     table[1] = (slope - s[:, :-1]) / h - t
     table[2] = s[:, :-1]
     table[3] = samples[:, :-1]
     return table
+
+
+# Rows of N points that one spline read holds at a time: the kernels read
+# in blocks of at most this many rows, which bounds their temporaries.  An
+# 8-row `evaluate` keeps its working set (about 90 KB a row at N = 1024) in
+# L2; on a 2-vCPU Xeon VM with 2 MB of L2 a core, a row read 16 or 32 at a
+# time cost twice as much.
+_ROW_BUDGET = 8
 
 
 class HeisenbergElement:
@@ -169,7 +188,7 @@ class HeisenbergElement:
     table cached on the first read always describes them.
     """
 
-    __slots__ = ("m", "samples", "ctx", "grid", "_table")
+    __slots__ = ("m", "samples", "ctx", "grid", "_table", "_windows")
 
     def __init__(self, m: int, samples: np.ndarray, ctx: ThetaContext, grid: GridSpec):
         if m == 0:
@@ -188,11 +207,35 @@ class HeisenbergElement:
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "_table", None)
+        object.__setattr__(self, "_windows", None)
 
     def __setattr__(self, *a):
         raise AttributeError("HeisenbergElement is immutable")
 
     # -- numeric plumbing -------------------------------------------------
+    def _coefficients(self) -> np.ndarray:
+        """The spline table, flat, shape (4, (S + 2)(N + 1)); built on the first read.
+
+        Sector s holds the entries [(s + 1)(N + 1), (s + 2)(N + 1)): its N - 1
+        intervals between two constant pieces that hold the end samples (x = L
+        reads the right one, and a translated point that rounding carries
+        just past an end reads either).  A zero sector before the first and
+        after the last keeps a window of N entries that starts anywhere in a
+        sector inside the table.
+        """
+        if self._table is None:
+            S, N = self.samples.shape
+            table = np.zeros((4, S + 2, N + 1), dtype=complex)
+            # written in place: a separate table would add its size to the peak
+            spline_table(self.samples, self.grid.h, out=table[:, 1:-1, 1:-1])
+            table[3, 1:-1, 0] = self.samples[:, 0]
+            table[3, 1:-1, -1] = self.samples[:, -1]
+            table = table.reshape(4, -1)
+            object.__setattr__(self, "_table", table)
+            # row j of _windows[c] is the N entries of coefficient c from j on
+            object.__setattr__(self, "_windows", sliding_window_view(table, N, axis=1))
+        return self._table
+
     def evaluate(self, pts: np.ndarray, sector) -> np.ndarray:
         """Spline reads at arbitrary points, zero outside the window.
 
@@ -205,27 +248,62 @@ class HeisenbergElement:
         zeroed, by position; a NaN read inside the window (an overflowing
         spline, or a NaN point) stays NaN, so every check built on it fails.
         """
-        if self._table is None:
-            table = spline_table(self.samples, self.grid.h)
-            object.__setattr__(self, "_table", table.reshape(4, -1))
+        table = self._coefficients()
         S, N = self.samples.shape
         L, h = self.grid.L, self.grid.h
         pts = np.asarray(pts, dtype=float)
         rows = (np.asarray(sector) % S)[..., None]
         # reads outside the window are zeroed below; clipping keeps them finite
         dx = np.clip(pts, -L, L)
-        # x + L >= 0, and fmin sends a NaN point to the last interval, where
-        # its read stays NaN
-        idx = np.fmin((dx + L) / h, N - 2).astype(np.intp)
+        # x + L >= 0, x = L reads the end piece, and fmin sends a NaN point
+        # there too, where its read stays NaN
+        idx = np.fmin((dx + L) / h, N - 1).astype(np.intp)
         dx -= self.grid.xs[idx]
-        flat = idx + (N - 1) * rows
-        c0, c1, c2, c3 = self._table
+        flat = idx + 1 + (N + 1) * (rows + 1)
+        c0, c1, c2, c3 = table
         vals = c0.take(flat)
         for c in (c1, c2, c3):
             vals *= dx
             vals += c.take(flat)
         np.copyto(vals, 0.0, where=(pts < -L) | (pts > L))
         return vals
+
+    def translate(self, shifts, sectors) -> np.ndarray:
+        """Spline reads on translated grids: sector `sectors[r]` at xs + `shifts[r]`.
+
+        The shifts and sectors broadcast against each other; the result has
+        their shape and a trailing axis of N points.  A translated grid
+        meets every interval at the same offset t - q h, q = floor(t/h), so
+        a row is Horner's rule with that one scalar on a window of N
+        consecutive table entries: no interval index per point.  The reads
+        are `evaluate(xs + t, sector)` to rounding, zero where xs + t lies
+        outside [-L, L], and NaN for a NaN shift or a NaN spline.
+        """
+        self._coefficients()
+        S, N = self.samples.shape
+        L, h = self.grid.L, self.grid.h
+        shifts, sectors = np.broadcast_arrays(np.asarray(shifts, dtype=float),
+                                              np.asarray(sectors) % S)
+        shape = shifts.shape + (N,)
+        shifts = shifts.ravel()
+        q = np.floor(shifts / h)
+        # no point of a row with |q| >= N, or with an infinite shift, is inside
+        # the window; such a row reads at q = 0, which keeps it in the table
+        far = ~(np.abs(q) < N)
+        q[far] = 0.0
+        dx = np.where(far & ~np.isnan(shifts), 0.0, shifts - q * h)[:, None]
+        starts = (N + 1) * (sectors.ravel() + 1) + 1 + q.astype(np.intp)
+        c0, c1, c2, c3 = self._windows
+        vals = c0[starts]
+        # the real and imaginary parts scale by the same real offset
+        parts = vals.view(float)
+        for c in (c1, c2, c3):
+            parts *= dx
+            vals += c[starts]
+        outside = np.add.outer(shifts, self.grid.xs)
+        np.abs(outside, out=outside)
+        np.copyto(vals, 0.0, where=outside > L)
+        return vals.reshape(shape)
 
     def with_samples(self, samples: np.ndarray) -> "HeisenbergElement":
         return HeisenbergElement(self.m, samples, self.ctx, self.grid)
@@ -305,38 +383,70 @@ class HeisenbergElement:
 # -- module actions ---------------------------------------------------------
 
 
-def _u_rows(x_arg: np.ndarray, nums, den: int, terms) -> np.ndarray:
-    """Rows sum_r coeff_r e^{2 pi i r (x_arg - nums[k]/den)}, one per sector k.
-
-    The phase factors into an x part, whose powers come by recurrence over
-    the range of r present (|e^{2 pi i x}| = 1, so the inverse is the
-    conjugate), and a sector part, an exact root of unity from the integer
-    residue of r * nums[k] mod den; one contraction joins the two.  The
-    integers nums are taken mod den first, so the products stay small.
-    """
-    nums = np.array([n % den for n in nums], dtype=np.int64)
-    lo = min(0, *(r for r, _ in terms))
-    hi = max(0, *(r for r, _ in terms))
-    ex = np.exp(2j * np.pi * x_arg)
+def _powers(ex: np.ndarray, lo: int, hi: int, unit=1.0) -> np.ndarray:
+    """Rows unit * ex^r for lo <= r <= hi, lo <= 0 <= hi, by recurrence from
+    r = 0 (|ex| = 1, so the inverse is the conjugate)."""
     powers = np.empty((hi - lo + 1, ex.size), dtype=complex)
-    powers[-lo] = 1.0
+    powers[-lo] = unit
     for r in range(1, hi + 1):
         np.multiply(powers[r - 1 - lo], ex, out=powers[r - lo])
     inv = np.conj(ex)
     for r in range(-1, lo - 1, -1):
         np.multiply(powers[r + 1 - lo], inv, out=powers[r - lo])
-    weights = np.zeros((nums.size, hi - lo + 1), dtype=complex)
-    for r, coeff in terms:
-        weights[:, r - lo] += coeff * np.exp(-2j * np.pi * ((r * nums) % den) / den)
-    return np.einsum("kr,rn->kn", weights, powers, optimize=False)
+    return powers
 
 
-def _by_v_power(b: TorusElement) -> dict:
-    """The terms of b grouped by V power: {s: [(r, coeff), ...]}."""
-    by_s: dict = {}
-    for (r, s), coeff in b.coeffs.items():
-        by_s.setdefault(s, []).append((r, coeff))
-    return by_s
+def _torus_action(f: HeisenbergElement, b: TorusElement, scale: float, shift: float,
+                  drift: float, nums, sources) -> HeisenbergElement:
+    """The module action of b = sum b_{rs} U^r V^s on f, shared by both sides.
+
+    Output sector k at x is
+        sum_{r,s} b_{rs} e^{2 pi i r (x/scale + drift s - nums(k, s)/c_m)}
+                  f(x + shift s, sources(k, s)).
+    A row is one pair (k, s), read by `translate`.  Its phase is the powers
+    of e^{2 pi i x/scale}, one table for every row, contracted with one
+    weight per (k, s, r): b_{rs} e^{2 pi i r drift s} times the root of
+    unity of the integer residue of r nums(k, s) mod c_m.  A block of rows
+    is whole sectors k, or part of the V powers of one sector when they
+    alone pass _ROW_BUDGET: one read, one contraction over the powers it
+    uses, and a sum over s into its sectors.  A block with no shift reads
+    the samples themselves.
+    """
+    c = f.ctx.c(f.m)
+    S = f.samples.shape[0]
+    out = np.zeros_like(f.samples)
+    if not b.coeffs:
+        return f.with_samples(out)
+    keys = np.array(list(b.coeffs), dtype=np.int64)
+    lo, hi = min(0, keys[:, 0].min()), max(0, keys[:, 0].max())
+    rs = np.arange(lo, hi + 1)
+    vs, at = np.unique(keys[:, 1], return_inverse=True)
+    coeffs = np.zeros((vs.size, rs.size), dtype=complex)
+    coeffs[at, keys[:, 0] - lo] = list(b.coeffs.values())
+    coeffs *= np.exp(2j * np.pi * drift * np.outer(vs, rs))
+    # the powers that V power s uses: rs[first[s]:last[s]]
+    used = coeffs != 0
+    first, last = used.argmax(axis=1), rs.size - used[:, ::-1].argmax(axis=1)
+    ks = np.arange(S)[:, None]
+    weights = coeffs * np.exp(-2j * np.pi * ((rs * (nums(ks, vs) % c)[..., None]) % c) / c)
+    shifts = shift * vs
+    sectors = sources(ks, vs)
+    powers = _powers(np.exp(2j * np.pi * (f.grid.xs / scale)), lo, hi)
+    k_step = max(1, _ROW_BUDGET // vs.size)
+    s_step = min(vs.size, _ROW_BUDGET)
+    for k0 in range(0, S, k_step):
+        k1 = min(k0 + k_step, S)
+        for s0 in range(0, vs.size, s_step):
+            s1 = min(s0 + s_step, vs.size)
+            span = slice(first[s0:s1].min(), last[s0:s1].max())
+            phase = np.einsum("ksr,rx->ksx", weights[k0:k1, s0:s1, span], powers[span],
+                              optimize=False)
+            if shifts[s0:s1].any():
+                phase *= f.translate(shifts[s0:s1], sectors[k0:k1, s0:s1])
+            else:
+                phase *= f.samples[sectors[k0:k1, s0:s1]]
+            out[k0:k1] += phase.sum(axis=1)
+    return f.with_samples(out)
 
 
 def _generator(gen: str, theta: float) -> TorusElement:
@@ -361,37 +471,24 @@ def right_act_torus(f: HeisenbergElement, b: TorusElement) -> HeisenbergElement:
     """f . b for b = sum b_{rs} U^r V^s.
 
     (f.U)(x,k) = e^{2 pi i (x - k d_m/c_m)} f(x,k);
-    (f.V)(x,k) = f(x - eps^m/c_m, k-1).  Monomials sharing the V power
-    share one translation; the U phases, evaluated at the translated
-    coordinates, are applied analytically on top, so each distinct s is
-    one read of all sectors.
+    (f.V)(x,k) = f(x - eps^m/c_m, k-1).  The monomial U^r V^s reads sector
+    k - s at x - s eps^m/c_m, and its U phase at those translated points is
+    e^{2 pi i r x} e^{-2 pi i r s eps^m/c_m} e^{-2 pi i r (k - s) d_m/c_m}.
     """
-    ctx, grid, m = f.ctx, f.grid, f.m
-    p = ctx.power(m)
+    p = f.ctx.power(f.m)
     S = f.samples.shape[0]
-    out = np.zeros_like(f.samples)
-    for s, terms in _by_v_power(b).items():
-        pts = grid.xs - s * ctx.eps_pow_float(m) / p.c
-        phases = _u_rows(pts, [(k - s) * p.d for k in range(S)], p.c, terms)
-        src = [(k - s) % S for k in range(S)]
-        out += phases * (f.evaluate(pts, src) if s != 0 else f.samples[src])
-    return f.with_samples(out)
+    step = f.ctx.eps_pow_float(f.m) / p.c
+    return _torus_action(f, b, 1.0, -step, -step,
+                         lambda k, s: (k - s) * p.d, lambda k, s: (k - s) % S)
 
 
 def left_act_torus(b: TorusElement, f: HeisenbergElement) -> HeisenbergElement:
     """b . f: per monomial, first V^s (translation by s/c_m and sector
     shift by s a_m), then the U^r phase e^{2 pi i r (x/eps^m - k/c_m)}."""
-    ctx, grid, m = f.ctx, f.grid, f.m
-    p = ctx.power(m)
+    p = f.ctx.power(f.m)
     S = f.samples.shape[0]
-    xs = grid.xs
-    scaled = xs / ctx.eps_pow_float(m)
-    out = np.zeros_like(f.samples)
-    for s, terms in _by_v_power(b).items():
-        phases = _u_rows(scaled, range(S), p.c, terms)
-        src = [(k - s * p.a) % S for k in range(S)]
-        out += phases * (f.evaluate(xs - s / p.c, src) if s != 0 else f.samples[src])
-    return f.with_samples(out)
+    return _torus_action(f, b, f.ctx.eps_pow_float(f.m), -1.0 / p.c, 0.0,
+                         lambda k, s: k, lambda k, s: (k - s * p.a) % S)
 
 
 # -- star --------------------------------------------------------------------
@@ -403,8 +500,11 @@ def star_heis(f: HeisenbergElement) -> HeisenbergElement:
     p = ctx.power(m)
     S = f.samples.shape[0]
     xs = grid.xs
-    scl = ctx.eps_pow_float(m)
-    out = np.conj(f.evaluate(scl * xs, [(-p.a * k) % S for k in range(S)]))
+    pts = ctx.eps_pow_float(m) * xs
+    out = np.empty_like(f.samples)
+    for start in range(0, S, _ROW_BUDGET):
+        ks = np.arange(start, min(start + _ROW_BUDGET, S))
+        out[ks] = np.conj(f.evaluate(pts, (-p.a * ks) % S))
     if f.samples.any() and not out.any():
         raise WindowOverflow(
             f"star of grade {m} is zero on the grid though its argument is not; "
@@ -424,17 +524,19 @@ def star_heis(f: HeisenbergElement) -> HeisenbergElement:
 
 # -- twisted derivations ------------------------------------------------------
 
-_FD4 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
-
 
 def _derivative(samples: np.ndarray, h: float) -> np.ndarray:
-    """4th-order centered first derivative, zero-padded (Schwartz decay)."""
-    padded = np.pad(samples, ((0, 0), (2, 2)))
+    """4th-order centered first derivative, zero outside the window
+    (Schwartz decay): (f[j-2] - 8 f[j-1] + 8 f[j+1] - f[j+2]) / (12 h),
+    written into one array by slice updates."""
     out = np.zeros_like(samples)
-    for off, w in zip(range(-2, 3), _FD4):
-        if w != 0.0:
-            out += w * padded[:, 2 + off : 2 + off + samples.shape[1]]
-    return out / h
+    out[:, :-1] += samples[:, 1:]
+    out[:, 1:] -= samples[:, :-1]
+    out *= 8.0
+    out[:, 2:] += samples[:, :-2]
+    out[:, :-2] -= samples[:, 2:]
+    out /= 12.0 * h
+    return out
 
 
 def partial_heis(j: int, f: HeisenbergElement) -> HeisenbergElement:
@@ -568,8 +670,13 @@ def _pair_to_torus(f: HeisenbergElement, g: HeisenbergElement) -> TorusElement:
     form one (2 b1 + 1, N) table built by recurrence, and the powers of
     omega one (2 b1 + 1, S) matrix, so each V-row is S spline reads, one
     contraction over the grid points and a sum over sectors.  The rows
-    read in batches: every row |n2| < modes, which the stopping rule
-    never skips, in one read, then the pairs (n2, -n2).
+    (n2, k) are read in blocks of at most _ROW_BUDGET: first every row
+    |n2| < modes, which the stopping rule never skips, then the pairs
+    (n2, -n2), two to a call while the last pair was loud and one after a
+    quiet pair.  The rule, replayed pair by pair, stops after two quiet
+    pairs in a row, which is always the last pair of a call: every pair
+    read is one that a pair-by-pair read takes, so the coefficients, keys
+    and warnings are the same.
     """
     ctx, grid = f.ctx, f.grid
     m = g.m
@@ -584,46 +691,56 @@ def _pair_to_torus(f: HeisenbergElement, g: HeisenbergElement) -> TorusElement:
     n1s = np.arange(-b1, b1 + 1)
     e0 = np.exp(-2j * np.pi * scaled / ctx.eps_pow_float(f.m))
     steps = np.diff(xs) / 2.0
-    weighted = np.empty((n1s.size, grid.N), dtype=complex)
-    weighted[b1, :-1] = steps
-    weighted[b1, -1] = 0.0
-    weighted[b1, 1:] += steps
-    e0_inv = np.conj(e0)
-    for n in range(1, b1 + 1):
-        np.multiply(weighted[b1 + n - 1], e0, out=weighted[b1 + n])
-        np.multiply(weighted[b1 - n + 1], e0_inv, out=weighted[b1 - n])
+    trapezoid = np.zeros(grid.N)
+    trapezoid[:-1] = steps
+    trapezoid[1:] += steps
+    weighted = _powers(e0, -b1, b1, trapezoid)
     roots = np.exp(2j * np.pi * np.outer(n1s, np.arange(S)) / pf.c)
 
-    coeffs: dict = {}
-
-    def do_rows(n2s: list) -> float:
+    def v_rows(n2s: np.ndarray) -> np.ndarray:
         # (V^{-n2} f)(y, k) = f(y + n2/c_f, k + n2 a_f): fuse the translation
         # into one evaluation of the original spline so mass that leaves the
         # window is still seen; then exact U phases per n1 on top
-        shifts = np.array(n2s)
-        pts = scaled + (shifts / pf.c)[:, None, None]
-        rows = f.evaluate(pts, [[(k + n2 * pf.a) % S for k in range(S)] for n2 in n2s])
-        rows *= g_rows
-        # sum over the grid per (n1, sector), then over sectors with the roots
-        per_sector = np.einsum("nj,rkj->rnk", weighted, rows, optimize=False)
-        vals = (per_sector * roots).sum(axis=2)
-        reorder = np.exp(2j * np.pi * ((ctx.theta_float * n1s * shifts[:, None]) % 1.0))
-        for n2, row in zip(n2s, (reorder * vals).tolist()):
+        vals = np.zeros((n2s.size, n1s.size), dtype=complex)
+        width = min(S, _ROW_BUDGET)
+        per_block = _ROW_BUDGET // width
+        for start in range(0, n2s.size, per_block):
+            shifts = n2s[start:start + per_block]
+            pts = scaled + (shifts / pf.c)[:, None, None]
+            for k0 in range(0, S, width):
+                ks = np.arange(k0, min(k0 + width, S))
+                rows = f.evaluate(pts, (ks + shifts[:, None] * pf.a) % S)
+                rows *= g_rows[ks]
+                # sum over the grid per (n1, sector), then over sectors with the roots
+                per_sector = np.einsum("nj,rkj->rnk", weighted, rows, optimize=False)
+                vals[start:start + per_block] += (per_sector * roots[:, ks]).sum(axis=2)
+        vals *= np.exp(2j * np.pi * ((ctx.theta_float * n1s * n2s[:, None]) % 1.0))
+        return vals
+
+    coeffs: dict = {}
+
+    def keep(n2s, vals) -> float:
+        for n2, row in zip(n2s, vals.tolist()):
             for n1, val in zip(n1s.tolist(), row):
                 coeffs[(n1, n2)] = val
         return float(np.max(np.abs(vals)))
 
-    total_max = do_rows([0] + [n for n2 in range(1, grid.modes) for n in (n2, -n2)])
+    first = [0] + [n for n2 in range(1, grid.modes) for n in (n2, -n2)]
+    total_max = keep(first, v_rows(np.array(first)))
     quiet = 0
     n2 = max(grid.modes - 1, 0)
     while n2 < n2_cap and quiet < 2:
-        n2 += 1
-        row = do_rows([n2, -n2])
-        total_max = max(total_max, row)
-        if row <= grid.tol * max(total_max, 1e-300):
-            quiet += 1
-        else:
-            quiet = 0
+        # the rule stops after two quiet pairs in a row, so it reads at
+        # least 2 - quiet more pairs, and it can stop only after the last
+        block = np.arange(n2 + 1, min(n2 + 2 - quiet, n2_cap) + 1)
+        vals = v_rows(np.stack([block, -block], axis=1).ravel())
+        for n2, pair in zip(block.tolist(), vals.reshape(-1, 2, n1s.size)):
+            row = keep((n2, -n2), pair)
+            total_max = max(total_max, row)
+            if row <= grid.tol * max(total_max, 1e-300):
+                quiet += 1
+            else:
+                quiet = 0
     if quiet < 2 and total_max > 0:
         warnings.warn(
             f"V-mode cap {n2_cap} hit with non-negligible coefficients",
@@ -634,9 +751,6 @@ def _pair_to_torus(f: HeisenbergElement, g: HeisenbergElement) -> TorusElement:
     return TorusElement(ctx.theta_float, coeffs, tol=1e-9 * total_max)
 
 
-_LATTICE_BLOCK = 8
-
-
 def _pair_to_heis(f: HeisenbergElement, g: HeisenbergElement) -> HeisenbergElement:
     """Product P_m x P_n -> P_{m+n} for m, n, m+n all nonzero.
 
@@ -645,8 +759,9 @@ def _pair_to_heis(f: HeisenbergElement, g: HeisenbergElement) -> HeisenbergEleme
     sectors mod |c_m| and |c_n|, k mod |c_{m+n}|; the lattice sum is taken
     over an adaptive window around its center -c_m k / c_{m+n}, capped at
     J * max(|c_m|, |c_n|) terms per side.  The terms i of one output
-    sector are read in blocks of _LATTICE_BLOCK, which bounds the
-    temporaries of a read.
+    sector are read in blocks of _ROW_BUDGET: the f-factor, on a scaled
+    grid, by `evaluate`, and the g-factor, on a translated one, by
+    `translate`.
     """
     ctx, grid = f.ctx, f.grid
     m, n = f.m, g.m
@@ -655,24 +770,24 @@ def _pair_to_heis(f: HeisenbergElement, g: HeisenbergElement) -> HeisenbergEleme
     em, en = ctx.eps_pow_float(m), ctx.eps_pow_float(n)
     Sf, Sg = abs(cm), abs(cn)
     S = abs(cmn)
-    xs = grid.xs
     L = grid.L
     # window: both factors must be inside their decay windows
     wf = abs(cm) * L * (1.0 + 1.0 / en) / em
     wg = abs(cn) * 2.0 * L
     cap = grid.J * max(Sf, Sg)
     W = min(max(wf, 1.0), max(wg, 1.0), cap)
+    scaled = grid.xs / en
     out = np.zeros((S, grid.N), dtype=complex)
     edge_mass = 0.0
     for k in range(S):
         center = -cm * k / cmn
         i_lo = math.ceil(center - W)
         i_hi = math.floor(center + W)
-        for start in range(i_lo, i_hi + 1, _LATTICE_BLOCK):
-            block = range(start, min(start + _LATTICE_BLOCK, i_hi + 1))
-            i = np.array(block, dtype=float)[:, None]
-            terms = f.evaluate(xs / en - em * (i / cm + k / cmn), [(-j) % Sf for j in block])
-            terms *= g.evaluate(xs + i / cn + cm * k / (cn * cmn), [(k + an * j) % Sg for j in block])
+        for start in range(i_lo, i_hi + 1, _ROW_BUDGET):
+            block = range(start, min(start + _ROW_BUDGET, i_hi + 1))
+            i = np.array(block)
+            terms = f.evaluate(scaled - (em * (i / cm + k / cmn))[:, None], (-i) % Sf)
+            terms *= g.translate(i / cn + cm * k / (cn * cmn), (k + an * i) % Sg)
             out[k] += terms.sum(axis=0)
             for j in (i_lo, i_hi):
                 if j in block:

@@ -1392,7 +1392,14 @@ def dump_instance(inst: ModuleAlgebra) -> str:
     )
 
 
+# The degree-2 block: data_report and the curvature map read every piece of
+# it, and d1 extends the derivation dB, so it comes whole and with dB.
+_DEGREE_TWO = ("leftO2", "rightO2", "starO2", "actO2", "wedge", "d1")
+
+
 def load_instance(text: str) -> ModuleAlgebra:
+    """The instance of a `dump_instance` text; ValueError when a tensor is
+    malformed or a degree-2 block is given without a piece it needs."""
     data = json.loads(text)
     h = data["hopf"]
     H = FiniteHopf(
@@ -1401,4 +1408,8 @@ def load_instance(text: str) -> ModuleAlgebra:
         labels=h.get("labels", []),
     )
     co = {k: _arr_from_json(k, v) for k, v in data["coefficients"].items()}
+    given = [k for k in _DEGREE_TWO if co.get(k) is not None]
+    missing = [k for k in ("dB",) + _DEGREE_TWO if co.get(k) is None]
+    if given and missing:
+        raise ValueError(f"the degree-2 block ({', '.join(given)}) needs {', '.join(missing)} too")
     return ModuleAlgebra(H=H, name=data.get("name", ""), **co)

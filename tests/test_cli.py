@@ -319,6 +319,19 @@ class TestConfigFile:
         assert code == 0
         assert sorted(map(int, json.loads(out)["powers"])) == list(range(-7, 8))
 
+    def test_the_default_parser_is_built_once_and_keeps_its_defaults(self, capsys, tmp_path):
+        assert cli.default_parser() is cli.default_parser()
+        _, plain = run(capsys, ["pell", "--delta", "5"])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grades": 1, "format": "pretty"}))
+        code, out = run(capsys, ["pell", "--delta", "5", "--config", str(cfg)])
+        assert code == 0 and "powers.1.0" in out
+        # the config built a parser of its own: the next plain call gets the
+        # built-in defaults (--grades 4, json) back
+        code, again = run(capsys, ["pell", "--delta", "5"])
+        assert code == 0 and again == plain
+        assert sorted(map(int, json.loads(again)["powers"])) == list(range(-4, 5))
+
     def test_config_strings_go_through_the_option_parser(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"seed": "0x10"}))
@@ -437,6 +450,19 @@ class TestInstanceFiles:
         assert main(["cohomology", "--instance", str(path)]) == 2
         label = name if block == "coefficients" else f"hopf.{name}"
         assert f"tensor {label}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dropped", ["dB", "d1", "leftO2", "dB,d1"])
+    def test_partial_degree_two_block_is_config_error(self, capsys, tmp_path, dropped):
+        # the wedge is set, so data_report would contract every dropped piece
+        data = json.loads(hopf.dump_instance(hopf.cycle_instance(3)))
+        for name in dropped.split(","):
+            data["coefficients"][name] = None
+        path = tmp_path / "partial.json"
+        path.write_text(json.dumps(data))
+        assert main(["cohomology", "--instance", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "Traceback" not in err
+        assert f"needs {dropped.replace(',', ', ')} too" in err
 
 
 VERDICT_RUNS = [
