@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import collections
 import contextlib
 import functools
 import json
@@ -287,9 +288,10 @@ def cmd_torus_check(args) -> tuple[dict, list]:
 
 
 # Sample arrays of one grade that the commutator eigenvalue table holds at
-# once (tracemalloc peak: 5.0 to 5.1 arrays for sqrt2 at m = 3, 4, 5).  The
-# finite difference writes into one array and stays at 4; f, the commutator
-# and the temporaries of their trapezoid inner product set the peak.
+# once (tracemalloc peak: 4.0 to 4.1 arrays for sqrt2 at m = 3, 4, 5).  The
+# finite difference of the second product, with f and the first product
+# alive, sets the peak at 4; the inner products, one sum against the grid's
+# weight vector, hold 3.  The estimate keeps one array above the peak.
 COMMUTATOR_ARRAYS = 5
 
 
@@ -347,6 +349,58 @@ def count_truncations(counts: dict, section: str):
                 warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
 
 
+def commutator_eigenvalue(ctx: ThetaContext, grid: heisenberg.GridSpec, m: int,
+                          grid_text: str) -> complex:
+    """<f, [partial_1, partial_2] f> / <f, f> on the grade-m Gaussian f of width 1.2.
+
+    The arrays of the largest grade are the largest of a run; they are
+    freed when this returns, not held through the sections that follow.
+    """
+    f = heisenberg.gaussian(ctx, grid, m, width=1.2)
+    g = heisenberg.GradedElement.from_heis(f)
+    comm = (
+        heisenberg.partial(1, heisenberg.partial(2, g)).parts[m]
+        - heisenberg.partial(2, heisenberg.partial(1, g)).parts[m]
+    )
+    f_sq = f.inner(f)
+    if f_sq == 0:
+        raise ConfigError(f"--grid {grid_text!r} samples the grade {m} test vector as zero")
+    return f.inner(comm) / f_sq
+
+
+class ProductTable:
+    """The graded products of parts that one run's checks share, each computed once.
+
+    `table[a, b]` is mul_P(parts[a], parts[b]), computed on its first read
+    together with the warnings it raised.  Every read raises those
+    warnings, so a section that reads a shared product counts its
+    truncations as though it had computed the product itself.  `reads`
+    lists every key the run reads, once per read; an entry is dropped after
+    its last read, and a read beyond them is an error.
+    """
+
+    def __init__(self, parts: dict, reads: list):
+        self.parts = parts
+        self._left = collections.Counter(reads)
+        self._entries: dict = {}
+
+    def __getitem__(self, key):
+        if not self._left[key]:
+            raise KeyError(f"product {key} is read more often than planned")
+        if key not in self._entries:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                product = heisenberg.mul_P(*(self.parts[label] for label in key))
+            self._entries[key] = product, caught
+        product, caught = self._entries[key]
+        self._left[key] -= 1
+        if not self._left[key]:
+            del self._entries[key]
+        for w in caught:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+        return product
+
+
 def cmd_heisenberg_verify(args) -> tuple[dict, list]:
     ctx = parse_theta(args.theta)
     grid = parse_grid(args.grid, args.tol_grid)
@@ -372,18 +426,7 @@ def cmd_heisenberg_verify(args) -> tuple[dict, list]:
             for m in range(-M, M + 1):
                 if m == 0:
                     continue
-                f = G.gaussian(ctx, grid, m, width=1.2)
-                g = G.GradedElement.from_heis(f)
-                comm = (
-                    G.partial(1, G.partial(2, g)).parts[m]
-                    - G.partial(2, G.partial(1, g)).parts[m]
-                )
-                f_sq = f.inner(f)
-                if f_sq == 0:
-                    raise ConfigError(
-                        f"--grid {args.grid!r} samples the grade {m} test vector as zero"
-                    )
-                measured = f.inner(comm) / f_sq
+                measured = commutator_eigenvalue(ctx, grid, m, args.grid)
                 expected = -2j * math.pi * float(ctx.eps_pow(-m) * ctx.c(m))
                 rel = abs(measured - expected) / abs(expected)
                 eig[str(m)] = {
@@ -417,17 +460,20 @@ def cmd_heisenberg_verify(args) -> tuple[dict, list]:
                 1: G.GradedElement.from_heis(G.random_packet(ctx, grid, 1, rng)),
                 -1: G.GradedElement.from_heis(G.random_packet(ctx, grid, -1, rng)),
             }
+            pairs = [(0, 1), (1, 0), (1, 1), (-1, 1)]
+            triples = [(1, 1, -1), (1, -1, 1), (0, 1, 1)]
+            products = ProductTable(parts, pairs + [k for t in triples for k in (t[:2], t[1:])])
+            norms = {m: part.norm() for m, part in parts.items()}
+            derived = {(j, m): G.partial(j, part) for m, part in parts.items() for j in (1, 2)}
+            twisted = {b: G.sigma(parts[b]) for _, b in pairs}
             tw1 = {}
-            for a, b in [(0, 1), (1, 0), (1, 1), (-1, 1)]:
-                p, q = parts[a], parts[b]
-                pq = G.mul_P(p, q)
+            for a, b in pairs:
+                pq = products[a, b]
                 res = []
                 for j in (1, 2):
                     lhs = G.partial(j, pq)
-                    rhs = G.mul_P(G.partial(j, p), G.sigma(q)) + G.mul_P(
-                        p, G.partial(j, q)
-                    )
-                    sc = max(lhs.norm(), rhs.norm(), p.norm() * q.norm())
+                    rhs = G.mul_P(derived[j, a], twisted[b]) + G.mul_P(parts[a], derived[j, b])
+                    sc = max(lhs.norm(), rhs.norm(), norms[a] * norms[b])
                     res.append((lhs - rhs).norm() / sc)
                 worst = tw1[f"({a},{b})"] = hopf._maxabs(res)
                 checks.append((f"twist1 ({a},{b}): {worst:.2e}", worst, tol))
@@ -437,11 +483,11 @@ def cmd_heisenberg_verify(args) -> tuple[dict, list]:
             # star-twist
             tw2 = {}
             for m in (1, -1):
-                p = parts[m]
+                star = G.star_P(parts[m])
                 res = []
                 for j in (1, 2):
-                    lhs = G.partial(j, G.star_P(p))
-                    rhs = G.sigma(G.star_P(G.partial(j, p))).scale(-1)
+                    lhs = G.partial(j, star)
+                    rhs = G.sigma(G.star_P(derived[j, m])).scale(-1)
                     res.append((lhs - rhs).norm() / max(lhs.norm(), rhs.norm()))
                 worst = tw2[str(m)] = hopf._maxabs(res)
                 checks.append((f"twist2 m={m}: {worst:.2e}", worst, tol))
@@ -450,11 +496,11 @@ def cmd_heisenberg_verify(args) -> tuple[dict, list]:
         with count_truncations(truncations, "mul_associativity"):
             # associativity
             assoc = {}
-            for triple in [(1, 1, -1), (1, -1, 1), (0, 1, 1)]:
-                a, b, c = (parts[m] for m in triple)
-                lhs = G.mul_P(G.mul_P(a, b), c)
-                rhs = G.mul_P(a, G.mul_P(b, c))
-                sc = max(lhs.norm(), rhs.norm(), a.norm() * b.norm() * c.norm())
+            for triple in triples:
+                a, b, c = triple
+                lhs = G.mul_P(products[a, b], parts[c])
+                rhs = G.mul_P(parts[a], products[b, c])
+                sc = max(lhs.norm(), rhs.norm(), norms[a] * norms[b] * norms[c])
                 r = (lhs - rhs).norm() / sc
                 assoc[str(triple)] = r
                 checks.append((f"assoc {triple}: {r:.2e}", r, 10 * tol))

@@ -303,6 +303,8 @@ def _factorization_test(ctx: ThetaContext, q, M: int, tol: float, numerator):
     denominator is exact as well and the ratios are compared with ==;
     otherwise in floats, compared relatively at tol.  Returns the report
     without its wrapper's key, and the common ratio (None unless adapted).
+    The report gives each ratio as a float, or as its exact value, a
+    string, when it does not fit one (eps^-m c_m on a large unit).
     """
     if M < 2:
         raise ValueError("M must be at least 2")
@@ -319,9 +321,16 @@ def _factorization_test(ctx: ThetaContext, q, M: int, tol: float, numerator):
         adapted = all(v == vals[0] for v in vals)
     else:
         adapted = all(abs(v - vals[0]) <= tol * max(abs(vals[0]), 1.0) for v in vals)
-    report = {"q": qv, "adapted": adapted, "ratios": {m: float(v) for m, v in ratios.items()},
+    report = {"q": qv, "adapted": adapted, "ratios": {m: _float_or_exact(v) for m, v in ratios.items()},
               "exact": exact}
     return report, float(vals[0]) if adapted else None
+
+
+def _float_or_exact(v) -> float | str:
+    try:
+        return float(v)
+    except OverflowError:
+        return str(v)
 
 
 def adaptedness_test(ctx: ThetaContext, q, M: int = 4, tol: float = 1e-8) -> dict:

@@ -11,7 +11,8 @@ and assemble them into a Z-graded algebra whose grade-0 part is exact
 Translations by irrational amounts are done with not-a-knot cubic splines
 (zero extension outside the window, legitimate for Schwartz-class data),
 the continuous derivation with 4th-order centered finite differences, and
-integrals with the trapezoid rule.  The splines are numpy only: each
+integrals with the trapezoid rule, as a sum against one weight vector per
+grid (`GridSpec.weights`).  The splines are numpy only: each
 element holds one coefficient table for all its sectors, whose slopes come
 from one tridiagonal solve by parallel cyclic reduction.
 
@@ -24,6 +25,9 @@ The scaled grids (the f-factor of the lattice sum, the torus pairing, the
 star) go through `evaluate`.  Every kernel reads in blocks of at most
 _ROW_BUDGET rows of N points, which bounds its temporaries whatever the
 number of sectors or of terms.
+
+A kernel's result is a fresh array, which its element takes over without
+a copy; the public constructor copies the caller's array.
 """
 
 from __future__ import annotations
@@ -91,9 +95,37 @@ class GridSpec:
         xs.flags.writeable = False
         return xs
 
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """The trapezoid weights of `xs`, built once per grid and shared read-only."""
+        return _trapezoid_weights(self.xs)
+
     @property
     def h(self) -> float:
         return 2.0 * self.L / (self.N - 1)
+
+
+def _trapezoid_weights(xs: np.ndarray) -> np.ndarray:
+    """Weights w with sum_i w_i y_i the trapezoid rule on the points xs:
+    half of each step to either end of it."""
+    steps = np.diff(xs) / 2.0
+    weights = np.zeros(xs.size)
+    weights[:-1] = steps
+    weights[1:] += steps
+    weights.flags.writeable = False
+    return weights
+
+
+@lru_cache(maxsize=None)
+def _band_weights(grid: GridSpec, band: float) -> tuple:
+    """(columns, weights) of the trapezoid rule on the points |x| > L - band.
+
+    Like np.trapezoid on those points, the rule spans the gap between the
+    two halves of the band as one step.
+    """
+    columns = np.flatnonzero(np.abs(grid.xs) > grid.L - band)
+    columns.flags.writeable = False
+    return columns, _trapezoid_weights(grid.xs[columns])
 
 
 def sector_count(ctx: ThetaContext, m: int) -> int:
@@ -191,17 +223,25 @@ class HeisenbergElement:
     __slots__ = ("m", "samples", "ctx", "grid", "_table", "_windows")
 
     def __init__(self, m: int, samples: np.ndarray, ctx: ThetaContext, grid: GridSpec):
+        # a copy: the caller still holds its array and could write to it
+        self._adopt(m, np.array(samples, dtype=complex), ctx, grid)
+
+    @classmethod
+    def _owning(cls, m: int, samples: np.ndarray, ctx: ThetaContext,
+                grid: GridSpec) -> "HeisenbergElement":
+        """The element on `samples`, a fresh complex array that no one else
+        holds (a kernel's result): made read-only in place, not copied."""
+        self = object.__new__(cls)
+        self._adopt(m, np.asarray(samples, dtype=complex), ctx, grid)
+        return self
+
+    def _adopt(self, m: int, samples: np.ndarray, ctx: ThetaContext, grid: GridSpec):
         if m == 0:
             raise GradeZero("use TorusElement for grade 0")
-        given = samples
-        samples = np.asarray(samples, dtype=complex)
-        if samples is given:
-            # the caller still holds this array and could write to it
-            samples = samples.copy()
-        samples.flags.writeable = False
         S = sector_count(ctx, m)
         if samples.shape != (S, grid.N):
             raise ValueError(f"expected shape {(S, grid.N)}, got {samples.shape}")
+        samples.flags.writeable = False
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "ctx", ctx)
@@ -308,6 +348,10 @@ class HeisenbergElement:
     def with_samples(self, samples: np.ndarray) -> "HeisenbergElement":
         return HeisenbergElement(self.m, samples, self.ctx, self.grid)
 
+    def _with_owned(self, samples: np.ndarray) -> "HeisenbergElement":
+        """`with_samples` on a fresh array, which the element takes over."""
+        return HeisenbergElement._owning(self.m, samples, self.ctx, self.grid)
+
     # -- linear structure --------------------------------------------------
     def _compat(self, other: "HeisenbergElement"):
         if self.m != other.m or self.ctx is not other.ctx or self.grid != other.grid:
@@ -315,37 +359,43 @@ class HeisenbergElement:
 
     def __add__(self, other):
         self._compat(other)
-        return self.with_samples(self.samples + other.samples)
+        return self._with_owned(self.samples + other.samples)
 
     def __sub__(self, other):
         self._compat(other)
-        return self.with_samples(self.samples - other.samples)
+        return self._with_owned(self.samples - other.samples)
 
     def __neg__(self):
-        return self.with_samples(-self.samples)
+        return self._with_owned(-self.samples)
 
     def scale(self, c) -> "HeisenbergElement":
-        return self.with_samples(self.samples * c)
+        return self._with_owned(self.samples * c)
 
     def norm(self) -> float:
-        """l^2 norm: sqrt of sum over sectors of the trapezoid integral."""
+        """l^2 norm: sqrt of the trapezoid integral of |f|^2 summed over
+        sectors, one sum against the grid's weights (a NaN sample gives NaN)."""
         dens = np.abs(self.samples) ** 2
-        return math.sqrt(float(np.trapezoid(dens, self.grid.xs, axis=1).sum()))
+        dens *= self.grid.weights
+        return math.sqrt(float(dens.sum()))
 
     def inner(self, other: "HeisenbergElement") -> complex:
+        """<self, other>: the trapezoid integral of conj(self) other summed
+        over sectors, one sum against the grid's weights."""
         self._compat(other)
-        dens = np.conj(self.samples) * other.samples
-        return complex(np.trapezoid(dens, self.grid.xs, axis=1).sum())
+        dens = np.conj(self.samples)
+        dens *= other.samples
+        dens *= self.grid.weights
+        return complex(dens.sum())
 
     def boundary_fraction(self, band: float = 1.0) -> float:
-        """Fraction of l^2 mass in the outer band of the window."""
-        xs = self.grid.xs
-        outer = np.abs(xs) > (self.grid.L - band)
+        """Fraction of l^2 mass in the outer band |x| > L - band of the window."""
         dens = np.abs(self.samples) ** 2
-        total = float(np.trapezoid(dens, xs, axis=1).sum())
+        columns, edge_weights = _band_weights(self.grid, band)
+        edge = float((dens[:, columns] * edge_weights).sum())
+        dens *= self.grid.weights
+        total = float(dens.sum())
         if total == 0.0:
             return 0.0
-        edge = float(np.trapezoid(dens[:, outer], xs[outer], axis=1).sum())
         return edge / total
 
     # -- serialization ------------------------------------------------------
@@ -416,7 +466,7 @@ def _torus_action(f: HeisenbergElement, b: TorusElement, scale: float, shift: fl
     S = f.samples.shape[0]
     out = np.zeros_like(f.samples)
     if not b.coeffs:
-        return f.with_samples(out)
+        return f._with_owned(out)
     keys = np.array(list(b.coeffs), dtype=np.int64)
     lo, hi = min(0, keys[:, 0].min()), max(0, keys[:, 0].max())
     rs = np.arange(lo, hi + 1)
@@ -446,7 +496,7 @@ def _torus_action(f: HeisenbergElement, b: TorusElement, scale: float, shift: fl
             else:
                 phase *= f.samples[sectors[k0:k1, s0:s1]]
             out[k0:k1] += phase.sum(axis=1)
-    return f.with_samples(out)
+    return f._with_owned(out)
 
 
 def _generator(gen: str, theta: float) -> TorusElement:
@@ -510,7 +560,7 @@ def star_heis(f: HeisenbergElement) -> HeisenbergElement:
             f"star of grade {m} is zero on the grid though its argument is not; "
             "refine N or enlarge L"
         )
-    res = HeisenbergElement(-m, out, ctx, grid)
+    res = HeisenbergElement._owning(-m, out, ctx, grid)
     # rescaling by eps^{-m} stretches the data; refuse when the result
     # carries real mass in the outer band (factor 100 leaves room for the
     # ordinary tail of admissible vectors)
@@ -542,10 +592,10 @@ def _derivative(samples: np.ndarray, h: float) -> np.ndarray:
 def partial_heis(j: int, f: HeisenbergElement) -> HeisenbergElement:
     """partial_1 = -i d/dx; partial_2 = multiplication by 2 pi eps^{-m} c_m x."""
     if j == 1:
-        return f.with_samples(-1j * _derivative(f.samples, f.grid.h))
+        return f._with_owned(-1j * _derivative(f.samples, f.grid.h))
     if j == 2:
         coef = TWO_PI * float(f.ctx.eps_pow(-f.m) * f.ctx.c(f.m))
-        return f.with_samples(coef * f.grid.xs[None, :] * f.samples)
+        return f._with_owned(coef * f.grid.xs[None, :] * f.samples)
     raise ValueError("j must be 1 or 2")
 
 
@@ -690,11 +740,7 @@ def _pair_to_torus(f: HeisenbergElement, g: HeisenbergElement) -> TorusElement:
     g_rows = g.samples[[(-p.a * k) % S for k in range(S)]]
     n1s = np.arange(-b1, b1 + 1)
     e0 = np.exp(-2j * np.pi * scaled / ctx.eps_pow_float(f.m))
-    steps = np.diff(xs) / 2.0
-    trapezoid = np.zeros(grid.N)
-    trapezoid[:-1] = steps
-    trapezoid[1:] += steps
-    weighted = _powers(e0, -b1, b1, trapezoid)
+    weighted = _powers(e0, -b1, b1, grid.weights)
     roots = np.exp(2j * np.pi * np.outer(n1s, np.arange(S)) / pf.c)
 
     def v_rows(n2s: np.ndarray) -> np.ndarray:
@@ -800,7 +846,7 @@ def _pair_to_heis(f: HeisenbergElement, g: HeisenbergElement) -> HeisenbergEleme
             TruncationWarning,
             stacklevel=3,
         )
-    res = HeisenbergElement(m + n, out, ctx, grid)
+    res = HeisenbergElement._owning(m + n, out, ctx, grid)
     # products across widely separated grades spread at rate
     # eps^n |c_{m+n}| / (|c_m| |c_n|) per lattice step and can genuinely
     # outgrow the window; surface that instead of silently clipping
@@ -878,7 +924,7 @@ def gaussian(
     if sector_weights is None:
         sector_weights = np.ones(S)
     samples = np.outer(np.asarray(sector_weights, dtype=complex), base)
-    return HeisenbergElement(m, samples, ctx, grid)
+    return HeisenbergElement._owning(m, samples, ctx, grid)
 
 
 def random_packet(
@@ -906,4 +952,4 @@ def random_packet(
         )
         weights = rng.standard_normal(S) + 1j * rng.standard_normal(S)
         samples += np.outer(weights, base)
-    return HeisenbergElement(m, samples, ctx, grid)
+    return HeisenbergElement._owning(m, samples, ctx, grid)

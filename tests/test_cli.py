@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ncgauge import cli, heisenberg, hopf, torus
+from ncgauge import cli, gauge, heisenberg, hopf, torus
 from ncgauge.cli import main, parse_q_token, parse_theta, ConfigError
 
 
@@ -132,7 +132,60 @@ class TestHeisenbergTruncations:
         assert counts == {"first": 1, "second": 2}
 
 
+class TestHeisenbergProductTable:
+    SEED_4 = ["heisenberg-verify", "--theta", "0,1,2", "--grid", "12,1024,8",
+              "--grades", "3", "--seed", "4"]
+
+    def test_shared_products_replay_their_truncations(self, capsys):
+        # P_1 x P_-1 hits the V-mode cap, and two associativity triples read it
+        code, out = run(capsys, self.SEED_4)
+        assert json.loads(out)["truncations"] == {"mul_associativity": 3}
+
+    def test_each_shared_product_is_computed_once(self, capsys, monkeypatch):
+        calls = {"_pair_to_heis": 0, "_pair_to_torus": 0}
+        for name in calls:
+            kernel = getattr(heisenberg, name)
+
+            def counted(f, g, kernel=kernel, name=name):
+                calls[name] += 1
+                return kernel(f, g)
+
+            monkeypatch.setattr(heisenberg, name, counted)
+        run(capsys, self.SEED_4)
+        assert calls == {"_pair_to_heis": 7, "_pair_to_torus": 6}
+
+    def test_every_read_replays_the_warnings_and_the_last_drops_the_entry(self, monkeypatch):
+        computed = []
+
+        def loud_product(p, q):
+            computed.append((p, q))
+            warnings.warn("clipped", heisenberg.TruncationWarning)
+            return "pq"
+
+        monkeypatch.setattr(heisenberg, "mul_P", loud_product)
+        table = cli.ProductTable({1: "p", -1: "q"}, [(1, -1), (1, -1)])
+        counts = {}
+        for section in ("first", "second"):
+            with cli.count_truncations(counts, section):
+                assert table[1, -1] == "pq"
+        assert counts == {"first": 1, "second": 1}
+        assert computed == [("p", "q")] and not table._entries
+        with pytest.raises(KeyError, match="more often than planned"):
+            table[1, -1]
+
+
 class TestMonopole:
+    @pytest.mark.parametrize("delta, grades", [(109, 11), (157, 12), (181, 12), (193, 12)])
+    def test_large_units_report_the_ratios_beyond_floats_exactly(self, capsys, delta, grades):
+        code, out = run(capsys, ["monopole", "--theta", f"0,1,{delta}", "--grades", str(grades)])
+        assert code == 0 and json.loads(out)["pass"] is True
+        ctx = parse_theta(f"0,1,{delta}")
+        ratios = gauge.adaptedness_test(ctx, 1, M=grades)["ratios"]
+        exact = {m: str(ctx.eps_pow(-m) * ctx.c(m) / m) for m in ratios}
+        beyond = [m for m, v in ratios.items() if isinstance(v, str)]
+        assert beyond and all(ratios[m] == exact[m] for m in beyond)
+        assert all(isinstance(v, float) for m, v in ratios.items() if m not in beyond)
+
     def test_sweep(self, capsys):
         code, out = run(
             capsys,

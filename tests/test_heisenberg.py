@@ -128,6 +128,79 @@ class TestImmutableSamples:
                               np.full(10, 7.0 + 0j))
 
 
+    @pytest.mark.parametrize("make", [
+        lambda f: f.scale(2.0),
+        lambda f: f + f,
+        lambda f: -f,
+        lambda f: partial(1, GradedElement.from_heis(f)).parts[1],
+        lambda f: right_act("V", f),
+        lambda f: mul_P(GradedElement.from_heis(f), GradedElement.from_heis(f)).parts[2],
+        lambda f: star_heis(f),
+    ], ids=["scale", "add", "neg", "partial", "act", "product", "star"])
+    def test_kernel_results_are_read_only(self, rng, make):
+        out = make(random_packet(CTX, GRID, 1, rng))
+        with pytest.raises(ValueError):
+            out.samples[0, 0] = 1.0
+
+    def test_the_owning_constructor_takes_the_array_over(self, rng):
+        data = rng.standard_normal((1, GRID.N)) + 0j
+        f = HeisenbergElement._owning(1, data, CTX, GRID)
+        assert f.samples is data and not data.flags.writeable
+
+
+# the trapezoid integrals as np.trapezoid writes them, per sector then summed
+def trapezoid_norm(f):
+    return math.sqrt(np.trapezoid(np.abs(f.samples) ** 2, f.grid.xs, axis=1).sum())
+
+
+def trapezoid_inner(f, g):
+    return complex(np.trapezoid(np.conj(f.samples) * g.samples, f.grid.xs, axis=1).sum())
+
+
+def trapezoid_boundary_fraction(f, band=1.0):
+    xs = f.grid.xs
+    outer = np.abs(xs) > f.grid.L - band
+    dens = np.abs(f.samples) ** 2
+    total = np.trapezoid(dens, xs, axis=1).sum()
+    return float(np.trapezoid(dens[:, outer], xs[outer], axis=1).sum() / total)
+
+
+SQRT2 = ThetaContext.from_rational(0, 1, 2)
+
+
+class TestIntegrals:
+    @pytest.mark.parametrize("N", [6, 64, 1024])
+    @pytest.mark.parametrize("L", [1.0, 12.0])
+    @pytest.mark.parametrize("ctx, m", [(CTX, 1), (CTX, -2), (SQRT2, 1), (SQRT2, 3)],
+                             ids=["golden1", "golden-2", "sqrt2_1", "sqrt2_3"])
+    def test_weight_vector_matches_the_trapezoid(self, rng, N, L, ctx, m):
+        grid = GridSpec(L=L, N=N)
+        for _ in range(3):
+            f, g = random_packet(ctx, grid, m, rng), random_packet(ctx, grid, m, rng)
+            assert f.norm() == pytest.approx(trapezoid_norm(f), rel=1e-15, abs=0)
+            assert abs(f.inner(f) - trapezoid_inner(f, f)) <= 1e-15 * f.norm() ** 2
+            # <f, g> may cancel far below |f| |g|, the scale of its rounding
+            assert abs(f.inner(g) - trapezoid_inner(f, g)) <= 1e-15 * f.norm() * g.norm()
+            for band in (0.25 * L, 1.0):
+                assert f.boundary_fraction(band) == pytest.approx(
+                    trapezoid_boundary_fraction(f, band), rel=1e-15, abs=0)
+
+    def test_weights_are_cached_and_read_only(self):
+        grid = GridSpec(L=5.0, N=64)
+        assert grid.weights is grid.weights
+        ones = np.ones(grid.N)
+        assert grid.weights.sum() == pytest.approx(np.trapezoid(ones, grid.xs), rel=1e-15)
+        with pytest.raises(ValueError):
+            grid.weights[0] = 0.0
+
+    def test_a_nan_sample_makes_the_norm_nan(self, rng):
+        data = random_packet(CTX, GRID, 1, rng).samples.copy()
+        data[0, GRID.N // 2] = np.nan
+        f = HeisenbergElement(1, data, CTX, GRID)
+        assert math.isnan(f.norm())
+        assert math.isnan(f.inner(f).real)
+
+
 class TestModuleActions:
     def test_u_preserves_norm(self, rng):
         f = random_packet(CTX, GRID, 1, rng)
