@@ -7,6 +7,10 @@ algebra C(Z_n) (x) C[x,y]/(x^2,y^2) whose nilpotent directions make the
 Maurer-Cartan map and the curvature identities genuinely non-zero.  The
 crossed-product realizations Op turn cocycles into gauge transformations
 and potentials of B x| H, checked entrywise.
+
+Every structure table is stored as an index form (its non-zero entries
+and their positions); a dense vector times a table, as in `u @ inst.dB`,
+is a dense vector.
 """
 
 import numpy as np
@@ -61,6 +65,8 @@ print("broken telescoping fails at pair:", check_sweedler_cocycle(bad)["cocycle_
 
 print("\n== Maurer-Cartan on the jet instance ==")
 inst = jet_instance(3)
+print(f"dB: shape {inst.dB.shape}, {inst.dB.values.size} non-zeros stored "
+      f"of {inst.dB.shape[0] * inst.dB.shape[1]}")
 u = jet_unitary(inst, rng=rng)
 zeta = np.exp(2j * np.pi / 3)
 char = ConvolutionElement(inst, "B", np.array([inst.unitB * zeta**j for j in range(3)]))

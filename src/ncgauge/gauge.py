@@ -301,10 +301,12 @@ def _factorization_test(ctx: ThetaContext, q, M: int, tol: float, numerator):
 
     numerator(m) is exact in Q[sqrt(Delta)].  When q lies there too, the
     denominator is exact as well and the ratios are compared with ==;
-    otherwise in floats, compared relatively at tol.  Returns the report
-    without its wrapper's key, and the common ratio (None unless adapted).
-    The report gives each ratio as a float, or as its exact value, a
-    string, when it does not fit one (eps^-m c_m on a large unit).
+    otherwise the denominator is a float, each ratio is the exact field
+    element over its exact Fraction, and the ratios are compared relatively
+    at tol (`_within`).  Returns the report without its wrapper's key, and
+    the common ratio (None unless adapted).  The report gives each ratio
+    as a float, or as its exact value, a string, when it does not fit one
+    (eps^-m c_m on a large unit).
     """
     if M < 2:
         raise ValueError("M must be at least 2")
@@ -313,17 +315,33 @@ def _factorization_test(ctx: ThetaContext, q, M: int, tol: float, numerator):
     qv = float(qf) if exact else float(q)
     ratios = {}
     for m, den in _denominators(qf if exact else qv, M):
-        if den == 0:
-            return {"q": qv, "adapted": False, "reason": f"[{m}]_q = 0", "exact": exact}, None
-        ratios[m] = (numerator(m) if exact else float(numerator(m))) / den
+        if den == 0 or not (exact or math.isfinite(den)):
+            reason = f"[{m}]_q = 0" if den == 0 else f"[{m}]_q q^{-m} = {den}"
+            return {"q": qv, "adapted": False, "reason": reason, "exact": exact}, None
+        ratios[m] = numerator(m) / den  # a float den is read as its exact Fraction
     vals = list(ratios.values())
     if exact:
         adapted = all(v == vals[0] for v in vals)
     else:
-        adapted = all(abs(v - vals[0]) <= tol * max(abs(vals[0]), 1.0) for v in vals)
+        adapted = all(_within(v, vals[0], tol) for v in vals)
     report = {"q": qv, "adapted": adapted, "ratios": {m: _float_or_exact(v) for m, v in ratios.items()},
               "exact": exact}
     return report, float(vals[0]) if adapted else None
+
+
+def _within(v: FieldElement, w: FieldElement, tol: float) -> bool:
+    """|v - w| <= tol * max(|w|, 1), the gap formed exactly and compared in
+    floats, relative to w when |w| is beyond the float range; a gap beyond
+    the float range is never within tol."""
+    gap = v - w
+    try:
+        scale = max(abs(float(w)), 1.0)
+    except OverflowError:
+        gap, scale = gap / w, 1.0
+    try:
+        return abs(float(gap)) <= tol * scale
+    except OverflowError:
+        return False
 
 
 def _float_or_exact(v) -> float | str:

@@ -120,12 +120,15 @@ def _trapezoid_weights(xs: np.ndarray) -> np.ndarray:
 def _band_weights(grid: GridSpec, band: float) -> tuple:
     """(columns, weights) of the trapezoid rule on the points |x| > L - band.
 
-    Like np.trapezoid on those points, the rule spans the gap between the
-    two halves of the band as one step.
+    Each half of the band, x < -(L - band) and x > L - band, gets a rule of
+    its own, so no step spans the gap between them; a band wider than L
+    is the whole window.
     """
-    columns = np.flatnonzero(np.abs(grid.xs) > grid.L - band)
+    inner = grid.L - band
+    halves = [grid.xs < -inner, grid.xs > inner] if inner >= 0 else [np.full(grid.N, True)]
+    columns = np.concatenate([np.flatnonzero(half) for half in halves])
     columns.flags.writeable = False
-    return columns, _trapezoid_weights(grid.xs[columns])
+    return columns, np.concatenate([_trapezoid_weights(grid.xs[half]) for half in halves])
 
 
 def sector_count(ctx: ThetaContext, m: int) -> int:

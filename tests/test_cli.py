@@ -254,7 +254,8 @@ class TestCohomology:
 
     def test_corrupted_antipode_gate_failure(self, capsys, tmp_path):
         inst = hopf.jet_instance(2)
-        inst.H.antipode[1, 1] = 0.7  # corrupt S
+        # corrupt S: S(g) = 0.7 g
+        inst.H.antipode = inst.H.antipode + hopf.IndexForm((2, 2), ([1], [1]), np.array([-0.3]))
         path = tmp_path / "bad.json"
         path.write_text(hopf.dump_instance(inst))
         code, out = run(capsys, ["cohomology", "--instance", str(path)])

@@ -23,6 +23,7 @@ from ncgauge.gauge import (
     HorizontalForm,
     QCalculus,
     _denominators,
+    _within,
     adaptedness_test,
     apply_potential,
     curvature_coefficient,
@@ -286,6 +287,23 @@ class TestAdaptedness:
         a = adaptedness_test(CTX, CTX.eps_float**2, M=4)
         assert a["adapted"] and not a["exact"]
         assert adaptedness_test(CTX, 1.37, M=4)["adapted"] is False
+
+    def test_float_path_on_a_large_unit(self):
+        # eps = 3.2e14 on sqrt 109: float(eps^-m c_m) overflowed at M = 11
+        ctx = ThetaContext.from_rational(0, 1, 109)
+        rep = adaptedness_test(ctx, 2.5, M=11)
+        assert rep["adapted"] is False and rep["exact"] is False
+        ratios, dens = rep["ratios"], dict(_denominators(2.5, 11))
+        beyond = [m for m, v in ratios.items() if isinstance(v, str)]
+        assert beyond and all(isinstance(v, float) for m, v in ratios.items() if m not in beyond)
+        # each ratio is exact over the exact Fraction of its float denominator
+        assert all(ratios[m] == str(ctx.eps_pow(-m) * ctx.c(m) / Fraction(dens[m])) for m in beyond)
+        assert relative_adaptedness_test(ctx, 2.5, M=11)["adapted"] is False
+        # the relative gap of two exact ratios beyond the float range
+        big = ctx.eps_pow(11) * ctx.c(-11)
+        assert _within(big * (1 + Fraction(1, 10**12)), big, 1e-10)
+        assert not _within(big * 2, big, 1e-10)
+        assert not _within(big, FieldElement.of(1, 0, ctx.t.delta), 1e-10)
 
     def test_sqrt2_context(self):
         ctx = ThetaContext(SQRT2)

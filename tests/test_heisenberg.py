@@ -158,11 +158,12 @@ def trapezoid_inner(f, g):
 
 
 def trapezoid_boundary_fraction(f, band=1.0):
-    xs = f.grid.xs
-    outer = np.abs(xs) > f.grid.L - band
+    """np.trapezoid on each half of the band |x| > L - band on its own."""
+    xs, inner = f.grid.xs, f.grid.L - band
     dens = np.abs(f.samples) ** 2
     total = np.trapezoid(dens, xs, axis=1).sum()
-    return float(np.trapezoid(dens[:, outer], xs[outer], axis=1).sum() / total)
+    halves = [xs < -inner, xs > inner] if inner >= 0 else [np.full(xs.size, True)]
+    return float(sum(np.trapezoid(dens[:, h], xs[h], axis=1).sum() for h in halves) / total)
 
 
 SQRT2 = ThetaContext.from_rational(0, 1, 2)
@@ -184,6 +185,16 @@ class TestIntegrals:
             for band in (0.25 * L, 1.0):
                 assert f.boundary_fraction(band) == pytest.approx(
                     trapezoid_boundary_fraction(f, band), rel=1e-15, abs=0)
+
+    def test_boundary_fraction_takes_no_step_across_the_gap(self):
+        # a Gaussian at x = 8 leaves about 1e-5 of its mass in the band
+        # x > 11; one step from x = -11 to x = 11 over both halves read 7.1e-4
+        f = gaussian(SQRT2, GRID, 2, center=8.0, width=1.0)
+        frac = f.boundary_fraction()
+        assert frac == pytest.approx(trapezoid_boundary_fraction(f), rel=1e-15, abs=0)
+        assert 5e-6 < frac < 2e-5
+        # a band wider than L is the whole window
+        assert f.boundary_fraction(2.0 * GRID.L) == pytest.approx(1.0, rel=1e-14)
 
     def test_weights_are_cached_and_read_only(self):
         grid = GridSpec(L=5.0, N=64)

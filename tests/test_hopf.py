@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from ncgauge.hopf import (
     ConvolutionElement,
     CrossedProduct,
     FiniteHopf,
+    IndexForm,
     ModuleAlgebra,
     NotAdmissible,
     TargetMismatch,
@@ -60,8 +62,8 @@ class TestHopfAxioms:
 
     def test_corrupted_antipode_fails(self):
         H = cyclic_group_hopf(4)
-        H.antipode[1, 3] = 0.0
-        H.antipode[1, 2] = 1.0  # S(g) = g^2: wrong
+        # S(g) = g^3 moved to g^2: wrong
+        H.antipode = H.antipode + IndexForm((4, 4), ([1, 1], [2, 3]), np.array([1.0, -1.0]))
         assert H.axiom_report()["max"] > 1e-6
 
     @pytest.mark.parametrize(
@@ -80,13 +82,13 @@ class TestHopfAxioms:
         # the trivial action is a representation, but the products into
         # Omega^2 are then not equivariant
         inst = cycle_instance(3)
-        inst.actO2 = np.stack([np.eye(inst.dimO2)] * 3, axis=1) + 0j
+        inst.actO2 = IndexForm.of(np.stack([np.eye(inst.dimO2)] * 3, axis=1) + 0j)
         assert inst.data_report()["max"] > 1e-6
 
     def test_nan_residual_makes_the_max_nan(self):
         # a worst-of that dropped the NaN would let a <= tol check pass
         inst = cycle_instance(3)
-        inst.dB[0, 0] = np.nan
+        inst.dB = inst.dB + IndexForm(inst.dB.shape, ([0], [0]), np.array([np.nan]))
         rep = inst.data_report()
         assert rep["actB_rep"] == 0.0  # the first entry is finite
         assert np.isnan(rep["derivation"]) and np.isnan(rep["max"])
@@ -624,16 +626,41 @@ class TestShippedTensors:
     @pytest.mark.parametrize("n", range(1, 7))
     @pytest.mark.parametrize("kind", SHIPPED)
     def test_every_tensor_is_complex128(self, kind, n):
+        # every table is a canonical index form (row-major positions, no
+        # stored zero) with complex128 values, and every vector complex128:
         # the dump cannot tell a float64 tensor from a complex one
         inst = SHIPPED[kind](n)
-        tensors = {
+        fields = {
             f"{owner}.{f.name}": getattr(obj, f.name)
             for owner, obj in (("H", inst.H), ("inst", inst))
             for f in dataclasses.fields(obj)
-            if isinstance(getattr(obj, f.name), np.ndarray)
+            if getattr(obj, f.name) is not None and f.name not in ("H", "labels", "name")
         }
-        assert len(tensors) == (21 if inst.wedge is not None else 15)
-        assert {k: a.dtype for k, a in tensors.items() if a.dtype != np.complex128} == {}
+        vectors = {"H.counit", "H.unit", "inst.unitB"}
+        assert {k for k, a in fields.items() if isinstance(a, np.ndarray)} == vectors
+        assert all(fields[k].dtype == np.complex128 for k in vectors)
+        tables = {k: a for k, a in fields.items() if k not in vectors}
+        assert len(tables) == (18 if inst.wedge is not None else 12)
+        for key, form in tables.items():
+            assert isinstance(form, IndexForm) and form.values.dtype == np.complex128, key
+            flat = np.ravel_multi_index(form.index, form.shape)
+            assert np.all(np.diff(flat) > 0) and np.all(form.values != 0), key
+            canonical = IndexForm.of(form.dense())
+            assert np.array_equal(flat, np.ravel_multi_index(canonical.index, form.shape)), key
+            assert np.array_equal(form.values, canonical.values), key
+
+    @pytest.mark.parametrize("maker,n,dim_b", [(cycle_instance, 96, 96), (jet_instance, 24, 96)])
+    def test_a_large_instance_builds_within_its_tables(self, maker, n, dim_b):
+        # dense tables held 312 MiB for cycle_instance(96), and building
+        # them peaked at 326 MiB; jet_instance(24) held 54 MiB
+        tracemalloc.start()
+        try:
+            inst = maker(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (inst.H.dim, inst.dimB) == (n, dim_b)
+        assert peak <= 8 * 2**20, peak / 2**20
 
 
     @pytest.mark.parametrize("n", [1, 3, 5])
@@ -685,7 +712,7 @@ class TestSolverEdges:
         for col in _central_sa_basis(inst).T:
             m = col[:dM] + 1j * col[dM:]
             # D(m)(h) = m <| h - eps(h) m
-            d = np.einsum("u,uhv->hv", m, inst.actM) - np.outer(inst.H.counit, m)
+            d = np.einsum("u,uhv->hv", m, inst.actM.dense()) - np.outer(inst.H.counit, m)
             images.append(np.concatenate([d.real.ravel(), d.imag.ravel()]))
         sol = solve_hochschild_space(inst)
         basis = [np.concatenate([mu.values.real.ravel(), mu.values.imag.ravel()])

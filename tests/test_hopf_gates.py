@@ -3,8 +3,8 @@
 `FiniteHopf.axiom_report`, `ModuleAlgebra.data_report`, `convolve`,
 `ModuleAlgebra.mul` and the cocycle residual of `check_sweedler_cocycle`
 contract their tables in index form.  The references here write every
-identity as one dense `np.einsum` over the full tables; each residual must
-agree with them to 1e-14, on the shipped C[Z_n] instances, on C[S_3]
+identity as one dense `np.einsum` over `.dense()` copies of the full
+tables; each residual must agree with them to 1e-14, on the shipped C[Z_n] instances, on C[S_3]
 acting on C(S_3), and on randomly perturbed tables, where the residuals
 are not zero.
 """
@@ -19,13 +19,14 @@ import pytest
 
 from ncgauge.hopf import (
     ConvolutionElement,
+    IndexForm,
     check_sweedler_cocycle,
     convolve,
     cycle_instance,
     function_instance,
     jet_instance,
 )
-from test_hopf_op import translations_on_s3
+from test_hopf_op import dense, dense_tables, translations_on_s3
 
 TOL = 1e-14
 DEGREE = {"B": 0, "M": 1, "O2": 2}
@@ -40,7 +41,7 @@ def worst(*arrays):
 
 
 def dense_axiom_report(H) -> dict:
-    m, c, eps, S, st, u = H.mul, H.comul, H.counit, H.antipode, H.star, H.unit
+    m, c, eps, S, st, u = map(dense, (H.mul, H.comul, H.counit, H.antipode, H.star, H.unit))
     eye = np.eye(H.dim)
     return {
         "assoc": worst(einsum("ijx,xkl->ijkl", m, m) - einsum("jkx,ixl->ijkl", m, m)),
@@ -65,30 +66,33 @@ def dense_axiom_report(H) -> dict:
 
 
 def dense_data_report(inst) -> dict:
-    H, acts, stars, ref = inst.H, inst.actions, inst.stars, {}
+    ref, mulH, comulH = {}, dense(inst.H.mul), dense(inst.H.comul)
+    acts, stars = ({t: dense(a) for t, a in table.items()} for table in (inst.actions, inst.stars))
+    products = {pair: (tc, dense(T)) for pair, (tc, T) in inst.products.items()}
+    inst = dense_tables(inst)
     for t, A in acts.items():
         if A is not None:
             ref[f"act{t}_rep"] = worst(
-                einsum("iau,ubv->iabv", A, A) - einsum("abx,ixv->iabv", H.mul, A)
+                einsum("iau,ubv->iabv", A, A) - einsum("abx,ixv->iabv", mulH, A)
             )
-    for (ta, tb), (tc, T) in inst.products.items():
+    for (ta, tb), (tc, T) in products.items():
         if T is None:
             continue
         ref[f"equivariant_{ta}{tb}"] = worst(
             einsum("xyz,zhk->xyhk", T, acts[tc])
-            - einsum("hab,xau,ybv,uvk->xyhk", H.comul, acts[ta], acts[tb], T)
+            - einsum("hab,xau,ybv,uvk->xyhk", comulH, acts[ta], acts[tb], T)
         )
         sign = (-1) ** (DEGREE[ta] * DEGREE[tb])
-        reverse = inst.products[(tb, ta)][1]
+        reverse = products[(tb, ta)][1]
         ref[f"star_{ta}{tb}"] = worst(
             einsum("xyz,zk->xyk", np.conj(T), stars[tc])
             - einsum("xu,yv,vuk->xyk", stars[ta], stars[tb], sign * reverse)
         )
     for ta, tb, tc in itertools.product(DEGREE, repeat=3):
-        tab, P = inst.products.get((ta, tb), (None, None))
-        tbc, R = inst.products.get((tb, tc), (None, None))
-        Q = inst.products.get((tab, tc), (None, None))[1]
-        S = inst.products.get((ta, tbc), (None, None))[1]
+        tab, P = products.get((ta, tb), (None, None))
+        tbc, R = products.get((tb, tc), (None, None))
+        Q = products.get((tab, tc), (None, None))[1]
+        S = products.get((ta, tbc), (None, None))[1]
         if any(x is None for x in (P, Q, R, S)):
             continue
         ref[f"assoc_{ta}{tb}{tc}"] = worst(
@@ -132,15 +136,17 @@ def perturbed(a, rng, scale=1e-3, extra=5):
 
 
 def perturbed_instance(inst, seed):
+    """The instance with `perturbed` dense copies of its tables, which the
+    constructors read back into index forms."""
     rng = np.random.default_rng(seed)
     H = dataclasses.replace(inst.H, **{
-        f.name: perturbed(getattr(inst.H, f.name), rng)
+        f.name: perturbed(dense(getattr(inst.H, f.name)), rng)
         for f in dataclasses.fields(inst.H) if f.name != "labels"
     })
     tables = {
-        f.name: perturbed(getattr(inst, f.name), rng)
+        f.name: perturbed(dense(getattr(inst, f.name)), rng)
         for f in dataclasses.fields(inst)
-        if isinstance(getattr(inst, f.name), np.ndarray)
+        if isinstance(getattr(inst, f.name), (np.ndarray, IndexForm))
     }
     return dataclasses.replace(inst, H=H, **tables)
 
@@ -193,7 +199,7 @@ def test_products_match_dense(token, seed):
     H = inst.H
 
     def cochain(target, scale=1.0):
-        dim = len(inst.stars[target])
+        dim = inst.stars[target].shape[0]
         values = rng.standard_normal((H.dim, dim, 2)) @ [1, 1j]
         return ConvolutionElement(inst, target, scale * values)
 
@@ -204,25 +210,26 @@ def test_products_match_dense(token, seed):
         f, g = cochain(ta), cochain(tb)
         h = convolve(f, g)
         assert h.target == target
-        assert_close(h.values, einsum("hjk,ja,kb,abc->hc", H.comul, f.values, g.values, T))
+        T = T.dense()
+        assert_close(h.values, einsum("hjk,ja,kb,abc->hc", H.comul.dense(), f.values, g.values, T))
         x, y = f.values[0], g.values[-1]
         assert_close(inst.mul(ta, tb, x, y), einsum("i,j,ijk->k", x, y, T))
     sigma = cochain("B", 0.1)
     sigma.values += np.outer(H.counit, inst.unitB)
     s = sigma.values
-    resid = einsum("ijk,kv->ijv", H.mul, s) - einsum(
-        "jab,iu,uax,by,xyv->ijv", H.comul, s, inst.actB, s, inst.mulB
+    resid = einsum("ijk,kv->ijv", H.mul.dense(), s) - einsum(
+        "jab,iu,uax,by,xyv->ijv", H.comul.dense(), s, inst.actB.dense(), s, inst.mulB.dense()
     )
     assert abs(check_sweedler_cocycle(sigma)["cocycle"] - np.abs(resid).max()) <= TOL
 
 
 def test_a_nan_reaches_the_worst_of():
     inst = jet_instance(2)
-    inst.H.mul[0, 0, 0] = math.nan
+    inst.H.mul = inst.H.mul + IndexForm(inst.H.mul.shape, ([0], [0], [0]), np.array([math.nan]))
     rep = inst.H.axiom_report()
     assert math.isnan(rep["assoc"]) and math.isnan(rep["max"])
     inst = jet_instance(2)
-    inst.dB[1, 0] = math.nan
+    inst.dB = inst.dB + IndexForm(inst.dB.shape, ([1], [0]), np.array([math.nan]))
     rep = inst.data_report()
     assert math.isnan(rep["derivation"]) and math.isnan(rep["max"])
 

@@ -6,7 +6,8 @@ generators g of H) and contracts the multiplication blocks out of the factor
 tables.  Three references are kept here:
 
 - `dense_op_report` builds the dense product tensors T, TL, TR, TR2, WT of
-  size up to (dim H dim B)(dim H dim M)^2 and takes every residual
+  size up to (dim H dim B)(dim H dim M)^2 from `.dense()` copies of the
+  tables and takes every residual
   entrywise; with `generators=True` the reduced residuals are taken over
   the same generator rows as `op_report`, which it must match to 1e-14.
 - without `generators` it is the full check over every basis pair;
@@ -19,6 +20,7 @@ The last two must give the same verdict as `op_report` on every instance.
 import dataclasses
 import itertools
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from ncgauge.hopf import (
     ConvolutionElement,
     CrossedProduct,
     FiniteHopf,
+    IndexForm,
     ModuleAlgebra,
     coboundary_S,
     conj_action,
@@ -53,6 +56,16 @@ def einsum(spec, *operands):
     """Dense reference contraction, pairwise along numpy's greedy path."""
     return np.einsum(spec, *operands, optimize="greedy")
 
+def dense(a):
+    """The dense array of an index form; a dense vector or None passes through."""
+    return a.dense() if isinstance(a, IndexForm) else a
+
+
+def dense_tables(obj):
+    """The fields of a FiniteHopf or ModuleAlgebra, each table a dense copy."""
+    return SimpleNamespace(**{f.name: dense(getattr(obj, f.name)) for f in dataclasses.fields(obj)})
+
+
 # the keys whose factor op_report restricts to the generating set
 REDUCED = {
     "op_sigma_hom", "op_sigma_forms_left", "op_sigma_forms_right",
@@ -64,8 +77,8 @@ def dense_tensors(inst):
     """T (B.B), TL (B.M), TR (M.B), TR2 (O2.B), WT (M^M) on the crossed
     product, and the star matrices SP, SW: (h x b)(h' x b') = h h'_1 x
     (b <| h'_2) b'."""
-    H, dH = inst.H, inst.H.dim
-    dB, dM, dO = inst.dimB, inst.dimM, inst.dimO2
+    dH, dB, dM, dO = inst.H.dim, inst.dimB, inst.dimM, inst.dimO2
+    H, inst = dense_tables(inst.H), dense_tables(inst)
     T = einsum(
         "pjk,ijt,bku,uce->ibpcte", H.comul, H.mul, inst.actB, inst.mulB,
     ).reshape(dH * dB, dH * dB, dH * dB)
@@ -160,7 +173,7 @@ def dense_op_report(inst, sigma, mu=None, upsilon=None, generators=False) -> dic
         rhs = einsum("ra,ayw->ryw", X @ D, TR) + einsum("yb,rx,xbw->ryw", D, X, TL)
         rep["op_mu_derivation"] = float(np.abs(lhs - rhs).max())
         rep["op_mu_star"] = float(np.abs(SP @ D + np.conj(D) @ SW).max())
-        dB_flat = np.array([np.outer(H.unit, row).ravel() for row in inst.dB])
+        dB_flat = np.array([np.outer(H.unit, row).ravel() for row in inst.dB.dense()])
         rep["op_mu_restricts"] = float(np.abs(EB @ D - dB_flat).max())
         Finv = op_gauge_matrix(conv_inverse(sigma)).dense()
         target = op_potential_matrix(conj_action(sigma, mu) + mc_cocycle(sigma)).dense()
@@ -196,7 +209,7 @@ def per_index_op_report(inst, sigma, mu=None, upsilon=None) -> dict:
     for i in range(inst.H.dim):
         L = {}
         for key, (tx, ty, Gx, Gy, Gz) in homs.items():
-            d = len(inst.stars[tx])
+            d = inst.stars[tx].shape[0]
             rows = slice(i * d, (i + 1) * d)
             Li = cp.left(tx, ty, np.eye(len(Gx))[rows]).dense()
             note(key, Gy @ cp.left(tx, ty, Gx[rows]).dense() - Li @ Gz)
@@ -358,7 +371,7 @@ def test_generators():
     def span_of_words(H):
         span = H.unit[None]
         for _ in range(H.dim):
-            span = np.vstack([span] + [span @ H.mul[:, g, :] for g in H.generators])
+            span = np.vstack([span] + [span @ H.mul.dense()[:, g, :] for g in H.generators])
         return np.linalg.matrix_rank(span, tol=1e-9)
 
     for n in (1, 2, 5, 8):
@@ -403,7 +416,7 @@ def test_wrong_two_form_action_fails_the_wedge_check():
     # two-forms is then not right B x| H-linear; the wedge over every basis
     # pair never reads actO2
     inst, sigma, _, _ = cocycle_inputs("jet:4")
-    inst.actO2 = np.stack([np.eye(inst.dimO2)] * inst.H.dim, axis=1) + 0j
+    inst.actO2 = IndexForm.of(np.stack([np.eye(inst.dimO2)] * inst.H.dim, axis=1) + 0j)
     assert op_report(inst, sigma)["op_sigma_prolongable"] > 0.1
     assert dense_op_report(inst, sigma)["op_sigma_prolongable"] <= 1e-12
 
@@ -430,7 +443,7 @@ def test_wedge_part_matches_dense():
     # with Omega^2 x| H given the zero right B-action, the two-form part of
     # op_sigma_prolongable vanishes and its wedge part is compared alone
     inst, sigma, _, _ = random_inputs("jet:4")
-    inst.rightO2 = np.zeros_like(inst.rightO2)
+    inst.rightO2 = IndexForm.of(np.zeros(inst.rightO2.shape, dtype=complex))
     WT = dense_tensors(inst)[4]
     Fm, Fo = op_gauge_matrix(sigma, "M").dense(), op_gauge_matrix(sigma, "O2").dense()
     EM = np.kron(inst.H.unit, np.eye(inst.dimM))
@@ -445,7 +458,8 @@ def test_translations_on_s3_is_a_module_algebra():
     inst = translations_on_s3()
     assert inst.H.axiom_report()["max"] <= 1e-12
     assert inst.data_report()["max"] <= 1e-12
-    assert np.abs(inst.H.mul - inst.H.mul.transpose(1, 0, 2)).max() == 1.0
+    mul = inst.H.mul.dense()
+    assert np.abs(mul - mul.transpose(1, 0, 2)).max() == 1.0
 
 
 def test_op_report_memory_on_cycle_8():

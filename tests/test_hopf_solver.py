@@ -5,7 +5,8 @@ rows to k in {1} and the generators of H, and takes one SVD per connected
 component of the system.  `dense_solve` is the solver it replaced: the
 residuals of an identity batch of cochains over every basis pair (h, k),
 stacked into one dense system with one SVD, and Z_B(M)_sa from a dense
-system too.  Both must give the same dimensions and the same spans, and
+system too, both over `.dense()` copies of the tables.  Both must give
+the same dimensions and the same spans, and
 on C[Z_n] the dimensions of the group-cohomology enumerator.
 """
 
@@ -37,9 +38,8 @@ def nullspace(A, tol=1e-9):
 
 def commutator(inst, values, tx):
     """f(h_1)(x <| h_2) - (-1)^{|x|} (x <| h_1) f(h_2) for M-valued f."""
-    _, L = inst.product("M", tx)
-    _, R = inst.product(tx, "M")
-    A, c = inst.actions[tx], inst.H.comul
+    L, R, A, c = (t.dense() for t in (inst.product("M", tx)[1], inst.product(tx, "M")[1],
+                                       inst.actions[tx], inst.H.comul))
     sign = -1 if tx == "M" else 1
     return np.einsum("hjk,...ja,xky,ayz->...hxz", c, values, A, L, optimize=True) - sign * np.einsum(
         "hjk,xjy,...kb,ybz->...hxz", c, A, values, R, optimize=True
@@ -49,10 +49,10 @@ def commutator(inst, values, tx):
 def central_sa_basis(inst):
     dM = inst.dimM
     blocks = []
+    leftM, rightM, S = inst.leftM.dense(), inst.rightM.dense(), inst.starM.dense()
     for b in np.eye(inst.dimB, dtype=complex):
-        L = np.einsum("j,jmk->km", b, inst.leftM) - np.einsum("mjk,j->km", inst.rightM, b)
+        L = np.einsum("j,jmk->km", b, leftM) - np.einsum("mjk,j->km", rightM, b)
         blocks.append(np.block([[L.real, -L.imag], [L.imag, L.real]]))
-    S = inst.starM
     blocks.append(np.hstack([S.real.T - np.eye(dM), S.imag.T]))
     blocks.append(np.hstack([S.imag.T, -S.real.T - np.eye(dM)]))
     return nullspace(np.vstack(blocks))
@@ -63,10 +63,11 @@ def dense_solve(inst, prolongable=False):
     H = inst.H
     dH, dM = H.dim, inst.dimM
     n_c = dH * dM
+    actM = inst.actM.dense()
     unknowns = np.eye(n_c, dtype=complex).reshape(n_c, dH, dM)
     residuals = [
-        np.einsum("ijk,nkv->nijv", H.mul, unknowns)
-        - np.einsum("niu,ujv->nijv", unknowns, inst.actM)
+        np.einsum("ijk,nkv->nijv", H.mul.dense(), unknowns)
+        - np.einsum("niu,ujv->nijv", unknowns, actM)
         - np.einsum("i,njv->nijv", H.counit, unknowns),
         commutator(inst, unknowns, "B"),
     ]
@@ -87,7 +88,7 @@ def dense_solve(inst, prolongable=False):
     if graded:
         const = np.einsum("h,nv->nhv", H.counit, ms)
         ms = ms[np.abs(commutator(inst, const, "M")).max(axis=(1, 2, 3), initial=0.0) <= 1e-9]
-    d = (np.einsum("nu,uhv->nhv", ms, inst.actM) - np.einsum("h,nv->nhv", H.counit, ms)).reshape(len(ms), n_c)
+    d = (np.einsum("nu,uhv->nhv", ms, actM) - np.einsum("h,nv->nhv", H.counit, ms)).reshape(len(ms), n_c)
     return np.vstack([sols.real, sols.imag]), np.hstack([d.real, d.imag]).T
 
 
