@@ -24,7 +24,7 @@ from .quadfield import (
     phi_inverse,
     unit_power_data,
 )
-from .torus import OneFormB, TorusElement, TwoFormB, d_B, d_B1, wedge
+from .torus import Form, OneFormB, TorusElement, TwoFormB, d_B, d_B1, wedge
 from .heisenberg import (
     GradedElement,
     GridSpec,

@@ -12,6 +12,7 @@ import argparse
 import cmath
 import collections
 import contextlib
+import dataclasses
 import functools
 import json
 import math
@@ -65,13 +66,13 @@ def parse_theta(text: str) -> ThetaContext:
         raise ConfigError(f"invalid --theta {text!r}: {exc}") from exc
 
 
-def parse_grid(text: str, tol: float, modes: int = 4) -> heisenberg.GridSpec:
+def parse_grid(text: str, tol: float) -> heisenberg.GridSpec:
     try:
         parts = text.split(",")
         L = float(parts[0])
         N = int(parts[1]) if len(parts) > 1 else 1024
         J = int(parts[2]) if len(parts) > 2 else 8
-        return heisenberg.GridSpec(L=L, N=N, J=J, tol=tol, modes=modes)
+        return heisenberg.GridSpec(L=L, N=N, J=J, tol=tol)
     except (ValueError, IndexError) as exc:
         raise ConfigError(f"invalid --grid {text!r}: {exc}") from exc
 
@@ -580,12 +581,27 @@ def cohomology_bytes(inst: hopf.ModuleAlgebra) -> int:
     return 16 * (4 * block + 6 * n * n) + 2**20
 
 
+def _same_tables(x, y, fields) -> bool:
+    """Are the tables `fields` of x and y entry for entry equal, absent ones
+    included?  They are compared in index form: their difference has no
+    entry."""
+    pairs = [(getattr(x, f), getattr(y, f)) for f in fields]
+    return all(a is None and b is None or a is not None and b is not None
+               and a.shape == b.shape and hopf._maxabs(a - b) == 0 for a, b in pairs)
+
+
 def _is_cyclic_group_hopf(H: hopf.FiniteHopf) -> bool:
-    """Is H entry for entry the C[Z_n] of `hopf.cyclic_group_hopf`?  The
-    tables are compared in index form: their difference has no entry."""
-    Z = hopf.cyclic_group_hopf(H.dim)
-    pairs = [(getattr(H, f), getattr(Z, f)) for f in ("mul", "comul", "counit", "antipode", "star", "unit")]
-    return all(a.shape == b.shape and hopf._maxabs(a - b) == 0 for a, b in pairs)
+    """Is H entry for entry the C[Z_n] of `hopf.cyclic_group_hopf`?"""
+    return _same_tables(H, hopf.cyclic_group_hopf(H.dim),
+                        ("mul", "comul", "counit", "antipode", "star", "unit"))
+
+
+def _is_jet_instance(inst: hopf.ModuleAlgebra) -> bool:
+    """Are the tables of inst, on H = C[Z_n], those of `hopf.jet_instance(n)`?
+    Its name is not read."""
+    n = inst.H.dim
+    tables = [f.name for f in dataclasses.fields(inst) if f.name not in ("H", "name")]
+    return inst.dimB == 4 * n and _same_tables(inst, hopf.jet_instance(n), tables)
 
 
 def cmd_cohomology(args) -> tuple[dict, list]:
@@ -642,9 +658,8 @@ def cmd_cohomology(args) -> tuple[dict, list]:
         char = hopf.unit_cocycle(inst)
     # MC residuals on a sampled Sweedler cocycle, when a derivation exists
     if inst.dB is not None and hopf._maxabs(inst.dB) > 0:
-        # jet_unitary fills one 4-dimensional block of B per element of Z_n
-        is_jet = "jet" in (inst.name or "") and inst.dimB == 4 * n
-        u = hopf.jet_unitary(inst, rng=rng) if is_jet else None
+        # sigma from a random unitary of B when B is the jet algebra, else the unit
+        u = hopf.jet_unitary(inst, rng=rng) if cyclic and _is_jet_instance(inst) else None
         if u is None:
             sigma = hopf.unit_cocycle(inst)
         else:

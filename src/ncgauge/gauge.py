@@ -2,18 +2,22 @@
 canonical potential, field strength, gauge action, q-deformed vertical
 calculus, and the adaptedness tests that single out q = eps^2.
 
-Horizontal forms carry the sigma-twist: the degree-1 right action is
-(p . dtau^j) . q = p sigma(q) . dtau^j and degree 2 twists by sigma^2,
-so commutators against scalar forms act grade-wise:
+Horizontal forms are `torus.Form`s over GradedElement coefficients, which
+carry the sigma-twist: the degree-1 right action is (p . dtau^j) . q =
+p sigma(q) . dtau^j and degree 2 twists by sigma^2, so commutators against
+scalar forms act grade-wise:
 
     [i s dtau^j, p] = i s (eps^{-m} - 1) p . dtau^j     on P_m,
     [c vol_B, p]    = c (eps^{-2m} - 1) p . vol_B       on P_m.
+
+On grade 0 this calculus is Omega_B itself: the canonical potential is
+`torus.d_B` and the horizontal wedge is `torus.wedge`.
 
 Adaptedness of a potential with respect to the q-deformed calculus on the
 structure group reduces, for these free rank-one sectors, to grade-wise
 proportionality between the field-strength eigenvalue and the vertical
 coefficient 2 pi i [m]_q q^{-m}; that ratio is evaluated exactly in
-Q[sqrt(Delta)] whenever q lives there.
+Q[sqrt(Delta)], a float q read as the binary rational it is.
 """
 
 from __future__ import annotations
@@ -23,88 +27,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .heisenberg import GradedElement, mul_P, partial, sigma, star_P
+from .heisenberg import GradedElement, sigma
 from .quadfield import FieldElement, ThetaContext
+from .torus import Form, d_B, d_B1, wedge
 
 TWO_PI = 2.0 * math.pi
 
-
-# -- horizontal forms --------------------------------------------------------
-
-
-class HorizontalForm:
-    """Degree 0, 1 or 2 element of the twisted horizontal calculus.
-
-    degree 0: a GradedElement; degree 1: (p1, p2) for p1.dtau^1 + p2.dtau^2;
-    degree 2: p.vol_B.
-    """
-
-    __slots__ = ("degree", "parts")
-
-    def __init__(self, degree: int, parts):
-        if degree == 0 or degree == 2:
-            parts = (parts,) if isinstance(parts, GradedElement) else tuple(parts)
-            if len(parts) != 1:
-                raise ValueError("degree 0/2 forms have one component")
-        elif degree == 1:
-            parts = tuple(parts)
-            if len(parts) != 2:
-                raise ValueError("degree 1 forms have two components")
-        else:
-            raise ValueError("degree must be 0, 1 or 2")
-        self.degree = degree
-        self.parts = parts
-
-    def __add__(self, other):
-        if self.degree != other.degree:
-            raise ValueError("degrees differ")
-        return HorizontalForm(
-            self.degree, tuple(a + b for a, b in zip(self.parts, other.parts))
-        )
-
-    def __sub__(self, other):
-        if self.degree != other.degree:
-            raise ValueError("degrees differ")
-        return HorizontalForm(
-            self.degree, tuple(a - b for a, b in zip(self.parts, other.parts))
-        )
-
-    def scale(self, c):
-        return HorizontalForm(self.degree, tuple(p.scale(c) for p in self.parts))
-
-    def norm(self):
-        return math.sqrt(sum(p.norm() ** 2 for p in self.parts))
-
-    def right_mul(self, q: GradedElement) -> "HorizontalForm":
-        """Twisted right action: degree d picks up sigma^d(q)."""
-        tw = q
-        for _ in range(self.degree):
-            tw = sigma(tw)
-        return HorizontalForm(self.degree, tuple(mul_P(p, tw) for p in self.parts))
-
-    def left_mul(self, q: GradedElement) -> "HorizontalForm":
-        return HorizontalForm(self.degree, tuple(mul_P(q, p) for p in self.parts))
-
-    def star(self) -> "HorizontalForm":
-        """Graded star; dtau^j and vol_B are skew/self-adjoint resp."""
-        if self.degree == 0:
-            return HorizontalForm(0, star_P(self.parts[0]))
-        if self.degree == 1:
-            # (p.dtau^j)^* = -sigma(p^*).dtau^j
-            return HorizontalForm(
-                1, tuple(sigma(star_P(p)).scale(-1.0) for p in self.parts)
-            )
-        # (p.vol_B)^* = sigma^2(p^*).vol_B
-        return HorizontalForm(2, sigma(sigma(star_P(self.parts[0]))))
-
-
-def wedge_horizontal(w1: HorizontalForm, w2: HorizontalForm) -> HorizontalForm:
-    """(p1 dt1 + p2 dt2) ^ (q1 dt1 + q2 dt2) = (p1 sigma(q2) - p2 sigma(q1)) vol."""
-    if w1.degree != 1 or w2.degree != 1:
-        raise ValueError("wedge is defined on degree-1 forms")
-    p1, p2 = w1.parts
-    q1, q2 = w2.parts
-    return HorizontalForm(2, mul_P(p1, sigma(q2)) - mul_P(p2, sigma(q1)))
+# the horizontal calculus is the calculus of `torus.Form`
+HorizontalForm = Form
+nabla0 = d_B  # i d_1(p) dtau^1 + i d_2(p) dtau^2, which restricts to d_B
+wedge_horizontal = wedge  # (p1 sigma(q2) - p2 sigma(q1)) vol_B
 
 
 # -- potentials --------------------------------------------------------------
@@ -118,53 +50,40 @@ class GaugePotential:
     s2: float = 0.0
 
 
-def nabla0(p: GradedElement) -> HorizontalForm:
-    """Canonical potential i d_1(p) dtau^1 + i d_2(p) dtau^2; restricts to d_B."""
-    return HorizontalForm(
-        1, (partial(1, p).scale(1j), partial(2, p).scale(1j))
-    )
-
-
 def _scalar_commutator_term(s: float, p: GradedElement) -> GradedElement:
     """i s (sigma(p) - p): the dtau-component of [i s dtau^j, p]."""
     return (sigma(p) - p).scale(1j * s)
 
 
-def apply_potential(pot: GaugePotential, p: GradedElement) -> HorizontalForm:
+def apply_potential(pot: GaugePotential, p: GradedElement) -> Form:
     """nabla(p) = nabla_0(p) + [i(s1 dtau^1 + s2 dtau^2), p]."""
-    base = nabla0(p)
-    c1 = _scalar_commutator_term(pot.s1, p)
-    c2 = _scalar_commutator_term(pot.s2, p)
-    return HorizontalForm(1, (base.parts[0] + c1, base.parts[1] + c2))
+    eta = (_scalar_commutator_term(pot.s1, p), _scalar_commutator_term(pot.s2, p))
+    return nabla0(p) + Form(1, eta)
 
 
-def prolong(pot: GaugePotential, w: HorizontalForm) -> HorizontalForm:
+def prolong(pot: GaugePotential, w: Form) -> Form:
     """Canonical prolongation on degree 1:
 
-    nabla'(p1 dt1 + p2 dt2) = -i (d_2 p1 - d_1 p2) vol + eta ^ w + w ^ eta
-    with eta = i(s1 dt1 + s2 dt2); the wedge terms use the sigma twist.
+    nabla'(p1 dt1 + p2 dt2) = d_B1(w) + eta ^ w + w ^ eta with
+    eta = i(s1 dt1 + s2 dt2), d_B1(w) = -i (d_2 p1 - d_1 p2) vol; the
+    wedge terms, with scalar coefficients i s_j in grade 0, use the sigma
+    twist.
     """
     if w.degree != 1:
         raise ValueError("prolongation acts on degree-1 forms")
     p1, p2 = w.parts
-    core = (partial(2, p1) - partial(1, p2)).scale(-1j)
-    # eta ^ w + w ^ eta with scalar coefficients i s_j in grade 0
-    s1, s2 = pot.s1, pot.s2
-    extra = (
-        (sigma(p2) - p2).scale(1j * s1) - (sigma(p1) - p1).scale(1j * s2)
-    )
-    return HorizontalForm(2, core + extra)
+    extra = _scalar_commutator_term(pot.s1, p2) - _scalar_commutator_term(pot.s2, p1)
+    return Form(2, d_B1(w).b + extra)
 
 
-def field_strength(pot: GaugePotential, p: GradedElement) -> HorizontalForm:
+def field_strength(pot: GaugePotential, p: GradedElement) -> Form:
     """F[nabla](p) = -i nabla'(nabla(p)); independent of (s1, s2)."""
     return prolong(pot, apply_potential(pot, p)).scale(-1j)
 
 
-def volume_commutator(coef: complex, p: GradedElement) -> HorizontalForm:
+def volume_commutator(coef: complex, p: GradedElement) -> Form:
     """[coef . vol_B, p] computed in the sigma^2-twisted bimodule."""
-    ss = sigma(sigma(p))
-    return HorizontalForm(2, (ss - p).scale(coef))
+    return Form(2, (sigma(sigma(p)) - p).scale(coef))
 
 
 def field_strength_eigenvalue(ctx: ThetaContext, m: int) -> float:
@@ -191,15 +110,10 @@ def gauge_transform(zeta: complex, p: GradedElement) -> GradedElement:
     return GradedElement(out, p.ctx, p.grid)
 
 
-def transformed_potential(
-    pot: GaugePotential, zeta: complex, p: GradedElement
-) -> HorizontalForm:
+def transformed_potential(pot: GaugePotential, zeta: complex, p: GradedElement) -> Form:
     """(psi_G(zeta) |> nabla)(p) = f_* nabla(f^{-1} p) componentwise."""
-    pre = gauge_transform(zeta.conjugate(), p)
-    w = apply_potential(pot, pre)
-    return HorizontalForm(
-        1, tuple(gauge_transform(zeta, comp) for comp in w.parts)
-    )
+    w = apply_potential(pot, gauge_transform(zeta.conjugate(), p))
+    return Form(1, [gauge_transform(zeta, comp) for comp in w.parts])
 
 
 # -- q-calculus ----------------------------------------------------------------
@@ -265,27 +179,20 @@ def vertical_derivative(q, p: GradedElement) -> dict:
 # -- adaptedness ----------------------------------------------------------------
 
 
-def _as_field(ctx: ThetaContext, q) -> FieldElement | None:
-    if isinstance(q, FieldElement):
-        return q
-    if isinstance(q, (int, Fraction)):
-        return FieldElement.of(q, 0, ctx.t.delta)
-    return None
+def _as_field(ctx: ThetaContext, q) -> FieldElement:
+    """q in Q[sqrt(Delta)]; a float is the binary rational `Fraction(q)` it is."""
+    return q if isinstance(q, FieldElement) else FieldElement.of(Fraction(q), 0, ctx.t.delta)
 
 
 @lru_cache(maxsize=1)
-def _denominators(q, M: int) -> tuple:
-    """Pairs (m, [m]_q q^{-m}) over m in [-M, M] \\ {0}.
+def _denominators(q: FieldElement, M: int) -> tuple:
+    """Pairs (m, [m]_q q^{-m}) over m in [-M, M] \\ {0}, exact in Q[sqrt(Delta)].
 
-    q is a FieldElement or a float.  In Q[sqrt(Delta)] the denominator is
-    -[-m]_q = (q^{-m} - 1) / (1 - q), from powers q^{+-k} built with one
-    product each; floats keep the direct form.  The last result is kept,
-    so the two adaptedness tests that q_sweep runs back to back on one q
-    share it.
+    The denominator is -[-m]_q = (q^{-m} - 1) / (1 - q), from powers q^{+-k}
+    built with one product each.  The last result is kept, so the two
+    adaptedness tests that q_sweep runs back to back on one q share it.
     """
     grades = [m for m in range(-M, M + 1) if m]
-    if not isinstance(q, FieldElement):
-        return tuple((m, q_number(m, q) * q ** (-m)) for m in grades)
     if q == 1:
         return tuple((m, FieldElement.of(m, 0, q.delta)) for m in grades)
     one, inv, scale = FieldElement.of(1, 0, q.delta), q.inverse(), (1 - q).inverse()
@@ -299,34 +206,29 @@ def _denominators(q, M: int) -> tuple:
 def _factorization_test(ctx: ThetaContext, q, M: int, tol: float, numerator):
     """Do the ratios numerator(m) / ([m]_q q^{-m}) agree over m in [-M, M] \\ {0}?
 
-    numerator(m) is exact in Q[sqrt(Delta)].  When q lies there too, the
-    denominator is exact as well and the ratios are compared with ==;
-    otherwise the denominator is a float, each ratio is the exact field
-    element over its exact Fraction, and the ratios are compared relatively
-    at tol (`_within`).  Returns the report without its wrapper's key, and
-    the common ratio (None unless adapted).  The report gives each ratio
-    as a float, or as its exact value, a string, when it does not fit one
-    (eps^-m c_m on a large unit).
+    numerator(m) is exact in Q[sqrt(Delta)], and so is the denominator: a
+    float q is read as its exact rational.  The ratios of an exact q are
+    compared with ==, those of a float q relatively at tol (`_within`); a
+    float q that is not finite is not adapted.  Returns the report without
+    its wrapper's key, and the common ratio (None unless adapted).  The
+    report gives each ratio as a float, or as its exact value, a string,
+    when it does not fit one (eps^-m c_m on a large unit).
     """
     if M < 2:
         raise ValueError("M must be at least 2")
-    qf = _as_field(ctx, q)
-    exact = qf is not None
-    qv = float(qf) if exact else float(q)
+    exact, qv = not isinstance(q, float), float(q)
+    if not math.isfinite(qv):
+        return {"q": qv, "adapted": False, "reason": f"q = {qv}", "exact": exact}, None
     ratios = {}
-    for m, den in _denominators(qf if exact else qv, M):
-        if den == 0 or not (exact or math.isfinite(den)):
-            reason = f"[{m}]_q = 0" if den == 0 else f"[{m}]_q q^{-m} = {den}"
-            return {"q": qv, "adapted": False, "reason": reason, "exact": exact}, None
-        ratios[m] = numerator(m) / den  # a float den is read as its exact Fraction
-    vals = list(ratios.values())
-    if exact:
-        adapted = all(v == vals[0] for v in vals)
-    else:
-        adapted = all(_within(v, vals[0], tol) for v in vals)
+    for m, den in _denominators(_as_field(ctx, q), M):
+        if den == 0:
+            return {"q": qv, "adapted": False, "reason": f"[{m}]_q = 0", "exact": exact}, None
+        ratios[m] = numerator(m) / den
+    first = next(iter(ratios.values()))
+    adapted = all(v == first if exact else _within(v, first, tol) for v in ratios.values())
     report = {"q": qv, "adapted": adapted, "ratios": {m: _float_or_exact(v) for m, v in ratios.items()},
               "exact": exact}
-    return report, float(vals[0]) if adapted else None
+    return report, float(first) if adapted else None
 
 
 def _within(v: FieldElement, w: FieldElement, tol: float) -> bool:
@@ -356,10 +258,11 @@ def adaptedness_test(ctx: ThetaContext, q, M: int = 4, tol: float = 1e-8) -> dic
 
     For each grade m in [-M, M] \\ {0} the factorization requires a single
     constant c with  2 pi eps^{-m} c_m = 2 pi i [m]_q q^{-m} c;  the ratios
-    eps^{-m} c_m / ([m]_q q^{-m}) must therefore agree across m.  Exact
-    field arithmetic is used when q lies in Q[sqrt(Delta)]; floats fall
-    back to relative comparison at tol.  The report carries the curvature
-    constant c = F(d_qt)-coefficient, equal to -i eps c_1 at q = eps^2.
+    eps^{-m} c_m / ([m]_q q^{-m}) must therefore agree across m.  They are
+    formed in exact field arithmetic, a float q read as its exact rational;
+    those of a float q are compared relatively at tol.  The report carries
+    the curvature constant c = F(d_qt)-coefficient, equal to -i eps c_1 at
+    q = eps^2.
     """
     report, ratio = _factorization_test(
         ctx, q, M, tol, lambda m: ctx.eps_pow(-m) * ctx.c(m)

@@ -663,6 +663,23 @@ class GradedElement:
             out[m] = p * c if m == 0 else p.scale(c)
         return GradedElement(out, self.ctx, self.grid)
 
+    # the coefficient protocol of torus.Form, shared with TorusElement; each
+    # method calls its module function, so wrapping that function is seen
+    def __mul__(self, other):
+        return mul_P(self, other) if isinstance(other, GradedElement) else self.scale(other)
+
+    def __rmul__(self, c):
+        return self.scale(c)
+
+    def star(self) -> "GradedElement":
+        return star_P(self)
+
+    def sigma(self) -> "GradedElement":
+        return sigma(self)
+
+    def delta(self, j: int) -> "GradedElement":
+        return partial(j, self)
+
     def norm(self) -> float:
         return math.sqrt(sum(p.norm() ** 2 for p in self.parts.values()))
 

@@ -11,7 +11,9 @@ the star:
 
 The degree-1 and degree-2 parts of the canonical calculus use the central
 basis d tau^1 = (-i, 0), d tau^2 = (0, -i) of B + B and vol_B = d tau^1 ^
-d tau^2 = 1.
+d tau^2 = 1.  `Form` holds forms of every degree, with torus coefficients
+on the base and graded ones on the total space, where the calculus is
+sigma-twisted; `d_B`, `d_B1` and `wedge` serve both.
 """
 
 from __future__ import annotations
@@ -171,6 +173,10 @@ class TorusElement:
         )
 
     # -- derivations and calculus ---------------------------------------
+    def sigma(self) -> "TorusElement":
+        """The twisting automorphism of the graded algebra fixes its grade 0."""
+        return self
+
     def delta(self, j: int) -> "TorusElement":
         """delta_1(U^m V^n) = 2 pi m U^m V^n, delta_2 likewise with n."""
         if j not in (1, 2):
@@ -220,10 +226,6 @@ class TorusElement:
         return cls(data["theta"], coeffs)
 
 
-def multiply(x: TorusElement, y: TorusElement) -> TorusElement:
-    return x * y
-
-
 def star(x: TorusElement) -> TorusElement:
     return x.star()
 
@@ -232,101 +234,123 @@ def delta(j: int, x: TorusElement) -> TorusElement:
     return x.delta(j)
 
 
-class OneFormB:
-    """b1 * dtau^1 + b2 * dtau^2 with central skew-adjoint dtau^j.
+class Form:
+    """Degree 0, 1 or 2 element of the calculus: a coefficient b in degree
+    0, b1 dtau^1 + b2 dtau^2 in degree 1 and b vol_B in degree 2.
 
-    Coefficients are stored in the (dtau^1, dtau^2) basis; the pair picture
-    (b1, b2) in B + B of the canonical calculus is dtau^j = -i * e_j, so
-    d_B(b) = (delta_1 b, delta_2 b) corresponds to i delta_j(b) dtau^j.
+    The coefficients are TorusElements (Omega_B) or GradedElements (the
+    sigma-twisted horizontal calculus of the graded algebra P, which is
+    Omega_B on P_0 = A_theta).  Both share one protocol (+, -, products
+    with scalars and with each other, star, sigma, delta(j) and norm), and
+    sigma is the identity on the torus.  dtau^j is skew-adjoint and
+    vol_B = dtau^1 ^ dtau^2 self-adjoint; both commute with coefficients up
+    to the twist, p dtau^j q = p sigma(q) dtau^j and p vol_B q = p
+    sigma^2(q) vol_B.  In the pair picture (b1, b2) in B + B of the
+    canonical calculus dtau^j = -i e_j, so d_B(b) = (delta_1 b, delta_2 b)
+    corresponds to i delta_j(b) dtau^j.
     """
 
-    __slots__ = ("b1", "b2")
+    __slots__ = ("degree", "parts")
 
-    def __init__(self, b1: TorusElement, b2: TorusElement):
-        if b1.theta != b2.theta:
-            raise ThetaMismatch("component thetas differ")
-        self.b1 = b1
-        self.b2 = b2
+    def __init__(self, degree: int, parts):
+        parts = tuple(parts) if isinstance(parts, (tuple, list)) else (parts,)
+        if degree not in (0, 1, 2):
+            raise ValueError("degree must be 0, 1 or 2")
+        if len(parts) != (2 if degree == 1 else 1):
+            raise ValueError("degree 1 forms have two components, degree 0/2 forms one")
+        self.degree = degree
+        self.parts = parts
 
     @property
-    def theta(self):
-        return self.b1.theta
+    def b1(self):
+        return self.parts[0]
+
+    @property
+    def b2(self):
+        return self.parts[1]
+
+    b = b1  # the coefficient of a degree 0 or 2 form
+
+    def _zip(self, other):
+        if self.degree != other.degree:
+            raise ValueError("degrees differ")
+        return zip(self.parts, other.parts)
 
     def __add__(self, other):
-        return OneFormB(self.b1 + other.b1, self.b2 + other.b2)
+        return Form(self.degree, [a + b for a, b in self._zip(other)])
 
     def __sub__(self, other):
-        return OneFormB(self.b1 - other.b1, self.b2 - other.b2)
+        return Form(self.degree, [a - b for a, b in self._zip(other)])
 
-    def left_mul(self, x: TorusElement) -> "OneFormB":
-        return OneFormB(x * self.b1, x * self.b2)
+    def scale(self, c):
+        return Form(self.degree, [p * c for p in self.parts])
 
-    def right_mul(self, x: TorusElement) -> "OneFormB":
-        # dtau^j central in Omega_B: x may slide through
-        return OneFormB(self.b1 * x, self.b2 * x)
+    def left_mul(self, x):
+        return Form(self.degree, [x * p for p in self.parts])
 
-    def star(self) -> "OneFormB":
-        # (b dtau^j)^* = dtau^{j*} b^* = -dtau^j b^* = -b^* dtau^j
-        return OneFormB(-self.b1.star(), -self.b2.star())
+    def right_mul(self, x):
+        """Twisted right action: degree d picks up sigma^d(x)."""
+        for _ in range(self.degree):
+            x = x.sigma()
+        return Form(self.degree, [p * x for p in self.parts])
 
-    def norm(self):
-        return math.hypot(self.b1.norm(), self.b2.norm())
+    def star(self) -> "Form":
+        """(p dtau^j)^* = -sigma(p^*) dtau^j, (p vol_B)^* = sigma^2(p^*) vol_B."""
+        parts = [p.star() for p in self.parts]
+        for _ in range(self.degree):
+            parts = [p.sigma() for p in parts]
+        return Form(self.degree, [-p for p in parts] if self.degree == 1 else parts)
+
+    def norm(self) -> float:
+        return math.hypot(*(p.norm() for p in self.parts))
 
     def close_to(self, other, tol=1e-12):
         return (self - other).norm() <= tol
 
     def __repr__(self):
-        return f"OneFormB({self.b1!r} dtau1 + {self.b2!r} dtau2)"
+        return f"Form({self.degree}, {self.parts!r})"
 
 
-class TwoFormB:
-    """b * vol_B with vol_B = dtau^1 ^ dtau^2 = 1 central self-adjoint."""
-
-    __slots__ = ("b",)
-
-    def __init__(self, b: TorusElement):
-        self.b = b
-
-    def __add__(self, other):
-        return TwoFormB(self.b + other.b)
-
-    def __sub__(self, other):
-        return TwoFormB(self.b - other.b)
-
-    def star(self) -> "TwoFormB":
-        return TwoFormB(self.b.star())
-
-    def norm(self):
-        return self.b.norm()
-
-    def close_to(self, other, tol=1e-12):
-        return (self - other).norm() <= tol
-
-    def __repr__(self):
-        return f"TwoFormB({self.b!r} vol)"
+def OneFormB(b1: TorusElement, b2: TorusElement) -> Form:
+    """b1 dtau^1 + b2 dtau^2, its two coefficients over one theta."""
+    if b1.theta != b2.theta:
+        raise ThetaMismatch("component thetas differ")
+    return Form(1, (b1, b2))
 
 
-def d_B(x: TorusElement) -> OneFormB:
-    """Exterior derivative B -> Omega^1: i delta_1(x) dtau^1 + i delta_2(x) dtau^2."""
-    return OneFormB(x.delta(1) * 1j, x.delta(2) * 1j)
+def TwoFormB(b: TorusElement) -> Form:
+    """b vol_B."""
+    return Form(2, b)
 
 
-def d_B1(w: OneFormB) -> TwoFormB:
-    """Exterior derivative Omega^1 -> Omega^2 in the dtau basis.
+def d_B(x) -> Form:
+    """Exterior derivative in degree 0: i delta_1(x) dtau^1 + i delta_2(x) dtau^2.
+
+    On the graded algebra it is the canonical potential nabla_0, which
+    restricts to d_B on grade 0.
+    """
+    return Form(1, (x.delta(1) * 1j, x.delta(2) * 1j))
+
+
+def d_B1(w: Form) -> Form:
+    """Exterior derivative in degree 1, in the dtau basis.
 
     In the pair basis d_B(c1, c2) = delta_2(c1) - delta_1(c2); converting
     both sides gives -i (delta_2(b1) - delta_1(b2)) vol_B for b_j dtau^j.
     """
-    return TwoFormB((w.b1.delta(2) - w.b2.delta(1)) * complex(0, -1))
+    return Form(2, (w.b1.delta(2) - w.b2.delta(1)) * complex(0, -1))
 
 
-def wedge(w: OneFormB, w2: OneFormB) -> TwoFormB:
-    """(b1 dtau^1 + b2 dtau^2) ^ (c1 dtau^1 + c2 dtau^2) = (b1 c2 - b2 c1) vol_B.
+def wedge(w: Form, w2: Form) -> Form:
+    """(b1 dtau^1 + b2 dtau^2) ^ (c1 dtau^1 + c2 dtau^2) = (b1 sigma(c2) - b2 sigma(c1)) vol_B.
 
-    Equivalent to the pair-basis formula (p1,p2)^(q1,q2) = p2 q1 - p1 q2
-    after dtau^j = -i e_j on both slots, since vol_B = dtau^1 ^ dtau^2.
+    On the torus sigma is the identity, and this is the pair-basis formula
+    (p1,p2)^(q1,q2) = p2 q1 - p1 q2 after dtau^j = -i e_j on both slots,
+    since vol_B = dtau^1 ^ dtau^2.
     """
-    return TwoFormB(w.b1 * w2.b2 - w.b2 * w2.b1)
+    if w.degree != 1 or w2.degree != 1:
+        raise ValueError("wedge is defined on degree-1 forms")
+    return Form(2, w.b1 * w2.b2.sigma() - w.b2 * w2.b1.sigma())
 
 
 def wedge_pairs(p: tuple, q: tuple) -> TorusElement:
@@ -336,12 +360,12 @@ def wedge_pairs(p: tuple, q: tuple) -> TorusElement:
     return b2 * c1 - b1 * c2
 
 
-def dtau1(theta: float) -> OneFormB:
-    return OneFormB(TorusElement.one(theta), TorusElement.zero(theta))
+def dtau1(theta: float) -> Form:
+    return Form(1, (TorusElement.one(theta), TorusElement.zero(theta)))
 
 
-def dtau2(theta: float) -> OneFormB:
-    return OneFormB(TorusElement.zero(theta), TorusElement.one(theta))
+def dtau2(theta: float) -> Form:
+    return Form(1, (TorusElement.zero(theta), TorusElement.one(theta)))
 
 
 def random_sparse(theta, rng: np.random.Generator, terms=4, span=4) -> TorusElement:

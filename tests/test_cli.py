@@ -252,6 +252,37 @@ class TestCohomology:
         assert code == 0
         assert json.loads(out)["maurer_cartan"]["sigma"] == "unit"
 
+    @pytest.mark.parametrize("name", ["jet-like cycle", "cycle-on-Z2"])
+    def test_a_jet_sized_b_that_is_not_the_jet_algebra_uses_the_unit(self, capsys, tmp_path, name):
+        # C(Z_8) with its cycle calculus and C[Z_2] acting by x -> x - 4:
+        # dim B = 4 dim H, but B is not the jet algebra (jet_unitary raised
+        # NotAdmissible on it when the name held "jet")
+        def half_turn(blocks):
+            act = np.zeros((8 * blocks, 2, 8 * blocks))
+            for x, e, j in np.ndindex(8, blocks, 2):
+                act[x * blocks + e, j, (x - 4 * j) % 8 * blocks + e] = 1.0
+            return act
+
+        inst = hopf.cycle_instance(8)
+        inst.H, inst.name = hopf.cyclic_group_hopf(2), name
+        inst.actB, inst.actM, inst.actO2 = half_turn(1), half_turn(2), half_turn(1)
+        path = tmp_path / "cycle8.json"
+        path.write_text(hopf.dump_instance(inst))
+        code, out = run(capsys, ["cohomology", "--instance", str(path)])
+        data = json.loads(out)
+        assert code == 0 and data["pass"]
+        assert data["hopf_gate"]["max"] == 0.0 and data["data_gate"] == 0.0
+        assert data["maurer_cartan"]["sigma"] == "unit"
+
+    def test_the_jet_algebra_under_another_name_samples_a_jet_unitary(self, capsys, tmp_path):
+        inst = hopf.jet_instance(2)
+        inst.name = "d2"
+        path = tmp_path / "d2.json"
+        path.write_text(hopf.dump_instance(inst))
+        code, out = run(capsys, ["cohomology", "--instance", str(path)])
+        assert code == 0
+        assert json.loads(out)["maurer_cartan"]["sigma"] == "jet_unitary"
+
     def test_corrupted_antipode_gate_failure(self, capsys, tmp_path):
         inst = hopf.jet_instance(2)
         # corrupt S: S(g) = 0.7 g

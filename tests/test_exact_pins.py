@@ -1,10 +1,13 @@
-"""Pinned reports of two exact suites.
+"""Pinned reports of three exact suites.
 
 `pell` and `stabilizer` print integers, exact booleans and floats that are
 correctly rounded (`math.sqrt` and int / int division), so their stdout is
-the same on every platform.  The digests below were taken from the reports
-of the Fraction-pair field layer; a change to the exact layers must keep
-them byte for byte, exit codes included.
+the same on every platform.  `monopole` prints exact verdicts and floats
+from IEEE sqrt, division and products only.  The digests below were taken
+from the reports of the Fraction-pair field layer (`monopole` from those of
+the two-path adaptedness tests, with a float branch for [m]_q q^-m); a
+change to the exact layers must keep them byte for byte, exit codes
+included.  `torus-check` goes through `cmath.exp` and is not pinned.
 """
 
 import hashlib
@@ -42,5 +45,15 @@ def test_stabilizer_grade_20_on_three_thetas(capsys):
     assert got == STABILIZER_SHA256
 
 
+def test_monopole_default_sweep(capsys):
+    # the default sweep at grade 12 on three thetas, factorization ratios
+    # beyond the float range on sqrt 109 (eps = 3.2e14), and grade 24 on sqrt2
+    runs = [["monopole", "--theta", t, "--grades", "12"] for t in THETAS]
+    runs += [["monopole", "--theta", "0,1,109", "--grades", "11"],
+             ["monopole", "--theta", "0,1,2", "--grades", "24"]]
+    assert digest(capsys, runs) == MONOPOLE_SHA256
+
+
 PELL_SHA256 = "feec014563aa140171be892361f9d84629c559ddde3b42264c28f5b517df9780"
 STABILIZER_SHA256 = "c6365a24a5c61110c834efba5ed4a695e9145dbc74bd85c0d43e1c7275a20214"
+MONOPOLE_SHA256 = "8e1f4c70a29ec9d862d7f7c2c95d4540a64733c50ffa3d015e1a06399ac42526"

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from ncgauge.quadfield import GOLDEN, ONE_PLUS_SQRT3, SQRT2, FieldElement, ThetaContext
+from ncgauge import torus
 from ncgauge.torus import TorusElement
 from ncgauge.heisenberg import (
     GradedElement,
@@ -22,6 +23,7 @@ from ncgauge.gauge import (
     GaugePotential,
     HorizontalForm,
     QCalculus,
+    _as_field,
     _denominators,
     _within,
     adaptedness_test,
@@ -293,11 +295,12 @@ class TestAdaptedness:
         ctx = ThetaContext.from_rational(0, 1, 109)
         rep = adaptedness_test(ctx, 2.5, M=11)
         assert rep["adapted"] is False and rep["exact"] is False
-        ratios, dens = rep["ratios"], dict(_denominators(2.5, 11))
+        ratios, dens = rep["ratios"], dict(_denominators(_as_field(ctx, 2.5), 11))
         beyond = [m for m, v in ratios.items() if isinstance(v, str)]
         assert beyond and all(isinstance(v, float) for m, v in ratios.items() if m not in beyond)
-        # each ratio is exact over the exact Fraction of its float denominator
-        assert all(ratios[m] == str(ctx.eps_pow(-m) * ctx.c(m) / Fraction(dens[m])) for m in beyond)
+        # each ratio is exact over the exact denominator of q = 5/2
+        assert all(ratios[m] == str(ctx.eps_pow(-m) * ctx.c(m) / dens[m]) for m in beyond)
+        assert dens[-3] == -q_number(3, Fraction(5, 2))
         assert relative_adaptedness_test(ctx, 2.5, M=11)["adapted"] is False
         # the relative gap of two exact ratios beyond the float range
         big = ctx.eps_pow(11) * ctx.c(-11)
@@ -313,7 +316,7 @@ class TestAdaptedness:
 
     @pytest.mark.parametrize("M", [2, 5])
     def test_denominators_equal_the_direct_form(self, M):
-        # exact q: -[-m]_q with q^{-m} by binary exponentiation; float q: as written
+        # -[-m]_q with q^{-m} by binary exponentiation
         grades = [m for m in range(-M, M + 1) if m]
         for theta in (GOLDEN, SQRT2, ONE_PLUS_SQRT3):
             ctx = ThetaContext(theta)
@@ -323,8 +326,26 @@ class TestAdaptedness:
             ]
             for q in exact:
                 assert _denominators(q, M) == tuple((m, -q_number(-m, q)) for m in grades)
+        # a float q has the denominators of the binary rational Fraction(q) it is
         for q in (1.37, -1.0, 0.5, 1.0, CTX.eps_float):
-            assert _denominators(q, M) == tuple((m, q_number(m, q) * q ** (-m)) for m in grades)
+            assert _denominators(_as_field(CTX, q), M) == tuple(
+                (m, -q_number(-m, Fraction(q))) for m in grades)
+
+    def test_float_eps_squared_on_a_large_unit(self):
+        # the float powers of q = eps^2 = 1.1e29 left the float range at M = 11
+        # (OverflowError); read as its exact rational, q is adapted at tol
+        ctx = ThetaContext.from_rational(0, 1, 109)
+        rep = adaptedness_test(ctx, ctx.eps_float**2, M=11)
+        assert rep["adapted"] is True and rep["exact"] is False
+        assert rep["curvature_constant"] == pytest.approx(complex(0, -ctx.eps_float * ctx.c(1)))
+        assert relative_adaptedness_test(ctx, ctx.eps_float**2, M=11)["adapted"] is False
+
+    @pytest.mark.parametrize("q", [math.inf, -math.inf, math.nan])
+    def test_a_float_q_that_is_not_finite_is_not_adapted(self, q):
+        for test in (adaptedness_test, relative_adaptedness_test):
+            rep = test(CTX, q, M=4)
+            assert rep["adapted"] is False and rep["exact"] is False
+            assert rep["reason"] == f"q = {q}"
 
     def test_sweep_forms_each_denominator_once(self):
         qs = [q for _, q, _, _ in self.sweep_values(CTX)]
@@ -355,6 +376,42 @@ class TestAdaptedness:
             assert measured.real == pytest.approx(
                 field_strength_eigenvalue(CTX, m), rel=1e-5
             )
+
+
+class TestOneCalculus:
+    def test_the_horizontal_calculus_is_the_torus_calculus(self):
+        assert nabla0 is torus.d_B and wedge_horizontal is torus.wedge
+        assert HorizontalForm is torus.Form
+
+    def test_grade_zero_forms_agree_with_the_torus_forms(self):
+        th = CTX.theta_float
+        rng = np.random.default_rng(5)
+        b1, b2, c1, c2, x = (torus.random_sparse(th, rng) for _ in range(5))
+        lift = lambda b: GradedElement.from_torus(b, CTX, GRID)  # noqa: E731
+        base = [torus.Form(1, (b1, b2)), torus.Form(1, (c1, c2))]
+        graded = [torus.Form(1, (lift(b1), lift(b2))), torus.Form(1, (lift(c1), lift(c2)))]
+
+        def same(on_torus, on_grade_zero):
+            pairs = zip(on_torus.parts, on_grade_zero.parts)
+            return all((g.part(0) - b).norm() == 0.0 for b, g in pairs)
+
+        assert same(base[0].star(), graded[0].star())
+        assert same(base[0].right_mul(x), graded[0].right_mul(lift(x)))
+        assert same(base[0].left_mul(x), graded[0].left_mul(lift(x)))
+        assert same(torus.wedge(*base), torus.wedge(*graded))
+        assert same(torus.d_B1(base[0]), torus.d_B1(graded[0]))
+        assert same(torus.wedge(*base).star(), torus.wedge(*graded).star())
+
+    def test_degrees_are_checked(self):
+        w = torus.dtau1(CTX.theta_float)
+        with pytest.raises(ValueError):
+            w + torus.Form(2, w.b1)
+        with pytest.raises(ValueError):
+            torus.wedge(w, torus.Form(0, w.b1))
+        with pytest.raises(ValueError):
+            torus.Form(1, w.b1)
+        with pytest.raises(ValueError):
+            torus.Form(3, w.b1)
 
 
 class TestWedge:
