@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import collections
 import contextlib
 import dataclasses
 import functools
@@ -69,6 +68,8 @@ def parse_theta(text: str) -> ThetaContext:
 def parse_grid(text: str, tol: float) -> heisenberg.GridSpec:
     try:
         parts = text.split(",")
+        if len(parts) > 3:
+            raise ValueError("a grid is at most three fields, L,N,J")
         L = float(parts[0])
         N = int(parts[1]) if len(parts) > 1 else 1024
         J = int(parts[2]) if len(parts) > 2 else 8
@@ -80,18 +81,17 @@ def parse_grid(text: str, tol: float) -> heisenberg.GridSpec:
 def parse_q_token(tok: str, ctx: ThetaContext):
     """Sweep tokens: 1, 2, 1/2, eps, eps^-1, eps^2, ... or a float.
 
-    q must be non-zero and have a finite float value: nan, inf and exact
-    values beyond the float range (1e400, eps^2000) are configuration errors.
+    A power of eps is exactly eps or eps^k with k an integer.  q must be
+    non-zero and have a finite float value: nan, inf and exact values
+    beyond the float range (1e400, eps^2000) are configuration errors.
     """
     tok = tok.strip()
-    if tok.startswith("eps"):
-        power = 1
-        if "^" in tok:
-            try:
-                power = int(tok.split("^")[1])
-            except ValueError as exc:
-                raise ConfigError(f"invalid q token {tok!r}") from exc
-        q = ctx.eps_pow(power)
+    base, hat, power = tok.partition("^")
+    if base == "eps":
+        try:
+            q = ctx.eps_pow(int(power) if hat else 1)
+        except ValueError as exc:
+            raise ConfigError(f"invalid q token {tok!r}") from exc
     else:
         try:
             q = FieldElement.of(Fraction(tok), 0, ctx.t.delta)
@@ -358,11 +358,7 @@ def commutator_eigenvalue(ctx: ThetaContext, grid: heisenberg.GridSpec, m: int,
     freed when this returns, not held through the sections that follow.
     """
     f = heisenberg.gaussian(ctx, grid, m, width=1.2)
-    g = heisenberg.GradedElement.from_heis(f)
-    comm = (
-        heisenberg.partial(1, heisenberg.partial(2, g)).parts[m]
-        - heisenberg.partial(2, heisenberg.partial(1, g)).parts[m]
-    )
+    comm = f.delta(2).delta(1) - f.delta(1).delta(2)
     f_sq = f.inner(f)
     if f_sq == 0:
         raise ConfigError(f"--grid {grid_text!r} samples the grade {m} test vector as zero")
@@ -375,28 +371,20 @@ class ProductTable:
     `table[a, b]` is mul_P(parts[a], parts[b]), computed on its first read
     together with the warnings it raised.  Every read raises those
     warnings, so a section that reads a shared product counts its
-    truncations as though it had computed the product itself.  `reads`
-    lists every key the run reads, once per read; an entry is dropped after
-    its last read, and a read beyond them is an error.
+    truncations as though it had computed the product itself.
     """
 
-    def __init__(self, parts: dict, reads: list):
+    def __init__(self, parts: dict):
         self.parts = parts
-        self._left = collections.Counter(reads)
         self._entries: dict = {}
 
     def __getitem__(self, key):
-        if not self._left[key]:
-            raise KeyError(f"product {key} is read more often than planned")
         if key not in self._entries:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 product = heisenberg.mul_P(*(self.parts[label] for label in key))
             self._entries[key] = product, caught
         product, caught = self._entries[key]
-        self._left[key] -= 1
-        if not self._left[key]:
-            del self._entries[key]
         for w in caught:
             warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
         return product
@@ -428,7 +416,7 @@ def cmd_heisenberg_verify(args) -> tuple[dict, list]:
                 if m == 0:
                     continue
                 measured = commutator_eigenvalue(ctx, grid, m, args.grid)
-                expected = -2j * math.pi * float(ctx.eps_pow(-m) * ctx.c(m))
+                expected = -1j * gauge.field_strength_eigenvalue(ctx, m)
                 rel = abs(measured - expected) / abs(expected)
                 eig[str(m)] = {
                     "measured_im": measured.imag,
@@ -463,7 +451,7 @@ def cmd_heisenberg_verify(args) -> tuple[dict, list]:
             }
             pairs = [(0, 1), (1, 0), (1, 1), (-1, 1)]
             triples = [(1, 1, -1), (1, -1, 1), (0, 1, 1)]
-            products = ProductTable(parts, pairs + [k for t in triples for k in (t[:2], t[1:])])
+            products = ProductTable(parts)
             norms = {m: part.norm() for m, part in parts.items()}
             derived = {(j, m): G.partial(j, part) for m, part in parts.items() for j in (1, 2)}
             twisted = {b: G.sigma(parts[b]) for _, b in pairs}

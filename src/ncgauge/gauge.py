@@ -104,10 +104,7 @@ def gauge_transform(zeta: complex, p: GradedElement) -> GradedElement:
     """psi_G(zeta): grade-wise scaling by zeta^m; fixes grade 0."""
     if abs(abs(zeta) - 1.0) > 1e-12:
         raise ValueError("zeta must have modulus one")
-    out = {}
-    for m, part in p.parts.items():
-        out[m] = part if m == 0 else part.scale(zeta**m)
-    return GradedElement(out, p.ctx, p.grid)
+    return GradedElement({m: part.scale(zeta**m) for m, part in p.parts.items()}, p.ctx, p.grid)
 
 
 def transformed_potential(pot: GaugePotential, zeta: complex, p: GradedElement) -> Form:
@@ -208,17 +205,18 @@ def _factorization_test(ctx: ThetaContext, q, M: int, tol: float, numerator):
 
     numerator(m) is exact in Q[sqrt(Delta)], and so is the denominator: a
     float q is read as its exact rational.  The ratios of an exact q are
-    compared with ==, those of a float q relatively at tol (`_within`); a
-    float q that is not finite is not adapted.  Returns the report without
-    its wrapper's key, and the common ratio (None unless adapted).  The
-    report gives each ratio as a float, or as its exact value, a string,
-    when it does not fit one (eps^-m c_m on a large unit).
+    compared with ==, those of a float q relatively at tol (`_within`);
+    q = 0 and a float q that is not finite are not adapted.  Returns the
+    report without its wrapper's key, and the common ratio (None unless
+    adapted).  The report gives each ratio as a float, or as its exact
+    value, a string, when it does not fit one (eps^-m c_m on a large unit).
     """
     if M < 2:
         raise ValueError("M must be at least 2")
     exact, qv = not isinstance(q, float), float(q)
-    if not math.isfinite(qv):
-        return {"q": qv, "adapted": False, "reason": f"q = {qv}", "exact": exact}, None
+    if q == 0 or not math.isfinite(qv):
+        reason = "q = 0" if q == 0 else f"q = {qv}"
+        return {"q": qv, "adapted": False, "reason": reason, "exact": exact}, None
     ratios = {}
     for m, den in _denominators(_as_field(ctx, q), M):
         if den == 0:

@@ -374,6 +374,18 @@ class HeisenbergElement:
     def scale(self, c) -> "HeisenbergElement":
         return self._with_owned(self.samples * c)
 
+    # the part protocol of GradedElement, shared with TorusElement; each
+    # method calls its module function, so wrapping that function is seen
+    def star(self) -> "HeisenbergElement":
+        return star_heis(self)
+
+    def sigma(self) -> "HeisenbergElement":
+        """The twisting automorphism on grade m: scaling by eps^{-m}."""
+        return self.scale(self.ctx.eps_pow_float(-self.m))
+
+    def delta(self, j: int) -> "HeisenbergElement":
+        return partial_heis(j, self)
+
     def norm(self) -> float:
         """l^2 norm: sqrt of the trapezoid integral of |f|^2 summed over
         sectors, one sum against the grid's weights (a NaN sample gives NaN)."""
@@ -606,7 +618,11 @@ def partial_heis(j: int, f: HeisenbergElement) -> HeisenbergElement:
 
 
 class GradedElement:
-    """Finite sum of graded parts: grade 0 exact, other grades on the grid."""
+    """Finite sum of graded parts: grade 0 exact, other grades on the grid.
+
+    Both kinds of part have scale, star, sigma and delta(j), so `scale`,
+    `sigma`, `star_P` and `partial` act part by part with no grade-0 case.
+    """
 
     __slots__ = ("parts", "ctx", "grid")
 
@@ -645,7 +661,12 @@ class GradedElement:
             return self.parts.get(0, TorusElement.zero(self.ctx.theta_float))
         return self.parts.get(m)
 
+    def _compat(self, other: "GradedElement"):
+        if self.ctx is not other.ctx or self.grid != other.grid:
+            raise ValueError("incompatible contexts")
+
     def __add__(self, other):
+        self._compat(other)
         out = dict(self.parts)
         for m, p in other.parts.items():
             out[m] = (out[m] + p) if m in out else p
@@ -658,10 +679,7 @@ class GradedElement:
         return self + (-other)
 
     def scale(self, c) -> "GradedElement":
-        out = {}
-        for m, p in self.parts.items():
-            out[m] = p * c if m == 0 else p.scale(c)
-        return GradedElement(out, self.ctx, self.grid)
+        return GradedElement({m: p.scale(c) for m, p in self.parts.items()}, self.ctx, self.grid)
 
     # the coefficient protocol of torus.Form, shared with TorusElement; each
     # method calls its module function, so wrapping that function is seen
@@ -689,32 +707,17 @@ class GradedElement:
 
 def sigma(p: GradedElement) -> GradedElement:
     """Grade-wise scaling by eps^{-m}; the twisting automorphism."""
-    out = {}
-    for m, part in p.parts.items():
-        if m == 0:
-            out[0] = part
-        else:
-            out[m] = part.scale(p.ctx.eps_pow_float(-m))
-    return GradedElement(out, p.ctx, p.grid)
+    return GradedElement({m: part.sigma() for m, part in p.parts.items()}, p.ctx, p.grid)
 
 
 def star_P(p: GradedElement) -> GradedElement:
-    out = {}
-    for m, part in p.parts.items():
-        if m == 0:
-            out[0] = part.star()
-        else:
-            sp = star_heis(part)
-            out[sp.m] = (out[sp.m] + sp) if sp.m in out else sp
-    return GradedElement(out, p.ctx, p.grid)
+    """The star of each part, from grade m to grade -m."""
+    return GradedElement({-m: part.star() for m, part in p.parts.items()}, p.ctx, p.grid)
 
 
 def partial(j: int, p: GradedElement) -> GradedElement:
     """Grade-preserving twisted derivations; grade 0 restricts to delta_j."""
-    out = {}
-    for m, part in p.parts.items():
-        out[m] = part.delta(j) if m == 0 else partial_heis(j, part)
-    return GradedElement(out, p.ctx, p.grid)
+    return GradedElement({m: part.delta(j) for m, part in p.parts.items()}, p.ctx, p.grid)
 
 
 # -- graded multiplication ------------------------------------------------------
@@ -880,7 +883,7 @@ def _pair_to_heis(f: HeisenbergElement, g: HeisenbergElement) -> HeisenbergEleme
     return res
 
 
-def _mul_parts(a, b, ctx, grid):
+def _mul_parts(a, b):
     """Dispatch one graded pair; returns (grade, part)."""
     a_is_t = isinstance(a, TorusElement)
     b_is_t = isinstance(b, TorusElement)
@@ -897,12 +900,11 @@ def _mul_parts(a, b, ctx, grid):
 
 def mul_P(p: GradedElement, q: GradedElement) -> GradedElement:
     """Bilinear graded product; P_m . P_n lands in P_{m+n}."""
-    if p.ctx is not q.ctx or p.grid != q.grid:
-        raise ValueError("incompatible contexts")
+    p._compat(q)
     acc: dict = {}
-    for mp, pa in p.parts.items():
-        for mq, qa in q.parts.items():
-            grade, part = _mul_parts(pa, qa, p.ctx, p.grid)
+    for pa in p.parts.values():
+        for qa in q.parts.values():
+            grade, part = _mul_parts(pa, qa)
             acc[grade] = (acc[grade] + part) if grade in acc else part
     return GradedElement(acc, p.ctx, p.grid)
 

@@ -152,6 +152,9 @@ class TorusElement:
             return self * other
         return NotImplemented
 
+    def scale(self, c) -> "TorusElement":
+        return self * c
+
     def __pow__(self, k: int):
         if k < 0:
             return self.star() ** (-k) if self.is_monomial_unitary() else NotImplemented

@@ -154,7 +154,7 @@ class TestHeisenbergProductTable:
         run(capsys, self.SEED_4)
         assert calls == {"_pair_to_heis": 7, "_pair_to_torus": 6}
 
-    def test_every_read_replays_the_warnings_and_the_last_drops_the_entry(self, monkeypatch):
+    def test_every_read_replays_the_warnings(self, monkeypatch):
         computed = []
 
         def loud_product(p, q):
@@ -163,15 +163,13 @@ class TestHeisenbergProductTable:
             return "pq"
 
         monkeypatch.setattr(heisenberg, "mul_P", loud_product)
-        table = cli.ProductTable({1: "p", -1: "q"}, [(1, -1), (1, -1)])
+        table = cli.ProductTable({1: "p", -1: "q"})
         counts = {}
-        for section in ("first", "second"):
+        for section in ("first", "second", "third"):
             with cli.count_truncations(counts, section):
                 assert table[1, -1] == "pq"
-        assert counts == {"first": 1, "second": 1}
-        assert computed == [("p", "q")] and not table._entries
-        with pytest.raises(KeyError, match="more often than planned"):
-            table[1, -1]
+        assert counts == {"first": 1, "second": 1, "third": 1}
+        assert computed == [("p", "q")]
 
 
 class TestMonopole:
@@ -429,6 +427,8 @@ class TestParsers:
     def test_q_tokens(self):
         ctx = parse_theta("1/2,1/2,5")
         assert parse_q_token("eps^2", ctx) == ctx.eps**2
+        assert parse_q_token("eps", ctx) == ctx.eps
+        assert parse_q_token("eps^-3", ctx) == ctx.eps_pow(-3)
         assert parse_q_token("1/2", ctx).r == 0.5
         assert float(parse_q_token("2.718", ctx)) == pytest.approx(2.718)
         with pytest.raises(ConfigError):
@@ -448,6 +448,12 @@ class TestQTokenEdges:
     def test_bad_eps_power(self):
         assert main(["monopole", "--theta", "1/2,1/2,5", "--q-sweep", "eps^x"]) == 2
 
+    @pytest.mark.parametrize("tok", ["epsfoo", "eps^2^3", "eps^", "eps2"])
+    def test_an_eps_token_is_eps_or_an_integer_power(self, capsys, tok):
+        # epsfoo ran with q = eps and eps^2^3 with q = eps^2
+        assert main(["monopole", "--theta", "1/2,1/2,5", "--q-sweep", tok]) == 2
+        assert capsys.readouterr().err.startswith("configuration error:")
+
     @pytest.mark.parametrize("tok", ["nan", "inf", "1e400", "eps^2000"])
     def test_non_finite_q_rejected(self, capsys, tok):
         with pytest.raises(ConfigError, match="finite"):
@@ -465,6 +471,13 @@ class TestGridValidation:
         argv = ["heisenberg-verify", "--theta", "0,1,2", "--grades", "1", f"--grid={grid}"]
         assert main(argv) == 2
         assert "invalid --grid" in capsys.readouterr().err
+
+    def test_a_fourth_field_is_config_error(self, capsys):
+        # 12,1024,8,99 ran on the grid 12,1024,8
+        argv = ["heisenberg-verify", "--theta", "0,1,2", "--grades", "1", "--grid", "12,1024,8,99"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: invalid --grid") and "three fields" in err
 
     def test_grid_too_wide_for_the_test_vector_is_config_error(self, capsys):
         argv = ["heisenberg-verify", "--theta", "0,1,2", "--grades", "1", "--grid", "1e5"]

@@ -16,7 +16,11 @@ from ncgauge.heisenberg import (
     TruncationWarning,
     gaussian,
     mul_P,
+    partial,
+    partial_heis,
+    random_packet,
     sigma,
+    star_heis,
     star_P,
 )
 from ncgauge.gauge import (
@@ -347,6 +351,17 @@ class TestAdaptedness:
             assert rep["adapted"] is False and rep["exact"] is False
             assert rep["reason"] == f"q = {q}"
 
+    @pytest.mark.parametrize("q", [0, 0.0, FieldElement.of(0, 0, CTX.t.delta)],
+                             ids=["int", "float", "field"])
+    def test_q_zero_is_not_adapted(self, q):
+        # _denominators raised ZeroDivisionError on the inverse of q
+        for test, key in ((adaptedness_test, "curvature_constant"),
+                          (relative_adaptedness_test, "form_coefficient")):
+            rep = test(CTX, q, M=4)
+            assert rep["adapted"] is False and rep[key] is None
+            assert rep["reason"] == "q = 0" and rep["q"] == 0.0
+            assert rep["exact"] is not isinstance(q, float)
+
     def test_sweep_forms_each_denominator_once(self):
         qs = [q for _, q, _, _ in self.sweep_values(CTX)]
         _denominators.cache_clear()
@@ -412,6 +427,51 @@ class TestOneCalculus:
             torus.Form(1, w.b1)
         with pytest.raises(ValueError):
             torus.Form(3, w.b1)
+
+
+class TestOnePartProtocol:
+    """The graded operations act part by part through the methods that
+    TorusElement and HeisenbergElement share."""
+
+    @pytest.fixture
+    def p(self):
+        rng = np.random.default_rng(11)
+        parts = {m: random_packet(CTX, GRID, m, rng) for m in (-2, -1, 1, 2)}
+        parts[0] = torus.random_sparse(CTX.theta_float, rng)
+        return GradedElement(parts, CTX, GRID)
+
+    @staticmethod
+    def same(x, y):
+        if isinstance(x, TorusElement):
+            return isinstance(y, TorusElement) and x.coeffs == y.coeffs
+        return x.m == y.m and np.array_equal(x.samples, y.samples)
+
+    def agree(self, graded, per_part):
+        return graded.parts.keys() == per_part.keys() and all(
+            self.same(graded.parts[m], part) for m, part in per_part.items())
+
+    def test_graded_operations_are_the_part_methods(self, p):
+        c = 0.7 - 0.2j
+        assert self.agree(p.scale(c), {m: x.scale(c) for m, x in p.parts.items()})
+        assert self.agree(sigma(p), {m: x.sigma() for m, x in p.parts.items()})
+        assert self.agree(star_P(p), {-m: x.star() for m, x in p.parts.items()})
+        for j in (1, 2):
+            assert self.agree(partial(j, p), {m: x.delta(j) for m, x in p.parts.items()})
+        zeta = np.exp(0.3j)
+        assert self.agree(gauge_transform(zeta, p),
+                          {m: x.scale(zeta**m) for m, x in p.parts.items()})
+
+    def test_part_methods_are_the_module_functions(self, p):
+        b = p.parts[0]
+        assert b.scale(2.5).coeffs == (b * 2.5).coeffs and b.sigma() is b
+        for m in (-2, -1, 1, 2):
+            f = p.parts[m]
+            assert self.same(f.star(), star_heis(f))
+            assert self.same(f.sigma(), f.scale(CTX.eps_pow_float(-m)))
+            for j in (1, 2):
+                assert self.same(f.delta(j), partial_heis(j, f))
+        with pytest.raises(ValueError, match="j must be 1 or 2"):
+            p.parts[1].delta(3)
 
 
 class TestWedge:

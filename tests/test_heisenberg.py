@@ -1,6 +1,7 @@
 """Tests for the Heisenberg sectors, module actions, and graded product."""
 
 import math
+import operator
 import warnings
 
 import numpy as np
@@ -444,6 +445,17 @@ class TestMulP:
             lhs = partial(j, mul_P(f, g))
             rhs = mul_P(partial(j, f), sigma(g)) + mul_P(f, partial(j, g))
             assert relG(lhs, rhs, f, g) < 1e-4
+
+    def test_sums_and_products_across_contexts_are_refused(self):
+        # the sum claimed GRID for a grade -1 part sampled on another grid
+        p = GradedElement.from_heis(gaussian(CTX, GRID, 1))
+        others = [GradedElement.from_heis(gaussian(CTX, GridSpec(L=8.0, N=512), -1)),
+                  GradedElement.from_heis(gaussian(ThetaContext(GOLDEN), GRID, -1))]
+        for q in others:
+            for a, b in ((p, q), (q, p)):
+                for op in (operator.add, operator.sub, mul_P):
+                    with pytest.raises(ValueError, match="incompatible contexts"):
+                        op(a, b)
 
     def test_truncation_warning_on_spreading_product(self, rng):
         # P_2 x P_-1 spreads at rate eps^{-1}|c_1|/(|c_2||c_{-1}|) per step;
