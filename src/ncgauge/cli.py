@@ -4,6 +4,11 @@ Subcommands: pell, stabilizer, torus-check, heisenberg-verify, monopole,
 cohomology.  JSON is the canonical output; pretty tables and csv are
 derived from it.  Exit codes, set by `verdict` from the suite's checks:
 0 every check holds, 1 a check fails, 2 configuration error.
+
+Only the standard library and `quadfield` load with this module; each
+suite imports the layers it runs and calls their functions through the
+module (`heisenberg.mul_P`), so `pell`, `stabilizer` and `monopole` run
+without numpy and no suite but `cohomology` loads `hopf`.
 """
 
 from __future__ import annotations
@@ -22,9 +27,7 @@ import warnings
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
-from . import gauge, heisenberg, hopf, quadfield, torus
+from . import quadfield
 from .quadfield import FieldElement, NonQuadratic, ThetaContext
 
 DEFAULT_SEED = 0xA17E
@@ -66,6 +69,8 @@ def parse_theta(text: str) -> ThetaContext:
 
 
 def parse_grid(text: str, tol: float) -> heisenberg.GridSpec:
+    from . import heisenberg
+
     try:
         parts = text.split(",")
         if len(parts) > 3:
@@ -145,9 +150,11 @@ def emit(report: dict, fmt: str, out: str | None) -> None:
 def _coerce(obj):
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
-    if isinstance(obj, (np.floating, np.integer)):
+    # a numpy value can only reach a report once numpy is loaded
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(obj, (np.floating, np.integer)):
         return obj.item()
-    if isinstance(obj, np.ndarray):
+    if np is not None and isinstance(obj, np.ndarray):
         return obj.tolist()
     if isinstance(obj, Fraction):
         return str(obj)
@@ -253,7 +260,18 @@ def cmd_stabilizer(args) -> tuple[dict, list]:
     return report, list(report["checks"].items())
 
 
+def _worst(residuals) -> float:
+    """Largest absolute residual (0.0 when there is none); a NaN residual
+    gives NaN, so the worst-of check over it fails."""
+    worst = max(map(abs, residuals), default=0.0)
+    return math.nan if any(map(math.isnan, residuals)) else float(worst)
+
+
 def cmd_torus_check(args) -> tuple[dict, list]:
+    import numpy as np
+
+    from . import torus
+
     ctx = parse_theta(args.theta)
     th = ctx.theta_float
     rng = np.random.default_rng(args.seed)
@@ -281,7 +299,7 @@ def cmd_torus_check(args) -> tuple[dict, list]:
                 / max(x.norm() * y.norm(), 1.0)
             )
         samples["d_squared"].append(torus.d_B1(torus.d_B(x)).norm() / max(x.norm(), 1.0))
-    residuals.update((k, hopf._maxabs(v)) for k, v in samples.items())
+    residuals.update((k, _worst(v)) for k, v in samples.items())
     vol = torus.wedge(torus.dtau1(th), torus.dtau2(th))
     residuals["dtau_wedge_vol"] = (vol.b - torus.TorusElement.one(th)).norm()
     report = {"theta": th, "tol": tol, "residuals": residuals}
@@ -324,6 +342,8 @@ def require_memory(need: int, subject: str, what: str) -> None:
 
 def commutator_table_bytes(ctx: ThetaContext, grid: heisenberg.GridSpec, M: int):
     """(bytes, grade) of the largest grade of the commutator table."""
+    from . import heisenberg
+
     grades = [m for m in range(M, -M - 1, -1) if m != 0]
     m = max(grades, key=lambda m: heisenberg.sector_count(ctx, m))
     return COMMUTATOR_ARRAYS * heisenberg.sample_bytes(ctx, grid, m), m
@@ -336,6 +356,8 @@ def count_truncations(counts: dict, section: str):
     A window-clipped product marks the check it belongs to; it does not fail
     it.  Warnings of any other category are passed on unchanged.
     """
+    from . import heisenberg
+
     caught = []
     try:
         with warnings.catch_warnings(record=True) as caught:
@@ -357,6 +379,8 @@ def commutator_eigenvalue(ctx: ThetaContext, grid: heisenberg.GridSpec, m: int,
     The arrays of the largest grade are the largest of a run; they are
     freed when this returns, not held through the sections that follow.
     """
+    from . import heisenberg
+
     f = heisenberg.gaussian(ctx, grid, m, width=1.2)
     comm = f.delta(2).delta(1) - f.delta(1).delta(2)
     f_sq = f.inner(f)
@@ -379,6 +403,8 @@ class ProductTable:
         self._entries: dict = {}
 
     def __getitem__(self, key):
+        from . import heisenberg
+
         if key not in self._entries:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
@@ -391,6 +417,10 @@ class ProductTable:
 
 
 def cmd_heisenberg_verify(args) -> tuple[dict, list]:
+    import numpy as np
+
+    from . import gauge, heisenberg, torus
+
     ctx = parse_theta(args.theta)
     grid = parse_grid(args.grid, args.tol_grid)
     rng = np.random.default_rng(args.seed)
@@ -464,7 +494,7 @@ def cmd_heisenberg_verify(args) -> tuple[dict, list]:
                     rhs = G.mul_P(derived[j, a], twisted[b]) + G.mul_P(parts[a], derived[j, b])
                     sc = max(lhs.norm(), rhs.norm(), norms[a] * norms[b])
                     res.append((lhs - rhs).norm() / sc)
-                worst = tw1[f"({a},{b})"] = hopf._maxabs(res)
+                worst = tw1[f"({a},{b})"] = _worst(res)
                 checks.append((f"twist1 ({a},{b}): {worst:.2e}", worst, tol))
             report["twist1"] = tw1
 
@@ -478,7 +508,7 @@ def cmd_heisenberg_verify(args) -> tuple[dict, list]:
                     lhs = G.partial(j, star)
                     rhs = G.sigma(G.star_P(derived[j, m])).scale(-1)
                     res.append((lhs - rhs).norm() / max(lhs.norm(), rhs.norm()))
-                worst = tw2[str(m)] = hopf._maxabs(res)
+                worst = tw2[str(m)] = _worst(res)
                 checks.append((f"twist2 m={m}: {worst:.2e}", worst, tol))
             report["twist2"] = tw2
 
@@ -502,6 +532,8 @@ def cmd_heisenberg_verify(args) -> tuple[dict, list]:
 
 
 def cmd_monopole(args) -> tuple[dict, list]:
+    from . import gauge
+
     ctx = parse_theta(args.theta)
     tokens = [tok for tok in args.q_sweep.split(",") if tok.strip()]
     qs = [parse_q_token(tok, ctx) for tok in tokens]
@@ -531,6 +563,8 @@ def cmd_monopole(args) -> tuple[dict, list]:
 
 
 def _builtin_instance(token: str) -> hopf.ModuleAlgebra:
+    from . import hopf
+
     try:
         kind, n = token.split(":")
         n = int(n)
@@ -563,6 +597,8 @@ def cohomology_bytes(inst: hopf.ModuleAlgebra) -> int:
     `op_report` peak at 0.03 to 0.07 MiB on jet:1-2, cycle:1-2 and
     function:1-2).
     """
+    from . import hopf
+
     n = inst.H.dim * inst.dimM
     block = max((r * c for A in (hopf.hochschild_system(inst), hopf.central_system(inst))
                  for r, c in hopf.component_shapes(A)), default=0)
@@ -573,6 +609,8 @@ def _same_tables(x, y, fields) -> bool:
     """Are the tables `fields` of x and y entry for entry equal, absent ones
     included?  They are compared in index form: their difference has no
     entry."""
+    from . import hopf
+
     pairs = [(getattr(x, f), getattr(y, f)) for f in fields]
     return all(a is None and b is None or a is not None and b is not None
                and a.shape == b.shape and hopf._maxabs(a - b) == 0 for a, b in pairs)
@@ -580,6 +618,8 @@ def _same_tables(x, y, fields) -> bool:
 
 def _is_cyclic_group_hopf(H: hopf.FiniteHopf) -> bool:
     """Is H entry for entry the C[Z_n] of `hopf.cyclic_group_hopf`?"""
+    from . import hopf
+
     return _same_tables(H, hopf.cyclic_group_hopf(H.dim),
                         ("mul", "comul", "counit", "antipode", "star", "unit"))
 
@@ -587,12 +627,18 @@ def _is_cyclic_group_hopf(H: hopf.FiniteHopf) -> bool:
 def _is_jet_instance(inst: hopf.ModuleAlgebra) -> bool:
     """Are the tables of inst, on H = C[Z_n], those of `hopf.jet_instance(n)`?
     Its name is not read."""
+    from . import hopf
+
     n = inst.H.dim
     tables = [f.name for f in dataclasses.fields(inst) if f.name not in ("H", "name")]
     return inst.dimB == 4 * n and _same_tables(inst, hopf.jet_instance(n), tables)
 
 
 def cmd_cohomology(args) -> tuple[dict, list]:
+    import numpy as np
+
+    from . import hopf
+
     if args.instance:
         try:
             with open(args.instance) as fh:

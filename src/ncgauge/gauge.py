@@ -26,10 +26,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
-from .heisenberg import GradedElement, sigma
 from .quadfield import FieldElement, ThetaContext
 from .torus import Form, d_B, d_B1, wedge
+
+if TYPE_CHECKING:  # the layer acts on graded elements through their part protocol
+    from .heisenberg import GradedElement
 
 TWO_PI = 2.0 * math.pi
 
@@ -52,7 +55,7 @@ class GaugePotential:
 
 def _scalar_commutator_term(s: float, p: GradedElement) -> GradedElement:
     """i s (sigma(p) - p): the dtau-component of [i s dtau^j, p]."""
-    return (sigma(p) - p).scale(1j * s)
+    return (p.sigma() - p).scale(1j * s)
 
 
 def apply_potential(pot: GaugePotential, p: GradedElement) -> Form:
@@ -83,7 +86,7 @@ def field_strength(pot: GaugePotential, p: GradedElement) -> Form:
 
 def volume_commutator(coef: complex, p: GradedElement) -> Form:
     """[coef . vol_B, p] computed in the sigma^2-twisted bimodule."""
-    return Form(2, (sigma(sigma(p)) - p).scale(coef))
+    return Form(2, (p.sigma().sigma() - p).scale(coef))
 
 
 def field_strength_eigenvalue(ctx: ThetaContext, m: int) -> float:
@@ -104,7 +107,7 @@ def gauge_transform(zeta: complex, p: GradedElement) -> GradedElement:
     """psi_G(zeta): grade-wise scaling by zeta^m; fixes grade 0."""
     if abs(abs(zeta) - 1.0) > 1e-12:
         raise ValueError("zeta must have modulus one")
-    return GradedElement({m: part.scale(zeta**m) for m, part in p.parts.items()}, p.ctx, p.grid)
+    return type(p)({m: part.scale(zeta**m) for m, part in p.parts.items()}, p.ctx, p.grid)
 
 
 def transformed_potential(pot: GaugePotential, zeta: complex, p: GradedElement) -> Form:
@@ -208,14 +211,15 @@ def _factorization_test(ctx: ThetaContext, q, M: int, tol: float, numerator):
     compared with ==, those of a float q relatively at tol (`_within`);
     q = 0 and a float q that is not finite are not adapted.  Returns the
     report without its wrapper's key, and the common ratio (None unless
-    adapted).  The report gives each ratio as a float, or as its exact
-    value, a string, when it does not fit one (eps^-m c_m on a large unit).
+    adapted).  The report gives q and each ratio as a float, or as its
+    exact value, a string, when it does not fit one (eps^-m c_m on a large
+    unit, or q = eps^2000).
     """
     if M < 2:
         raise ValueError("M must be at least 2")
-    exact, qv = not isinstance(q, float), float(q)
-    if q == 0 or not math.isfinite(qv):
-        reason = "q = 0" if q == 0 else f"q = {qv}"
+    exact, qv = not isinstance(q, float), _float_or_exact(q)
+    if q == 0 or not exact and not math.isfinite(q):
+        reason = "q = 0" if q == 0 else f"q = {q}"
         return {"q": qv, "adapted": False, "reason": reason, "exact": exact}, None
     ratios = {}
     for m, den in _denominators(_as_field(ctx, q), M):

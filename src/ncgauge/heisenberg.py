@@ -632,11 +632,16 @@ class GradedElement:
             if m == 0:
                 if not isinstance(part, TorusElement):
                     raise TypeError("grade 0 part must be a TorusElement")
+                if part.theta != ctx.theta_float:
+                    raise ValueError(f"the grade 0 part has theta {part.theta}, "
+                                     f"not the context's {ctx.theta_float}")
                 if part.coeffs:
                     clean[0] = part
             else:
                 if not isinstance(part, HeisenbergElement):
                     raise TypeError("nonzero grades must be HeisenbergElements")
+                if part.ctx is not ctx or part.grid != grid:
+                    raise ValueError(f"the grade {m} part lies on another grid or context")
                 clean[m] = part
         object.__setattr__(self, "parts", clean)
         object.__setattr__(self, "ctx", ctx)

@@ -23,8 +23,6 @@ import functools
 import json
 import math
 
-import numpy as np
-
 TWO_PI = 2.0 * math.pi
 # (theta, k) pairs whose phase e^{2 pi i theta k} is kept.  A product of
 # random_sparse elements (modes |m|, |n| <= 4) or a star of one asks for
@@ -371,8 +369,9 @@ def dtau2(theta: float) -> Form:
     return Form(1, (TorusElement.zero(theta), TorusElement.one(theta)))
 
 
-def random_sparse(theta, rng: np.random.Generator, terms=4, span=4) -> TorusElement:
-    """Random sparse element for property tests: few modes, O(1) coefficients."""
+def random_sparse(theta, rng, terms=4, span=4) -> TorusElement:
+    """Random sparse element for property tests: few modes, O(1) coefficients,
+    drawn from `rng`, a `numpy.random.Generator`."""
     coeffs = {}
     for _ in range(terms):
         m = int(rng.integers(-span, span + 1))

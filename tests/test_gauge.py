@@ -362,6 +362,26 @@ class TestAdaptedness:
             assert rep["reason"] == "q = 0" and rep["q"] == 0.0
             assert rep["exact"] is not isinstance(q, float)
 
+    def test_an_exact_q_beyond_the_float_range_gets_a_report(self):
+        # float(q) raised OverflowError on q = eps^2000 (about 1e836)
+        q = CTX.eps_pow(2000)
+        numerators = {adaptedness_test: lambda m: CTX.eps_pow(-m) * CTX.c(m),
+                      relative_adaptedness_test: lambda m: CTX.eps_pow(-m) - 1}
+        for test, key in ((adaptedness_test, "curvature_constant"),
+                          (relative_adaptedness_test, "form_coefficient")):
+            rep = test(CTX, q, M=4)
+            assert rep["adapted"] is False and rep[key] is None and rep["exact"] is True
+            assert rep["q"] == str(q)
+            assert sorted(rep["ratios"]) == [-4, -3, -2, -1, 1, 2, 3, 4]
+            for m, ratio in rep["ratios"].items():
+                exact = numerators[test](m) / -q_number(-m, q)
+                try:
+                    assert ratio == float(exact)
+                except OverflowError:
+                    assert ratio == str(exact)
+            # the ratios at m > 0 grow like q^m, beyond the float range
+            assert all(isinstance(rep["ratios"][m], str) for m in (1, 2, 3, 4))
+
     def test_sweep_forms_each_denominator_once(self):
         qs = [q for _, q, _, _ in self.sweep_values(CTX)]
         _denominators.cache_clear()

@@ -457,6 +457,29 @@ class TestMulP:
                     with pytest.raises(ValueError, match="incompatible contexts"):
                         op(a, b)
 
+    @pytest.mark.parametrize("grid", [GridSpec(L=8.0, N=512), GridSpec(L=8.0, N=1024)],
+                             ids=["other-N", "equal-N"])
+    def test_a_part_on_another_grid_is_refused(self, grid):
+        # the element claimed GRID; mul_P then died in a numpy broadcast
+        # (other N) or mixed the two windows (equal N)
+        with pytest.raises(ValueError, match="grade -1 part"):
+            GradedElement({-1: gaussian(CTX, grid, -1)}, CTX, GRID)
+        with pytest.raises(ValueError, match="grade 2 part"):
+            GradedElement({1: gaussian(CTX, GRID, 1), 2: gaussian(CTX, grid, 2)}, CTX, GRID)
+
+    def test_a_part_on_another_context_is_refused(self):
+        with pytest.raises(ValueError, match="grade 1 part"):
+            GradedElement({1: gaussian(ThetaContext(GOLDEN), GRID, 1)}, CTX, GRID)
+
+    def test_a_grade_0_part_on_another_theta_is_refused(self):
+        other = TorusElement(CTX.theta_float + 0.25, {(1, 0): 1.0})
+        with pytest.raises(ValueError, match="grade 0 part"):
+            GradedElement({0: other}, CTX, GRID)
+        with pytest.raises(ValueError, match="grade 0 part"):
+            GradedElement.from_torus(TorusElement.zero(0.5), CTX, GRID)
+        assert GradedElement.from_torus(TorusElement(CTX.theta_float, {(1, 0): 1.0}),
+                                        CTX, GRID).grades() == [0]
+
     def test_truncation_warning_on_spreading_product(self, rng):
         # P_2 x P_-1 spreads at rate eps^{-1}|c_1|/(|c_2||c_{-1}|) per step;
         # wide factors genuinely outgrow the window
