@@ -49,7 +49,7 @@ for mk in (function_instance, cycle_instance, jet_instance):
     for n in (3, 4):
         inst = mk(n)
         sol = solve_hochschild_space(inst)
-        bf = brute_force_group_z1(inst, n)
+        bf = brute_force_group_z1(inst)
         print(f"{inst.name:>24}: solver (Z,B,H) = ({sol['dim_Z']},{sol['dim_B']},{sol['dim_H']})"
               f"  oracle ({bf['dim_Z']},{bf['dim_B']},{bf['dim_H']})")
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import cmath
 import contextlib
-import dataclasses
 import functools
 import json
 import math
@@ -75,11 +74,10 @@ def parse_grid(text: str, tol: float) -> heisenberg.GridSpec:
         parts = text.split(",")
         if len(parts) > 3:
             raise ValueError("a grid is at most three fields, L,N,J")
-        L = float(parts[0])
-        N = int(parts[1]) if len(parts) > 1 else 1024
-        J = int(parts[2]) if len(parts) > 2 else 8
-        return heisenberg.GridSpec(L=L, N=N, J=J, tol=tol)
-    except (ValueError, IndexError) as exc:
+        # the fields not given keep GridSpec's defaults
+        given = dict(zip(("L", "N", "J"), (float(parts[0]), *map(int, parts[1:]))))
+        return heisenberg.GridSpec(**given, tol=tol)
+    except ValueError as exc:
         raise ConfigError(f"invalid --grid {text!r}: {exc}") from exc
 
 
@@ -156,8 +154,6 @@ def _coerce(obj):
         return obj.item()
     if np is not None and isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, Fraction):
-        return str(obj)
     return str(obj)
 
 
@@ -605,35 +601,6 @@ def cohomology_bytes(inst: hopf.ModuleAlgebra) -> int:
     return 16 * (4 * block + 6 * n * n) + 2**20
 
 
-def _same_tables(x, y, fields) -> bool:
-    """Are the tables `fields` of x and y entry for entry equal, absent ones
-    included?  They are compared in index form: their difference has no
-    entry."""
-    from . import hopf
-
-    pairs = [(getattr(x, f), getattr(y, f)) for f in fields]
-    return all(a is None and b is None or a is not None and b is not None
-               and a.shape == b.shape and hopf._maxabs(a - b) == 0 for a, b in pairs)
-
-
-def _is_cyclic_group_hopf(H: hopf.FiniteHopf) -> bool:
-    """Is H entry for entry the C[Z_n] of `hopf.cyclic_group_hopf`?"""
-    from . import hopf
-
-    return _same_tables(H, hopf.cyclic_group_hopf(H.dim),
-                        ("mul", "comul", "counit", "antipode", "star", "unit"))
-
-
-def _is_jet_instance(inst: hopf.ModuleAlgebra) -> bool:
-    """Are the tables of inst, on H = C[Z_n], those of `hopf.jet_instance(n)`?
-    Its name is not read."""
-    from . import hopf
-
-    n = inst.H.dim
-    tables = [f.name for f in dataclasses.fields(inst) if f.name not in ("H", "name")]
-    return inst.dimB == 4 * n and _same_tables(inst, hopf.jet_instance(n), tables)
-
-
 def cmd_cohomology(args) -> tuple[dict, list]:
     import numpy as np
 
@@ -643,7 +610,7 @@ def cmd_cohomology(args) -> tuple[dict, list]:
         try:
             with open(args.instance) as fh:
                 inst = hopf.load_instance(fh.read())
-        except (OSError, KeyError, ValueError) as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot load instance: {exc}") from exc
     else:
         inst = _builtin_instance(args.builtin)
@@ -667,7 +634,7 @@ def cmd_cohomology(args) -> tuple[dict, list]:
     checks.append(("module-algebra data", data["max"], 1e-10))
     skipped = []
     # the enumerator and the characters h -> zeta^j exist on C[Z_n] only
-    cyclic = _is_cyclic_group_hopf(inst.H)
+    cyclic = hopf.same_tables(inst.H, hopf.cyclic_group_hopf(n))
     sol = hopf.solve_hochschild_space(inst)
     report["hochschild"] = {
         "dim_Z": sol["dim_Z"],
@@ -675,7 +642,7 @@ def cmd_cohomology(args) -> tuple[dict, list]:
         "dim_HH": sol["dim_H"],
     }
     if cyclic:
-        bf = hopf.brute_force_group_z1(inst, n)
+        bf = hopf.brute_force_group_z1(inst)
         report["hochschild"].update(brute_force_Z=bf["dim_Z"], brute_force_B=bf["dim_B"])
         checks.append(("cohomology dimensions disagree with the enumerator",
                        (sol["dim_Z"], sol["dim_B"]) == (bf["dim_Z"], bf["dim_B"])))
@@ -693,7 +660,7 @@ def cmd_cohomology(args) -> tuple[dict, list]:
     # MC residuals on a sampled Sweedler cocycle, when a derivation exists
     if inst.dB is not None and hopf._maxabs(inst.dB) > 0:
         # sigma from a random unitary of B when B is the jet algebra, else the unit
-        u = hopf.jet_unitary(inst, rng=rng) if cyclic and _is_jet_instance(inst) else None
+        u = hopf.jet_unitary(inst, rng=rng) if hopf.same_tables(inst, hopf.jet_instance(n)) else None
         if u is None:
             sigma = hopf.unit_cocycle(inst)
         else:

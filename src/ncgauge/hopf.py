@@ -67,7 +67,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -76,9 +76,6 @@ TOL = 1e-10
 
 # form degree of each target; it fixes the graded signs
 _DEGREE = {"B": 0, "M": 1, "O2": 2}
-# The degree-2 block: data_report and the curvature map read every piece of
-# it, and d1 extends the derivation dB, so it comes whole and with dB.
-_DEGREE_TWO = ("leftO2", "rightO2", "starO2", "actO2", "wedge", "d1")
 
 
 def _maxabs(a) -> float:
@@ -283,18 +280,45 @@ def _realified(A: IndexForm, antilinear: bool = False) -> IndexForm:
     return IndexForm((2 * R, 2 * C), tuple(ax[keep] for ax in index), values[keep])
 
 
-def _row_span(A, tol: float = 1e-9) -> np.ndarray:
+# relative size below which a singular value counts as zero in every rank
+# decision (`_row_span`, `_nullspace`, `_sparse_nullspace`)
+RANK_TOL = 1e-9
+
+
+def _row_span(A) -> np.ndarray:
     """Orthonormal rows spanning the rows of A; its rank counts the singular
-    values above tol * max(1, largest)."""
+    values above RANK_TOL * max(1, largest)."""
     _, s, vh = np.linalg.svd(A, full_matrices=False)
-    return vh[: int(np.sum(s > tol * np.max(s, initial=1.0)))]
+    return vh[: int(np.sum(s > RANK_TOL * np.max(s, initial=1.0)))]
 
 
-def _read_tables(obj, names) -> None:
-    """Each named table of obj read once into its index form; None stays."""
-    for name in names:
-        if getattr(obj, name) is not None:
-            setattr(obj, name, IndexForm.of(getattr(obj, name)))
+def _read_tables(obj, dims: dict) -> list:
+    """Check each table of obj named in its `AXES` and read it once: a table
+    of two axes or more into its index form, a vector into a dense array.
+
+    `dims` maps an axis letter to its length; the first table with a letter
+    not in it enters that letter's length.  ValueError names a required
+    table that is None, a table with the wrong number of axes, and one
+    whose axis disagrees with the length of its letter.  Returns the
+    optional tables (those whose field defaults to None) that are absent.
+    """
+    optional = {f.name for f in fields(obj) if f.default is None}
+    absent = []
+    for name, axes in obj.AXES.items():
+        table = getattr(obj, name)
+        if table is None:
+            if name not in optional:
+                raise ValueError(f"table {name} is missing")
+            absent.append(name)
+            continue
+        table = IndexForm.of(table) if len(axes) > 1 else np.asarray(table)
+        if len(table.shape) != len(axes):
+            raise ValueError(f"table {name} ({axes}) has {len(table.shape)} axes, not {len(axes)}")
+        for letter, n in zip(axes, table.shape):
+            if dims.setdefault(letter, n) != n:
+                raise ValueError(f"table {name} ({axes}) has {letter} = {n}, not {dims[letter]}")
+        setattr(obj, name, table)
+    return absent
 
 
 class TargetMismatch(ValueError):
@@ -318,9 +342,10 @@ class FiniteHopf:
     star[i,j] ((sum c_i e_i)^* = sum conj(c_i) star[i,j] e_j),
     unit[i]: coordinates of 1_H.
 
-    The tables mul, comul, antipode and star are stored as canonical index
-    forms, dense arrays given to the constructor read once by
-    `IndexForm.of`; counit and unit stay dense vectors.
+    `AXES` names every table with its axes, h = dim H; the constructor
+    checks the tables against it (`_read_tables`) and stores mul, comul,
+    antipode and star as canonical index forms, dense arrays given to it
+    read once by `IndexForm.of`; counit and unit stay dense vectors.
     """
 
     mul: IndexForm
@@ -331,8 +356,10 @@ class FiniteHopf:
     unit: np.ndarray
     labels: list = field(default_factory=list)
 
+    AXES = {"mul": "hhh", "comul": "hhh", "counit": "h", "antipode": "hh", "star": "hh", "unit": "h"}
+
     def __post_init__(self):
-        _read_tables(self, ("mul", "comul", "antipode", "star"))
+        _read_tables(self, {})
 
     @property
     def dim(self) -> int:
@@ -416,34 +443,47 @@ class ModuleAlgebra:
     (Omega^2 with its bimodule structure, the wedge M (x) M -> Omega^2 and
     the degree-1 derivation d1 : M -> Omega^2) used by the curvature map.
 
-    Every table is stored as a canonical index form, dense arrays given to
-    the constructor read once by `IndexForm.of`; unitB stays a dense
-    vector.  The `products`, `stars` and `actions` tables are rebuilt from
-    these fields on every access, so reassigning a field (with an index
-    form) is always seen.
+    `AXES` names every table with its axes, h = dim H, b = dim B,
+    m = dim M and o = dim Omega^2 (the star tables are antilinear
+    matrices, and actB[x, h, y] is the coefficient of y in x <| e_h).  The
+    constructor checks the tables against it (`_read_tables`, with h from
+    H) and stores each as a canonical index form, dense arrays given to it
+    read once by `IndexForm.of`; unitB stays a dense vector.  The tables
+    that default to None may be absent, but the degree-2 block (the o
+    tables) comes whole and with dB: `data_report` and the curvature map
+    read every piece of it, and d1 extends the derivation dB.  The
+    `products`, `stars` and `actions` tables are rebuilt from these fields
+    on every access, so reassigning a field (with an index form) is always
+    seen.
     """
 
     H: FiniteHopf
-    mulB: IndexForm         # (b, b, b)
-    unitB: np.ndarray       # (b,)
-    starB: IndexForm        # (b, b), antilinear matrix
-    actB: IndexForm         # (b, h, b): b <| e_h
-    leftM: IndexForm        # (b, m, m)
-    rightM: IndexForm       # (m, b, m)
-    starM: IndexForm        # (m, m)
-    actM: IndexForm         # (m, h, m)
-    dB: IndexForm | None = None         # (b, m)
-    leftO2: IndexForm | None = None     # (b, o, o)
-    rightO2: IndexForm | None = None    # (o, b, o)
-    starO2: IndexForm | None = None     # (o, o)
-    actO2: IndexForm | None = None      # (o, h, o)
-    wedge: IndexForm | None = None      # (m, m, o)
-    d1: IndexForm | None = None         # (m, o)
+    mulB: IndexForm
+    unitB: np.ndarray
+    starB: IndexForm
+    actB: IndexForm
+    leftM: IndexForm
+    rightM: IndexForm
+    starM: IndexForm
+    actM: IndexForm
+    dB: IndexForm | None = None
+    leftO2: IndexForm | None = None
+    rightO2: IndexForm | None = None
+    starO2: IndexForm | None = None
+    actO2: IndexForm | None = None
+    wedge: IndexForm | None = None
+    d1: IndexForm | None = None
     name: str = ""
 
+    AXES = {"mulB": "bbb", "unitB": "b", "starB": "bb", "actB": "bhb", "leftM": "bmm",
+            "rightM": "mbm", "starM": "mm", "actM": "mhm", "dB": "bm", "leftO2": "boo",
+            "rightO2": "obo", "starO2": "oo", "actO2": "oho", "wedge": "mmo", "d1": "mo"}
+
     def __post_init__(self):
-        _read_tables(self, ("mulB", "starB", "actB", "leftM", "rightM", "starM", "actM", "dB")
-                     + _DEGREE_TWO)
+        absent = _read_tables(self, {"h": self.H.dim})
+        given = [k for k, axes in self.AXES.items() if "o" in axes and k not in absent]
+        if given and absent:
+            raise ValueError(f"the degree-2 block ({', '.join(given)}) needs {', '.join(absent)} too")
 
     @property
     def dimB(self):
@@ -558,6 +598,18 @@ class ModuleAlgebra:
                                                   + E("bu,muo->mbo", dB, self.wedge))
         rep["max"] = _maxabs(list(rep.values()))
         return rep
+
+
+def same_tables(x, y) -> bool:
+    """Are two FiniteHopf, or two ModuleAlgebra and their H, entry for entry
+    equal in every table of `AXES`, absent ones included?  Names and labels
+    are not read.  The tables are compared in index form: their difference
+    has no entry."""
+    if isinstance(x, ModuleAlgebra) and not same_tables(x.H, y.H):
+        return False
+    pairs = [(getattr(x, k), getattr(y, k)) for k in x.AXES]
+    return all(a is None and b is None or a is not None and b is not None
+               and a.shape == b.shape and _maxabs(a - b) == 0 for a, b in pairs)
 
 
 # -- convolution elements --------------------------------------------------------
@@ -1004,11 +1056,11 @@ def op_report(inst: ModuleAlgebra, sigma: ConvolutionElement,
 # -- linear-algebra solvers -----------------------------------------------------
 
 
-def _nullspace(A: np.ndarray, tol: float = 1e-9, bound: float | None = None) -> np.ndarray:
+def _nullspace(A: np.ndarray, bound: float | None = None) -> np.ndarray:
     """Orthonormal columns spanning the nullspace of a real or complex
     matrix, via SVD; rank counts singular values above `bound`, by default
-    tol * max(A.shape)."""
-    bound = tol * max(A.shape) if bound is None else bound
+    RANK_TOL * max(A.shape)."""
+    bound = RANK_TOL * max(A.shape) if bound is None else bound
     if A.shape[0] == 0:
         return np.eye(A.shape[1], dtype=A.dtype)
     if A.shape[0] > A.shape[1]:
@@ -1053,13 +1105,13 @@ def component_shapes(A: IndexForm) -> list:
     return [tuple(len(np.unique(ax[part])) for ax in A.index) for part in _component_parts(A)]
 
 
-def _sparse_nullspace(A: IndexForm, tol: float = 1e-9) -> np.ndarray:
+def _sparse_nullspace(A: IndexForm) -> np.ndarray:
     """Orthonormal columns spanning the nullspace of the two-axis form A.
 
     One dense SVD per connected component of A's row/column graph.  A
     matrix that is block diagonal after permuting its rows and columns has
     the union of its blocks' singular values, and every block counts those
-    above tol * max(A.shape), the bound `_nullspace` would use on all of
+    above RANK_TOL * max(A.shape), the bound `_nullspace` would use on all of
     A, so every rank decision is the one that dense SVD would make.  A
     column in no row is a null vector of its own.
     """
@@ -1069,7 +1121,7 @@ def _sparse_nullspace(A: IndexForm, tol: float = 1e-9) -> np.ndarray:
         (rows, r), (cols, c) = (np.unique(ax[part], return_inverse=True) for ax in A.index)
         block = np.zeros((len(rows), len(cols)), dtype=A.values.dtype)
         block[r, c] = A.values[part]
-        pieces.append((cols, _nullspace(block, bound=tol * max(A.shape))))
+        pieces.append((cols, _nullspace(block, bound=RANK_TOL * max(A.shape))))
         free[cols] = False
     pieces.append((np.flatnonzero(free), np.eye(np.count_nonzero(free))))
     Q = np.zeros((A.shape[1], sum(N.shape[1] for _, N in pieces)), dtype=A.values.dtype)
@@ -1172,8 +1224,9 @@ def solve_hochschild_space(inst: ModuleAlgebra, prolongable: bool = False) -> di
     }
 
 
-def brute_force_group_z1(inst: ModuleAlgebra, n: int) -> dict:
-    """Independent oracle: degree-1 group cohomology of Z_n in Z_B(M)_sa.
+def brute_force_group_z1(inst: ModuleAlgebra) -> dict:
+    """Independent oracle: degree-1 group cohomology of Z_n in Z_B(M)_sa,
+    n = dim H.
 
     Works directly from the group multiplication table and the action on
     the real subspace Z_B(M)_sa; never touches the Hopf tensors.
@@ -1190,7 +1243,7 @@ def brute_force_group_z1(inst: ModuleAlgebra, n: int) -> dict:
     # cocycle: c(g^j) = sum_{i<j} R^i(v); constraint sum_{i<n} R^i v = 0
     total = np.zeros((k, k))
     P = np.eye(k)
-    for _ in range(n):
+    for _ in range(inst.H.dim):
         total += P
         P = R @ P
     z_dim = k - int(np.linalg.matrix_rank(total, tol=1e-9))
@@ -1395,58 +1448,53 @@ def _arr_to_json(a):
 
 
 def _arr_from_json(name: str, d):
-    """The tensor `name` from its JSON form; ValueError naming it when its
-    entries do not fill its shape or one of them is not finite."""
+    """The tensor `name` from its JSON form; ValueError naming it when it
+    lacks a part, its entries do not fill its shape or one of them is not
+    finite."""
     if d is None:
         return None
     try:
         re, im = (np.array(d[k], dtype=float).reshape(d["shape"]) for k in ("re", "im"))
-    except (TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ValueError(f"tensor {name}: {exc}") from exc
     if not (np.isfinite(re).all() and np.isfinite(im).all()):
         raise ValueError(f"tensor {name} has a non-finite entry")
     return re + 1j * im
 
 
+def _object(where: str, data, keys) -> dict:
+    """data, a JSON object whose keys are among `keys`; ValueError otherwise."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{where} is not a JSON object")
+    unknown = [k for k in data if k not in keys]
+    if unknown:
+        raise ValueError(f"{where} has unknown key(s) {', '.join(map(repr, unknown))}")
+    return data
+
+
 def dump_instance(inst: ModuleAlgebra) -> str:
-    H = inst.H
-    return json.dumps(
-        {
-            "name": inst.name,
-            "hopf": {
-                "mul": _arr_to_json(H.mul),
-                "comul": _arr_to_json(H.comul),
-                "counit": _arr_to_json(H.counit),
-                "antipode": _arr_to_json(H.antipode),
-                "star": _arr_to_json(H.star),
-                "unit": _arr_to_json(H.unit),
-                "labels": H.labels,
-            },
-            "coefficients": {
-                k: _arr_to_json(getattr(inst, k))
-                for k in (
-                    "mulB", "unitB", "starB", "actB", "leftM", "rightM",
-                    "starM", "actM", "dB", "leftO2", "rightO2", "starO2",
-                    "actO2", "wedge", "d1",
-                )
-            },
-        }
-    )
+    """The instance as JSON: its name, a `hopf` block with every table of H
+    and its labels, and a `coefficients` block with every table of inst,
+    each in `AXES` order, dense, and null when absent."""
+    def tables(obj):
+        return {k: _arr_to_json(getattr(obj, k)) for k in obj.AXES}
+
+    return json.dumps({"name": inst.name, "hopf": {**tables(inst.H), "labels": inst.H.labels},
+                       "coefficients": tables(inst)})
 
 
 def load_instance(text: str) -> ModuleAlgebra:
-    """The instance of a `dump_instance` text; ValueError when a tensor is
-    malformed or a degree-2 block is given without a piece it needs."""
-    data = json.loads(text)
-    h = data["hopf"]
-    H = FiniteHopf(
-        **{k: _arr_from_json(f"hopf.{k}", h[k])
-           for k in ("mul", "comul", "counit", "antipode", "star", "unit")},
-        labels=h.get("labels", []),
-    )
-    co = {k: _arr_from_json(k, v) for k, v in data["coefficients"].items()}
-    given = [k for k in _DEGREE_TWO if co.get(k) is not None]
-    missing = [k for k in ("dB",) + _DEGREE_TWO if co.get(k) is None]
-    if given and missing:
-        raise ValueError(f"the degree-2 block ({', '.join(given)}) needs {', '.join(missing)} too")
-    return ModuleAlgebra(H=H, name=data.get("name", ""), **co)
+    """The instance of a `dump_instance` text; ValueError when it is not
+    JSON, a block is not an object or has a key that is not a table, a
+    tensor is malformed, or a constructor refuses the tables (a required
+    one missing or null, an axis of the wrong length, a partial degree-2
+    block)."""
+    data = _object("the instance", json.loads(text), ("name", "hopf", "coefficients"))
+    h = _object("hopf", data.get("hopf"), [*FiniteHopf.AXES, "labels"])
+    co = _object("coefficients", data.get("coefficients"), ModuleAlgebra.AXES)
+    if not isinstance(h.get("labels", []), list):
+        raise ValueError("hopf.labels is not a list")
+    H = FiniteHopf(**{k: _arr_from_json(f"hopf.{k}", h.get(k)) for k in FiniteHopf.AXES},
+                   labels=h.get("labels", []))
+    return ModuleAlgebra(H=H, name=data.get("name", ""),
+                         **{k: _arr_from_json(k, co.get(k)) for k in ModuleAlgebra.AXES})

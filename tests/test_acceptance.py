@@ -299,7 +299,7 @@ def test_criterion_8_lazy_cohomology():
         for mk in (hopf.function_instance, hopf.cycle_instance, hopf.jet_instance):
             inst = mk(n)
             sol = hopf.solve_hochschild_space(inst)
-            bf = hopf.brute_force_group_z1(inst, n)
+            bf = hopf.brute_force_group_z1(inst)
             if (sol["dim_Z"], sol["dim_B"]) != (bf["dim_Z"], bf["dim_B"]):
                 ok, details = False, details + [f"dims {inst.name}"]
         # MC identities and Eq. coboundaryeq on the jet instance

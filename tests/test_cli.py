@@ -479,6 +479,10 @@ class TestGridValidation:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: invalid --grid") and "three fields" in err
 
+    def test_the_fields_not_given_are_the_gridspec_defaults(self):
+        assert cli.parse_grid("12", 1e-6) == heisenberg.GridSpec(L=12.0, tol=1e-6)
+        assert cli.parse_grid("12,512", 1e-6) == heisenberg.GridSpec(L=12.0, N=512, tol=1e-6)
+
     def test_grid_too_wide_for_the_test_vector_is_config_error(self, capsys):
         argv = ["heisenberg-verify", "--theta", "0,1,2", "--grades", "1", "--grid", "1e5"]
         assert main(argv) == 2
@@ -532,6 +536,14 @@ class TestUsage:
         assert "--builtin" in capsys.readouterr().out
 
 
+VECTOR = {"shape": [1], "re": [0.0], "im": [0.0]}
+
+
+def with_entry(block, key, value):
+    """An edit of a dumped instance that sets data[block][key] to value."""
+    return lambda data: {**data, block: {**data[block], key: value}}
+
+
 class TestInstanceFiles:
     @pytest.mark.parametrize("block,name,edit", [
         ("coefficients", "actB", lambda t: t["re"].pop()),
@@ -561,6 +573,36 @@ class TestInstanceFiles:
         err = capsys.readouterr().err
         assert "configuration error" in err and "Traceback" not in err
         assert f"needs {dropped.replace(',', ', ')} too" in err
+
+    @pytest.mark.parametrize("edit,named", [
+        (with_entry("coefficients", "mulX", VECTOR), "unknown key(s) 'mulX'"),
+        (lambda d: {**d, "coefficients": {k: v for k, v in d["coefficients"].items()
+                                          if k != "mulB"}}, "table mulB is missing"),
+        (lambda d: {**d, "coefficients": list(d["coefficients"].values())},
+         "coefficients is not a JSON object"),
+        (lambda d: [d], "the instance is not a JSON object"),
+        (with_entry("coefficients", "unitB", {"shape": [2], "re": [1.0, 1.0], "im": [0.0, 0.0]}),
+         "table unitB (b) has b = 2, not 3"),
+        (with_entry("coefficients", "mulB", None), "table mulB is missing"),
+        (with_entry("hopf", "comul", None), "table comul is missing"),
+    ], ids=["unknown-table", "missing-mulB", "coefficients-list", "top-level-list",
+            "short-unitB", "null-mulB", "null-comul"])
+    def test_malformed_instance_is_config_error(self, capsys, tmp_path, edit, named):
+        data = edit(json.loads(hopf.dump_instance(hopf.cycle_instance(3))))
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert main(["cohomology", "--instance", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: cannot load instance:")
+        assert named in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("token", ["function:2", "function:4", "cycle:2", "cycle:5",
+                                       "jet:1", "jet:3"])
+    def test_an_instance_dump_reports_as_its_builtin(self, capsys, tmp_path, token):
+        path = tmp_path / "dump.json"
+        path.write_text(hopf.dump_instance(cli._builtin_instance(token)))
+        code, out = run(capsys, ["cohomology", "--builtin", token])
+        assert run(capsys, ["cohomology", "--instance", str(path)]) == (code, out)
 
 
 VERDICT_RUNS = [

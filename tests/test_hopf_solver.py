@@ -130,7 +130,7 @@ def test_matches_the_dense_solver(token, prolongable):
     # every coboundary is a cocycle
     assert np.abs(P_Z @ P_B - P_B).max(initial=0.0) <= 1e-9
     if not token.startswith("translations"):  # H is C[Z_n]
-        bf = brute_force_group_z1(inst, inst.H.dim)
+        bf = brute_force_group_z1(inst)
         assert (sol["dim_Z"], sol["dim_B"], sol["dim_H"]) == (bf["dim_Z"], bf["dim_B"], bf["dim_H"])
 
 
