@@ -39,12 +39,13 @@ class ConfigError(Exception):
 # -- argument plumbing ---------------------------------------------------------
 
 
-def _integer(minimum: int):
-    """argparse type: an integer of at least `minimum`."""
+def _integer(minimum: int, base: int = 10):
+    """argparse type: an integer of at least `minimum`, in `base` (0 reads
+    a 0x, 0o or 0b prefix)."""
     def integer(text: str) -> int:
-        if int(text) < minimum:
+        if int(text, base) < minimum:
             raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {text}")
-        return int(text)
+        return int(text, base)
     return integer
 
 
@@ -139,8 +140,11 @@ def emit(report: dict, fmt: str, out: str | None) -> None:
     else:
         raise ConfigError(f"unknown format {fmt!r}")
     if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ConfigError(f"cannot write --out {out!r}: {exc}") from exc
     else:
         print(text)
 
@@ -725,7 +729,8 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     common.add_argument("--config", help="JSON config file; flags override its entries")
     common.add_argument("--format", choices=["json", "csv", "pretty"], default="json")
     common.add_argument("--out", help="write the report to this path")
-    common.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED)
+    # numpy's generators take a non-negative seed
+    common.add_argument("--seed", type=_integer(0, base=0), default=DEFAULT_SEED)
 
     ap = argparse.ArgumentParser(
         prog="ncgauge",

@@ -268,16 +268,9 @@ def _apply(linear: IndexForm, values) -> np.ndarray:
     return out.reshape(values.shape[:-2] + linear.shape[:-2])
 
 
-def _realified(A: IndexForm, antilinear: bool = False) -> IndexForm:
-    """The real matrix, on (re x, im x), of the complex-linear map x -> A x,
-    [[Re A, -Im A], [Im A, Re A]], or with antilinear=True of the map
-    x -> A conj(x), [[Re A, Im A], [Im A, -Re A]]; its zero entries dropped."""
-    (r, c), (R, C), s = A.index, A.shape, -1 if antilinear else 1
-    re, im = A.values.real, A.values.imag
-    index = (np.concatenate([r, r, r + R, r + R]), np.concatenate([c, c + C, c, c + C]))
-    values = np.concatenate([re, -s * im, im, s * re])
-    keep = values != 0
-    return IndexForm((2 * R, 2 * C), tuple(ax[keep] for ax in index), values[keep])
+def _realified(A: np.ndarray) -> np.ndarray:
+    """The real matrix, on (re x, im x), of the antilinear map x -> A conj(x)."""
+    return np.block([[A.real, A.imag], [A.imag, -A.real]])
 
 
 # relative size below which a singular value counts as zero in every rank
@@ -360,6 +353,8 @@ class FiniteHopf:
 
     def __post_init__(self):
         _read_tables(self, {})
+        if not self.dim:
+            raise ValueError("H has dimension 0; a Hopf algebra holds at least its unit")
 
     @property
     def dim(self) -> int:
@@ -1133,19 +1128,35 @@ def _sparse_nullspace(A: IndexForm) -> np.ndarray:
 
 
 def central_system(inst: ModuleAlgebra) -> IndexForm:
-    """Real-linear rows cutting Z_B(M)_sa out of M, on x = (re m, im m)."""
-    dM = inst.dimM
-    # b m - m b for every basis element b of B, linear in m: rows (b, k), columns m
+    """Rows b m - m b, for every basis element b of B, cutting the B-central
+    elements out of M: rows (b, k), columns the complex unknowns m."""
     comm = _sparse_contract("bmk->bkm", inst.leftM) - _sparse_contract("mbk->bkm", inst.rightM)
-    comm = comm.reshape(inst.dimB * dM, dM)
-    # self-adjointness: conj(m) @ starM - m = 0, real-linear in (re m, im m)
-    sa = _realified(inst.starM.transpose(), antilinear=True) - _realified(_lift(dM, [[1.0]]))
-    return _vstack([_realified(comm), sa])
+    return comm.reshape(inst.dimB * inst.dimM, inst.dimM)
+
+
+def _fixed_points(Q: np.ndarray, starred: np.ndarray, space: str) -> np.ndarray:
+    """Fixed points of an antilinear star on the span of the orthonormal
+    columns Q, whose star images are the columns of `starred`: complex
+    columns, orthonormal as real vectors, spanning the real space of
+    star-fixed vectors.  RuntimeError when the span is not star-invariant."""
+    k = Q.shape[1]
+    if not k:
+        return Q
+    resid = np.abs(starred - Q @ (np.conj(Q).T @ starred)).max()
+    if not resid <= 1e-8:
+        raise RuntimeError(f"{space} is not star-invariant (residual {resid:.1e})")
+    # star(Q c) = Q S conj(c); the fixed points c = S conj(c) are real-linear
+    # in (re c, im c)
+    S = np.conj(Q).T @ starred
+    coords = _nullspace(_realified(S) - np.eye(2 * k))
+    return Q @ (coords[:k] + 1j * coords[k:])
 
 
 def _central_sa_basis(inst: ModuleAlgebra) -> np.ndarray:
-    """Real basis of Z_B(M)_sa as real vectors (re, im stacked)."""
-    return _sparse_nullspace(central_system(inst))
+    """Z_B(M)_sa: the star-fixed points of the nullspace of `central_system`,
+    as complex columns in M, orthonormal as real vectors."""
+    Q = _sparse_nullspace(central_system(inst))
+    return _fixed_points(Q, inst.star("M", Q.T).T, "Z_B(M)")
 
 
 def hochschild_system(inst: ModuleAlgebra, prolongable: bool = False) -> IndexForm:
@@ -1177,50 +1188,40 @@ def solve_hochschild_space(inst: ModuleAlgebra, prolongable: bool = False) -> di
     the complex nullspace of `hochschild_system`, one SVD per connected
     component of its rows and unknowns (`_sparse_nullspace`), and then
     cuts out the fixed points of the antilinear involution mu -> mu^*
-    inside it; the complex solution space is star-invariant, which is
-    asserted numerically.  The cocycle rows run on generators of H only,
+    inside it (`_fixed_points`); the complex solution space is
+    star-invariant, which is asserted numerically.  Z_B(M)_sa, whose images
+    D(m) are the coboundaries, comes the same way from `central_system`;
+    when prolongable=True its real subspace central in the graded algebra
+    is one more nullspace.  The cocycle rows run on generators of H only,
     so the result is sound on data that passes the Hopf and data gates.
     """
     H = inst.H
     dH, dM = H.dim, inst.dimM
     n_c = dH * dM  # complex unknowns
-    graded = prolongable and inst.wedge is not None
     Q = _sparse_nullspace(hochschild_system(inst, prolongable))
     k = Q.shape[1]
-    sols = np.zeros((n_c, 0))  # (n_c, dim Z) complex
-    if k:
-        # antilinear star inside the solution space: star(Q c) = S conj(c)
-        starred = conv_star(ConvolutionElement(inst, "M", Q.T.reshape(k, dH, dM))).values
-        starred = starred.reshape(k, n_c).T
-        resid = np.abs(starred - Q @ (np.conj(Q).T @ starred)).max()
-        if not resid <= 1e-8:
-            raise RuntimeError(f"cocycle space is not star-invariant (residual {resid:.1e})")
-        S = np.conj(Q).T @ starred
-        # fixed points c = S conj(c): real-linear in (re c, im c)
-        coords = _nullspace(_realified(IndexForm.of(S), antilinear=True).dense() - np.eye(2 * k))
-        sols = Q @ (coords[:k] + 1j * coords[k:])
-    z_dim = sols.shape[1]
+    starred = conv_star(ConvolutionElement(inst, "M", Q.T.reshape(k, dH, dM))).values
+    sols = _fixed_points(Q, starred.reshape(k, n_c).T, "cocycle space")
     # coboundaries: D on Z_B(M)_sa
-    cent = _central_sa_basis(inst)
-    ms = (cent[:dM] + 1j * cent[dM:]).T
-    if graded:
-        # restrict to coboundaries central in the graded algebra
-        graded_resid = np.abs(_commutator(inst, "M", _const(inst, ms), "M"))
-        ms = ms[np.max(graded_resid, axis=(1, 2, 3), initial=0.0) <= 1e-9]
+    ms = _central_sa_basis(inst).T
+    if prolongable and inst.wedge is not None:
+        # the real combinations of ms that are central in the graded algebra
+        graded = _commutator(inst, "M", _const(inst, ms), "M")
+        graded = graded.reshape(len(ms), math.prod(graded.shape[1:])).T
+        ms = _nullspace(np.vstack([graded.real, graded.imag])).T @ ms
     d = (_orbit(inst, "M", ms) - _const(inst, ms)).reshape(len(ms), n_c)
     # orthonormal basis of the coboundary space
     b_span = _row_span(np.hstack([np.real(d), np.imag(d)]))
 
-    def to_elements(real_cols):
-        return [ConvolutionElement(inst, "M", (col[:n_c] + 1j * col[n_c:]).reshape(dH, dM))
-                for col in real_cols.T]
+    def to_elements(cols):
+        return [ConvolutionElement(inst, "M", col.reshape(dH, dM)) for col in cols.T]
 
     return {
-        "dim_Z": z_dim,
+        "dim_Z": sols.shape[1],
         "dim_B": len(b_span),
-        "dim_H": z_dim - len(b_span),
-        "basis": to_elements(np.vstack([np.real(sols), np.imag(sols)])),
-        "coboundary_basis": to_elements(b_span.T),
+        "dim_H": sols.shape[1] - len(b_span),
+        "basis": to_elements(sols),
+        "coboundary_basis": to_elements((b_span[:, :n_c] + 1j * b_span[:, n_c:]).T),
     }
 
 
@@ -1231,15 +1232,14 @@ def brute_force_group_z1(inst: ModuleAlgebra) -> dict:
     Works directly from the group multiplication table and the action on
     the real subspace Z_B(M)_sa; never touches the Hopf tensors.
     """
-    cent = _central_sa_basis(inst)  # real basis, columns
-    dM = inst.dimM
+    cent = _central_sa_basis(inst)
     k = cent.shape[1]
     if k == 0:
         return {"dim_Z": 0, "dim_B": 0, "dim_H": 0}
-    # the generator's action on each basis vector, then in the (orthonormal)
-    # cent basis
-    moved = (cent[:dM] + 1j * cent[dM:]).T @ inst.actM.take(1 % inst.H.dim, 1)
-    R = cent.T @ np.vstack([np.real(moved).T, np.imag(moved).T])
+    # the generator's action on each basis vector, then in the (real-
+    # orthonormal) cent basis
+    moved = cent.T @ inst.actM.take(1 % inst.H.dim, 1)
+    R = np.real(np.conj(cent).T @ moved.T)
     # cocycle: c(g^j) = sum_{i<j} R^i(v); constraint sum_{i<n} R^i v = 0
     total = np.zeros((k, k))
     P = np.eye(k)

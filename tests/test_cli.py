@@ -440,6 +440,15 @@ class TestParsers:
         assert code == 0
         assert json.loads(out.read_text())["u"] == 4
 
+    @pytest.mark.parametrize("where", ["missing/report.json", "."], ids=["no-directory", "a-directory"])
+    def test_an_unwritable_out_is_config_error(self, capsys, tmp_path, where):
+        # FileNotFoundError and IsADirectoryError ended the run with exit 1
+        out = tmp_path / where
+        assert main(["pell", "--delta", "5", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: cannot write --out {str(out)!r}")
+        assert "Traceback" not in err
+
 
 class TestQTokenEdges:
     def test_zero_rejected(self):
@@ -515,6 +524,24 @@ class TestNumericFlags:
         assert main(argv) == 2
         assert "must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["torus-check", "--theta", "1/2,1/2,5", "--seed", "-1"],
+        ["heisenberg-verify", "--theta", "1/2,1/2,5", "--seed", "-1"],
+        ["cohomology", "--builtin", "jet:3", "--seed", "-5"],
+        ["cohomology", "--builtin", "jet:3", "--seed=-0x5"],
+    ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
+    def test_a_negative_seed_is_a_usage_error(self, capsys, argv):
+        # each ran up to numpy's default_rng, which raised ValueError
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "argument --seed: must be at least 0" in err and "Traceback" not in err
+
+    def test_a_negative_seed_in_a_config_is_a_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": -1}))
+        assert main(["torus-check", "--theta", "1/2,1/2,5", "--config", str(cfg)]) == 2
+        assert "argument --seed: must be at least 0, got -1" in capsys.readouterr().err
+
     def test_empty_sweep_checks_nothing(self, capsys):
         assert main(["monopole", "--theta", "0,1,2", "--q-sweep", ","]) == 2
         assert "checked nothing" in capsys.readouterr().err
@@ -542,6 +569,24 @@ VECTOR = {"shape": [1], "re": [0.0], "im": [0.0]}
 def with_entry(block, key, value):
     """An edit of a dumped instance that sets data[block][key] to value."""
     return lambda data: {**data, block: {**data[block], key: value}}
+
+
+def tensor(shape, re):
+    return {"shape": shape, "re": re, "im": [0.0] * len(re)}
+
+
+# H of dimension 0 (every table of H empty) acting on B = M = C: each gate is
+# a maximum over no entries, so both read 0
+DIMENSION_ZERO_H = {
+    "name": "H = 0",
+    "hopf": {name: tensor([0] * len(axes), []) for name, axes in hopf.FiniteHopf.AXES.items()},
+    "coefficients": {
+        **{name: tensor([1] * len(hopf.ModuleAlgebra.AXES[name]), [1.0])
+           for name in ("mulB", "unitB", "starB", "leftM", "rightM", "starM")},
+        "actB": tensor([1, 0, 1], []),
+        "actM": tensor([1, 0, 1], []),
+    },
+}
 
 
 class TestInstanceFiles:
@@ -585,8 +630,9 @@ class TestInstanceFiles:
          "table unitB (b) has b = 2, not 3"),
         (with_entry("coefficients", "mulB", None), "table mulB is missing"),
         (with_entry("hopf", "comul", None), "table comul is missing"),
+        (lambda d: DIMENSION_ZERO_H, "H has dimension 0"),
     ], ids=["unknown-table", "missing-mulB", "coefficients-list", "top-level-list",
-            "short-unitB", "null-mulB", "null-comul"])
+            "short-unitB", "null-mulB", "null-comul", "dimension-0-H"])
     def test_malformed_instance_is_config_error(self, capsys, tmp_path, edit, named):
         data = edit(json.loads(hopf.dump_instance(hopf.cycle_instance(3))))
         path = tmp_path / "bad.json"

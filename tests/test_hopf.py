@@ -774,8 +774,7 @@ class TestSolverEdges:
 
         from ncgauge.hopf import _central_sa_basis
 
-        dM = inst.dimM
-        size = 2 * inst.H.dim * dM
+        size = 2 * inst.H.dim * inst.dimM
 
         def projector(vectors):
             vectors = np.reshape(vectors, (-1, size))
@@ -785,8 +784,7 @@ class TestSolverEdges:
             return q @ q.T
 
         images = []
-        for col in _central_sa_basis(inst).T:
-            m = col[:dM] + 1j * col[dM:]
+        for m in _central_sa_basis(inst).T:
             # D(m)(h) = m <| h - eps(h) m
             d = np.einsum("u,uhv->hv", m, inst.actM.dense()) - np.outer(inst.H.counit, m)
             images.append(np.concatenate([d.real.ravel(), d.imag.ravel()]))

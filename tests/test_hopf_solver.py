@@ -10,9 +10,12 @@ the same dimensions and the same spans, and
 on C[Z_n] the dimensions of the group-cohomology enumerator.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from ncgauge import hopf
 from ncgauge.hopf import (
     ConvolutionElement,
     brute_force_group_z1,
@@ -139,3 +142,56 @@ def test_dimensions_are_not_all_zero():
     dims = {token: solve_hochschild_space(instance(token))["dim_Z"]
             for token in ("jet:8", "function:8", "translations:6")}
     assert dims == {"jet:8": 28, "function:8": 7, "translations:6": 5}
+
+
+@pytest.mark.parametrize("prolongable", [False, True], ids=["first_order", "prolongable"])
+@pytest.mark.parametrize("token", [f"{kind}:{n}" for kind in ("jet", "cycle") for n in range(2, 7)])
+def test_dimensions_do_not_depend_on_the_basis_of_the_central_elements(monkeypatch, token, prolongable):
+    inst = instance(token)
+    want = solve_hochschild_space(inst, prolongable=prolongable)
+    basis = hopf._central_sa_basis(inst)
+    k = basis.shape[1]
+    rotation, _ = np.linalg.qr(np.random.default_rng(k).standard_normal((k, k)))
+    # the same Z_B(M)_sa, in another real-orthonormal basis
+    monkeypatch.setattr(hopf, "_central_sa_basis", lambda inst: basis @ rotation)
+    got = solve_hochschild_space(inst, prolongable=prolongable)
+    dims = ("dim_Z", "dim_B", "dim_H")
+    assert [got[key] for key in dims] == [want[key] for key in dims]
+
+
+@pytest.mark.parametrize("rotated", [False, True], ids=["solver_basis", "rotated_basis"])
+def test_prolongable_coboundaries_come_from_the_graded_central_subspace(monkeypatch, rotated):
+    # a wedge m ^ x = alpha(m) alpha(x) e_0 makes m graded-central, m ^ x + x ^ m
+    # = 0 for every x, exactly when alpha(m) = 0: a real subspace W of
+    # Z_B(M)_sa that no basis of it needs to meet.  alpha vanishes on the
+    # elements that D sends to 0, so D(W) is smaller than D(Z_B(M)_sa).  On
+    # the jet algebra m^* = -conj(m) and e_0 = dx^dy is self-adjoint, so the
+    # star rule (m ^ x)^* = -x^* ^ m^* holds for alpha(m) = e^{i pi/4} m.r
+    # with r real.
+    inst = jet_instance(2)
+    dH, dM = inst.H.dim, inst.dimM
+    actM = inst.actM.dense()
+
+    def images(ms):  # D(m)(h) = m <| h - eps(h) m, as real (re, im) rows
+        d = (np.einsum("nu,uhv->nhv", ms, actM) - np.einsum("h,nv->nhv", inst.H.counit, ms))
+        return np.hstack([d.real, d.imag]).reshape(len(ms), 2 * dH * dM)
+
+    cent = central_sa_basis(inst)
+    ms = (cent[:dM] + 1j * cent[dM:]).T
+    fixed = nullspace(images(ms).T).T @ ms
+    r = nullspace(fixed.imag)  # the elements of Z_B(M)_sa are imaginary here
+    alpha = np.exp(0.25j * np.pi) * (r @ np.random.default_rng(3).standard_normal(r.shape[1]))
+    wedge = np.zeros(inst.wedge.shape, dtype=complex)
+    wedge[:, :, 0] = np.outer(alpha, alpha)
+    inst = dataclasses.replace(inst, wedge=wedge)
+    W = nullspace(np.vstack([(ms @ alpha).real, (ms @ alpha).imag])).T @ ms
+    want = projector(images(W).T)
+    assert 0 < round(np.trace(want)) < solve_hochschild_space(inst)["dim_B"]
+    if rotated:
+        basis = hopf._central_sa_basis(inst)
+        rotation, _ = np.linalg.qr(np.random.default_rng(4).standard_normal((basis.shape[1],) * 2))
+        monkeypatch.setattr(hopf, "_central_sa_basis", lambda inst: basis @ rotation)
+    sol = solve_hochschild_space(inst, prolongable=True)
+    got = projector(vectors(sol["coboundary_basis"], dH * dM))
+    assert sol["dim_B"] == round(np.trace(want))
+    assert np.abs(got - want).max() <= 1e-9
