@@ -22,7 +22,7 @@ _LAYERS = {
         "QuadraticIrrational", "StabilizerMatrix", "ThetaContext", "classify",
         "norm", "pell_unit", "phi", "phi_inverse", "unit_power_data",
     ),
-    "torus": ("Form", "OneFormB", "TorusElement", "TwoFormB", "d_B", "d_B1", "wedge"),
+    "torus": ("Form", "TorusElement", "d_B", "d_B1", "wedge"),
     "heisenberg": (
         "GradedElement", "GridSpec", "HeisenbergElement", "gaussian", "left_act",
         "mul_P", "partial", "random_packet", "right_act", "sigma", "star_P",

@@ -99,7 +99,7 @@ def parse_q_token(tok: str, ctx: ThetaContext):
     else:
         try:
             q = FieldElement.of(Fraction(tok), 0, ctx.t.delta)
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             try:
                 q = float(tok)
             except ValueError as exc:
@@ -175,12 +175,18 @@ def _flatten(report, prefix=""):
 
 
 def _to_csv(report) -> str:
-    lines = ["key,value"]
+    """key,value rows; a field that holds a comma, quote or newline is quoted."""
+    import csv
+    import io
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("key", "value"))
     for key, val in _flatten(report):
         if isinstance(val, complex):
             val = f"{val.real}+{val.imag}j"
-        lines.append(f"{key},{val}")
-    return "\n".join(lines)
+        writer.writerow((key, f"{val}"))
+    return buf.getvalue().removesuffix("\n")
 
 
 def _to_pretty(report) -> str:
@@ -206,7 +212,7 @@ def cmd_pell(args) -> tuple[dict, None]:
         "delta": args.delta,
         "u": unit.u,
         "v": unit.v,
-        "epsilon": float(unit),
+        "epsilon": quadfield.float_or_exact(unit.value),
         "epsilon_exact": f"({unit.u} + {unit.v}*sqrt({args.delta}))/2",
         "norm": str(quadfield.norm(unit.value)),
     }
@@ -231,7 +237,7 @@ def cmd_stabilizer(args) -> tuple[dict, list]:
     t = ctx.t
     report = {
         "theta": {"a": t.a, "b": t.b, "c": t.c, "delta": t.delta, "value": float(t)},
-        "epsilon": {"u": ctx.unit.u, "v": ctx.unit.v, "value": ctx.eps_float},
+        "epsilon": {"u": ctx.unit.u, "v": ctx.unit.v, "value": quadfield.float_or_exact(ctx.eps)},
         "phi": list(ctx.power(1).entries()),
         "powers": {},
         "checks": {},
@@ -277,7 +283,7 @@ def cmd_torus_check(args) -> tuple[dict, list]:
     rng = np.random.default_rng(args.seed)
     tol = args.tol
     residuals = {}
-    lam = cmath.exp(2j * math.pi * th)
+    lam = cmath.exp(2j * math.pi * (th % 1.0))
     U, V = torus.TorusElement.U(th), torus.TorusElement.V(th)
     residuals["commutation"] = ((V * U) - (U * V) * lam).norm()
     samples = {"associativity": [], "star_antimultiplicative": [],
@@ -334,8 +340,11 @@ def require_memory(need: int, subject: str, what: str) -> None:
     """Exit 2 when `what`, the largest allocation of `subject`, exceeds `memory_budget()`."""
     budget = memory_budget()
     if need > budget:
+        # a need beyond the float range (a grade of a unit beyond it) has no float
+        size = (f"about {need / 2**30:.1f} GiB" if need < 2**1000
+                else f"over 2^{need.bit_length() - 1} bytes")
         raise ConfigError(
-            f"{subject} needs about {need / 2**30:.1f} GiB for {what}; "
+            f"{subject} needs {size} for {what}; "
             f"this process can use {budget / 2**30:.1f} GiB"
         )
 
@@ -431,7 +440,7 @@ def cmd_heisenberg_verify(args) -> tuple[dict, list]:
                    f"{heisenberg.sector_count(ctx, m_big)} sectors x {grid.N} points at grade {m_big})")
     report = {
         "theta": ctx.theta_float,
-        "epsilon": ctx.eps_float,
+        "epsilon": quadfield.float_or_exact(ctx.eps),
         "grid": {"L": grid.L, "N": grid.N, "J": grid.J},
         "tol": tol,
     }
@@ -540,13 +549,18 @@ def cmd_monopole(args) -> tuple[dict, list]:
     rows = gauge.q_sweep(ctx, qs, M=args.grades, tol=args.tol)
     for row, tok in zip(rows, tokens):
         row["token"] = tok.strip()
+    # -eps c_1 is the product of the floats (the pinned bits), or its exact
+    # value when that lies beyond the float range
+    constant = quadfield.float_or_exact(-ctx.eps * ctx.c(1))
+    if isinstance(constant, float):
+        constant = -ctx.eps_float * ctx.c(1)
     report = {
         "theta": ctx.theta_float,
-        "epsilon": ctx.eps_float,
+        "epsilon": quadfield.float_or_exact(ctx.eps),
         "c1": ctx.c(1),
         "grades": args.grades,
         "q_sweep": rows,
-        "expected_constant": {"re": 0.0, "im": -ctx.eps_float * ctx.c(1)},
+        "expected_constant": {"re": 0.0, "im": constant},
     }
     # consistency: adapted exactly at eps^2, relative exactly at eps
     checks = []

@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from .quadfield import FieldElement, ThetaContext
+from .quadfield import FieldElement, ThetaContext, float_or_exact
 from .torus import Form, d_B, d_B1, wedge
 
 if TYPE_CHECKING:  # the layer acts on graded elements through their part protocol
@@ -217,7 +217,7 @@ def _factorization_test(ctx: ThetaContext, q, M: int, tol: float, numerator):
     """
     if M < 2:
         raise ValueError("M must be at least 2")
-    exact, qv = not isinstance(q, float), _float_or_exact(q)
+    exact, qv = not isinstance(q, float), float_or_exact(q)
     if q == 0 or not exact and not math.isfinite(q):
         reason = "q = 0" if q == 0 else f"q = {q}"
         return {"q": qv, "adapted": False, "reason": reason, "exact": exact}, None
@@ -228,7 +228,7 @@ def _factorization_test(ctx: ThetaContext, q, M: int, tol: float, numerator):
         ratios[m] = numerator(m) / den
     first = next(iter(ratios.values()))
     adapted = all(v == first if exact else _within(v, first, tol) for v in ratios.values())
-    report = {"q": qv, "adapted": adapted, "ratios": {m: _float_or_exact(v) for m, v in ratios.items()},
+    report = {"q": qv, "adapted": adapted, "ratios": {m: float_or_exact(v) for m, v in ratios.items()},
               "exact": exact}
     return report, float(first) if adapted else None
 
@@ -246,13 +246,6 @@ def _within(v: FieldElement, w: FieldElement, tol: float) -> bool:
         return abs(float(gap)) <= tol * scale
     except OverflowError:
         return False
-
-
-def _float_or_exact(v) -> float | str:
-    try:
-        return float(v)
-    except OverflowError:
-        return str(v)
 
 
 def adaptedness_test(ctx: ThetaContext, q, M: int = 4, tol: float = 1e-8) -> dict:

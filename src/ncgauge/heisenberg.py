@@ -413,37 +413,6 @@ class HeisenbergElement:
             return 0.0
         return edge / total
 
-    # -- serialization ------------------------------------------------------
-    def to_json(self) -> str:
-        import json
-
-        return json.dumps(
-            {
-                "grade": self.m,
-                "grid": {
-                    "L": self.grid.L,
-                    "N": self.grid.N,
-                    "J": self.grid.J,
-                    "tol": self.grid.tol,
-                    "modes": self.grid.modes,
-                },
-                "sectors": [
-                    [[v.real, v.imag] for v in row] for row in self.samples
-                ],
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str, ctx: ThetaContext) -> "HeisenbergElement":
-        import json
-
-        data = json.loads(text)
-        grid = GridSpec(**data["grid"])
-        samples = np.array(
-            [[complex(re, im) for re, im in row] for row in data["sectors"]]
-        )
-        return cls(data["grade"], samples, ctx, grid)
-
 
 # -- module actions ---------------------------------------------------------
 

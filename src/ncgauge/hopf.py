@@ -1417,15 +1417,12 @@ def jet_instance(n: int) -> ModuleAlgebra:
     )
 
 
-def jet_unitary(inst: ModuleAlgebra, f=None, a=None, b=None, c=None, rng=None):
-    """Unitary f (1 + i a x + i b y + (i c - a b) xy) of the jet algebra."""
+def jet_unitary(inst: ModuleAlgebra, rng):
+    """Random unitary f (1 + i a x + i b y + (i c - a b) xy) of the jet algebra:
+    |f| = 1 and real a, b, c drawn from `rng`, a `numpy.random.Generator`."""
     n = inst.H.dim
-    if rng is not None:
-        f = np.exp(2j * np.pi * rng.random(n))
-        a = rng.standard_normal(n)
-        b = rng.standard_normal(n)
-        c = rng.standard_normal(n)
-    f, a, b, c = (np.asarray(v) for v in (f, a, b, c))
+    f = np.exp(2j * np.pi * rng.random(n))
+    a, b, c = rng.standard_normal((3, n))
     p = np.stack([np.ones(n), 1j * a, 1j * b, 1j * c - a * b], axis=1)
     # p f from separately rounded real products, as a scalar complex product
     # rounds them; NumPy's vector complex product may fuse a multiply-add

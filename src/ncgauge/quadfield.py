@@ -244,6 +244,15 @@ def _scaled_float(num: int, den: int, e: int) -> float:
     return num / (den << e) if e >= 0 else (num << -e) / den
 
 
+def float_or_exact(v) -> float | str:
+    """float(v) for a report, or the exact value as a string when it lies
+    beyond the float range."""
+    try:
+        return float(v)
+    except OverflowError:
+        return str(v)
+
+
 def norm(x: FieldElement) -> Fraction:
     """Field norm r^2 - Delta*s^2; multiplicative and unit-preserving."""
     return x.norm()
@@ -488,7 +497,6 @@ class ThetaContext:
         self.unit = pell_unit(t.delta)
         self.eps = self.unit.value  # exact FieldElement
         self.theta_float = float(t)
-        self.eps_float = float(self.eps)
         self._g1 = phi(self.unit, t)
         self._powers: dict[int, StabilizerMatrix] = {0: IDENTITY}
         self._eps_powers: dict[int, FieldElement] = {}
@@ -524,6 +532,12 @@ class ThetaContext:
         if m not in self._eps_powers:
             self._eps_powers[m] = self.eps**m
         return self._eps_powers[m]
+
+    @property
+    def eps_float(self) -> float:
+        """float(eps), read on demand: a unit beyond the float range raises
+        OverflowError here and not when the context is built."""
+        return self.eps_pow_float(1)
 
     def eps_pow_float(self, m: int) -> float:
         if m not in self._eps_floats:

@@ -1,5 +1,7 @@
 """CLI contract tests: subcommands, formats, exit codes."""
 
+import csv
+import io
 import json
 import math
 import warnings
@@ -60,6 +62,14 @@ class TestStabilizer:
 class TestTorusCheck:
     def test_passes(self, capsys):
         code, out = run(capsys, ["torus-check", "--theta", "1/2,1/2,5"])
+        assert code == 0
+        assert json.loads(out)["pass"]
+
+    # theta = sqrt 8000 = 89.4 and (1 + sqrt 31249)/2 = 88.9: a phase formed
+    # from theta * k before the reduction mod 1 failed star_antimultiplicative
+    @pytest.mark.parametrize("theta", ["0,1,8000", "1/2,1/2,31249"])
+    def test_passes_far_from_the_unit_interval(self, capsys, theta):
+        code, out = run(capsys, ["torus-check", "--theta", theta])
         assert code == 0
         assert json.loads(out)["pass"]
 
@@ -454,6 +464,11 @@ class TestQTokenEdges:
     def test_zero_rejected(self):
         assert main(["monopole", "--theta", "1/2,1/2,5", "--q-sweep", "0,eps"]) == 2
 
+    def test_a_zero_denominator_is_config_error(self, capsys):
+        # Fraction("1/0") raised ZeroDivisionError, which ended the run with exit 1
+        assert main(["monopole", "--theta", "1/2,1/2,5", "--q-sweep", "1/0"]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: invalid q token '1/0'")
+
     def test_bad_eps_power(self):
         assert main(["monopole", "--theta", "1/2,1/2,5", "--q-sweep", "eps^x"]) == 2
 
@@ -469,6 +484,66 @@ class TestQTokenEdges:
             parse_q_token(tok, parse_theta("0,1,2"))
         assert main(["monopole", "--theta", "0,1,2", "--q-sweep", tok]) == 2
         assert "finite float value" in capsys.readouterr().err
+
+
+def strict_json(text: str):
+    """json.loads that refuses NaN and +-Infinity, which strict JSON lacks."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestUnitsBeyondTheFloatRange:
+    """D = 31249 is the one non-square discriminant below 31250 whose unit
+    has no float (u has 1098 bits).  Each suite exited 1 with an
+    OverflowError when the context was built."""
+
+    THETA = "1/2,1/2,31249"
+
+    def test_the_context_builds_and_only_the_float_of_eps_overflows(self):
+        ctx = parse_theta(self.THETA)
+        assert ctx.eps.norm() == 1 and ctx.c(1) != 0
+        with pytest.raises(OverflowError):
+            ctx.eps_float
+
+    def test_pell_reports_epsilon_exactly(self, capsys):
+        code, out = run(capsys, ["pell", "--delta", "31249"])
+        data = strict_json(out)
+        assert code == 0 and data["u"].bit_length() == 1098
+        assert data["epsilon"] == str(parse_theta(self.THETA).eps)
+
+    def test_stabilizer_reports_epsilon_exactly(self, capsys):
+        code, out = run(capsys, ["stabilizer", "--theta", self.THETA])
+        data = strict_json(out)
+        assert code == 0 and data["pass"]
+        assert data["epsilon"]["value"] == str(parse_theta(self.THETA).eps)
+
+    def test_monopole_sweeps_the_tokens_with_a_float(self, capsys):
+        code, out = run(capsys, ["monopole", "--theta", self.THETA, "--q-sweep", "1,2,eps^-1"])
+        data = strict_json(out)
+        ctx = parse_theta(self.THETA)
+        assert code == 0 and data["pass"]
+        assert data["epsilon"] == str(ctx.eps)
+        assert data["expected_constant"]["im"] == str(-ctx.eps * ctx.c(1))
+
+    def test_monopole_names_the_token_without_a_float(self, capsys):
+        assert main(["monopole", "--theta", self.THETA]) == 2
+        assert "q token 'eps' has no finite float value" in capsys.readouterr().err
+
+    def test_heisenberg_verify_is_config_error(self, capsys):
+        assert main(["heisenberg-verify", "--theta", self.THETA, "--grades", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: --grades 1 needs over 2^")
+
+    def test_an_expected_constant_beyond_the_float_range_is_exact(self, capsys):
+        # eps (543 bits) has a float but -eps c_1 does not: its float
+        # product was -Infinity, which is not JSON
+        code, out = run(capsys, ["monopole", "--theta", "1/2,1/2,9241", "--q-sweep", "1,eps"])
+        data = strict_json(out)
+        ctx = parse_theta("1/2,1/2,9241")
+        assert code == 0 and isinstance(data["epsilon"], float)
+        assert data["expected_constant"]["im"] == str(-ctx.eps * ctx.c(1))
 
 
 class TestGridValidation:
@@ -658,6 +733,41 @@ VERDICT_RUNS = [
     ["monopole", "--theta", "1/2,1/2,5"],
     ["cohomology", "--builtin", "jet:2"],
 ]
+
+
+def assert_csv_is_the_flattened_json(capsys, argv):
+    """Every csv row is two fields, the key and value of the flattened JSON
+    report in order; a complex value, an {re, im} object in JSON, is one
+    row re+imj."""
+    _, out = run(capsys, argv)
+    _, text = run(capsys, [*argv, "--format", "csv"])
+    rows = list(csv.reader(io.StringIO(text)))
+    assert rows[0] == ["key", "value"]
+    want, i = cli._flatten(json.loads(out)), 0
+    for row in rows[1:]:
+        key = row[0]
+        if want[i][0] == key:
+            expected, i = f"{want[i][1]}", i + 1
+        else:
+            assert (want[i][0], want[i + 1][0]) == (f"{key}.re", f"{key}.im")
+            expected, i = f"{want[i][1]}+{want[i + 1][1]}j", i + 2
+        assert row == [key, expected]
+    assert i == len(want)
+
+
+class TestCsv:
+    # keys such as twist1.(0,1) and mul_associativity.(1, 1, -1) hold commas
+    @pytest.mark.parametrize("argv", [["pell", "--delta", "5"], *VERDICT_RUNS],
+                             ids=lambda argv: argv[0])
+    def test_rows_are_the_flattened_json_report(self, capsys, argv):
+        assert_csv_is_the_flattened_json(capsys, argv)
+
+    def test_the_skipped_reason_is_one_field(self, capsys, tmp_path):
+        from test_hopf_op import translations_on_s3
+
+        path = tmp_path / "s3.json"
+        path.write_text(hopf.dump_instance(translations_on_s3()))
+        assert_csv_is_the_flattened_json(capsys, ["cohomology", "--instance", str(path)])
 
 
 class TestVerdict:

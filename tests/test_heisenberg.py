@@ -489,15 +489,6 @@ class TestMulP:
             mul_P(p, q)
 
 
-class TestSerialization:
-    def test_round_trip(self, rng):
-        f = random_packet(CTX, GRID, 2, rng)
-        g = HeisenbergElement.from_json(f.to_json(), CTX)
-        assert g.m == f.m
-        assert np.allclose(g.samples, f.samples)
-        assert g.grid == f.grid
-
-
 class TestNaturalWidth:
     def test_star_closed(self):
         for m in (1, 2, 3):

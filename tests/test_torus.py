@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from ncgauge.quadfield import GOLDEN, ThetaContext
 from ncgauge.torus import (
-    OneFormB,
+    Form,
     ThetaMismatch,
     TorusElement,
     d_B,
@@ -143,16 +143,16 @@ class TestCalculus:
 
     def test_wedge_self_central_zero(self):
         b = TorusElement.one(THETA) * 2.5
-        w = OneFormB(b, TorusElement.zero(THETA))
+        w = Form(1, (b, TorusElement.zero(THETA)))
         assert wedge(w, w).norm() < TOL
 
     def test_wedge_antisymmetry_central_coeffs(self):
         # central (scalar) coefficient forms anticommute under the formula
-        w1 = OneFormB(
-            TorusElement.one(THETA) * (1 + 2j), TorusElement.one(THETA) * 0.5
+        w1 = Form(
+            1, (TorusElement.one(THETA) * (1 + 2j), TorusElement.one(THETA) * 0.5)
         )
-        w2 = OneFormB(
-            TorusElement.one(THETA) * -3j, TorusElement.one(THETA) * (2 - 1j)
+        w2 = Form(
+            1, (TorusElement.one(THETA) * -3j, TorusElement.one(THETA) * (2 - 1j))
         )
         lhs = wedge(w1, w2)
         rhs = wedge(w2, w1)
@@ -169,7 +169,7 @@ class TestCalculus:
 
     def test_one_form_star(self):
         U = TorusElement.U(THETA)
-        w = OneFormB(U, TorusElement.zero(THETA))
+        w = Form(1, (U, TorusElement.zero(THETA)))
         sw = w.star()
         assert sw.b1.close_to(-star(U), TOL)
 
@@ -177,14 +177,6 @@ class TestCalculus:
         x = random_sparse(THETA, rng)
         w = dtau1(THETA)
         assert w.right_mul(x).b1.close_to(w.left_mul(x).b1, TOL)
-
-
-class TestSerialization:
-    def test_round_trip(self, rng):
-        x = random_sparse(THETA, rng)
-        y = TorusElement.from_json(x.to_json())
-        assert y.close_to(x, 0.0)
-        assert y.theta == x.theta
 
 
 coeff = st.complex_numbers(

