@@ -436,8 +436,11 @@ def cmd_heisenberg_verify(args) -> tuple[dict, list]:
     tol = args.tol
     M = args.grades
     need, m_big = commutator_table_bytes(ctx, grid, M)
+    sectors = heisenberg.sector_count(ctx, m_big)
+    # a count of hundreds of digits (a unit beyond the float range) is named by its size
+    sectors = sectors if sectors < 2**64 else f"over 2^{sectors.bit_length() - 1}"
     require_memory(need, f"--grades {M}", f"the commutator table ({COMMUTATOR_ARRAYS} arrays of "
-                   f"{heisenberg.sector_count(ctx, m_big)} sectors x {grid.N} points at grade {m_big})")
+                   f"{sectors} sectors x {grid.N} points at grade {m_big})")
     report = {
         "theta": ctx.theta_float,
         "epsilon": quadfield.float_or_exact(ctx.eps),
@@ -598,25 +601,33 @@ def _builtin_instance(token: str) -> hopf.ModuleAlgebra:
 
 def cohomology_bytes(inst: hopf.ModuleAlgebra) -> int:
     """Upper bound on the bytes the Hochschild solver and `op_report` hold
-    at once, from the non-zero entries of the two systems the solver
-    factors (`hopf.hochschild_system`, `hopf.central_system`).
+    at once, from the character blocks the solver factors: the stacks of
+    `hopf.component_shapes` for `hopf.hochschild_system` and
+    `hopf.central_system`, one block per connected component and character
+    of the declared symmetry (the components themselves when none is
+    declared), the characters of one component that meet the same orbits
+    stacked and factored by one call.
 
-    It counts 16-byte complex values: four copies of the largest dense
-    block of a connected component (the block, its QR working copy, R and
-    the SVD; the solver's tracemalloc peak is 2.3 blocks on cycle:12-24),
-    and six n x n arrays for the n = dim H * dim M unknowns, which bound
-    the solution space and every array built on it (the nullspace, its
-    star image and the returned bases).  Everything else is an index form
-    with a few entries per non-zero, and 1 MiB covers it (the solver and
-    `op_report` peak at 0.03 to 0.07 MiB on jet:1-2, cycle:1-2 and
+    It counts 16-byte complex values: four copies of the largest stack (the
+    stack, its QR working copy, R and the SVD; the solver's tracemalloc
+    peak is 2.3 blocks on cycle:12-24 without a symmetry), and six n x k
+    arrays for the n = dim H * dim M unknowns, which hold the solution
+    spaces and every array built on them (the nullspaces, their star images
+    and the returned bases).  A cocycle is fixed by its values on the g
+    generators of H (it vanishes at 1, and mu(w g) is mu(w) <| g + eps(w)
+    mu(g) on words w), so k = min(n, (g + 1) dim M) bounds the cocycle
+    space and the dim M of Z_B(M) together.  Everything else is an index
+    form with a few entries per non-zero, and 1 MiB covers it (the solver
+    and `op_report` peak at 0.03 to 0.07 MiB on jet:1-2, cycle:1-2 and
     function:1-2).
     """
     from . import hopf
 
     n = inst.H.dim * inst.dimM
-    block = max((r * c for A in (hopf.hochschild_system(inst), hopf.central_system(inst))
-                 for r, c in hopf.component_shapes(A)), default=0)
-    return 16 * (4 * block + 6 * n * n) + 2**20
+    k = min(n, (len(inst.H.generators) + 1) * inst.dimM)
+    stack = max((math.prod(shape) for system in (hopf.hochschild_system(inst), hopf.central_system(inst))
+                 for shape in hopf.component_shapes(*system)), default=0)
+    return 16 * (4 * stack + 6 * n * k) + 2**20
 
 
 def cmd_cohomology(args) -> tuple[dict, list]:
@@ -650,6 +661,11 @@ def cmd_cohomology(args) -> tuple[dict, list]:
     data = inst.data_report()
     report["data_gate"] = data["max"]
     checks.append(("module-algebra data", data["max"], 1e-10))
+    if not data["max"] <= 1e-10:
+        # the solver reads the declared symmetry, and every later check the
+        # tables, as the gate checked them: a failed gate ends the run
+        report["data_gate_detail"] = {k: v for k, v in data.items() if k != "max" and not v <= 1e-10}
+        return report, checks
     skipped = []
     # the enumerator and the characters h -> zeta^j exist on C[Z_n] only
     cyclic = hopf.same_tables(inst.H, hopf.cyclic_group_hopf(n))

@@ -32,7 +32,9 @@ identities that are linear in a cochain (the Hochschild cocycle equation,
 graded convolution-centrality) are built as linear maps in index form: a
 check applies the map to one cochain, and `solve_hochschild_space` takes
 the nullspace of the stacked maps, one SVD per connected component of the
-system.  The crossed-product
+system and character of the Z_r action an instance may declare (a
+permutation of the B, M and Omega^2 bases under which every table is
+invariant, checked by the data gate).  The crossed-product
 realizations Op are checked against multiplication blocks contracted from
 the same tables, in index form too; the crossed product keeps no product
 tensor of its own.  Each multiplicativity check
@@ -59,7 +61,9 @@ derivation is inner and MC vanishes on all lazy Sweedler cocycles).  Each
 is written as fiber tables, the structure at one point of Z_n, lifted
 pointwise over C(Z_n) by `_lift`, which writes the index arrays of the
 lifted table directly: a shipped instance holds what its non-zeros hold
-(cycle_instance(96) about 2 MiB).
+(cycle_instance(96) about 2 MiB).  Each declares the point translation
+z -> z + 1 as its symmetry, so the solver's blocks are n^2 times smaller
+than the components they split (32 x 8 in place of 256 x 64 on cycle(8)).
 """
 
 from __future__ import annotations
@@ -76,6 +80,9 @@ TOL = 1e-10
 
 # form degree of each target; it fixes the graded signs
 _DEGREE = {"B": 0, "M": 1, "O2": 2}
+# the tables of a declared symmetry, by the axis letter each permutes
+_SYMMETRY_AXES = {"b": "symB", "m": "symM", "o": "symO2"}
+_SYMMETRY = tuple(_SYMMETRY_AXES.values())
 
 
 def _maxabs(a) -> float:
@@ -450,6 +457,16 @@ class ModuleAlgebra:
     `products`, `stars` and `actions` tables are rebuilt from these fields
     on every access, so reassigning a field (with an index form) is always
     seen.
+
+    symB, symM and symO2 declare a symmetry: symB[i] is the image of basis
+    element i of B under one permutation, and so on for M and Omega^2 (the
+    last with the degree-2 block), H being fixed.  They come together or
+    not at all and are stored as integer arrays.  The permutation generates
+    a Z_r action, r at most the number of elements it permutes, under which
+    every table must be invariant,
+    T[p(i), p(j), ..] = T[i, j, ..]; `data_report` checks that as the
+    residual `symmetry`, and the solver factors one block per character of
+    Z_r (`_sparse_nullspace`).  With no declaration the symmetry is trivial.
     """
 
     H: FiniteHopf
@@ -468,17 +485,39 @@ class ModuleAlgebra:
     actO2: IndexForm | None = None
     wedge: IndexForm | None = None
     d1: IndexForm | None = None
+    symB: np.ndarray | None = None
+    symM: np.ndarray | None = None
+    symO2: np.ndarray | None = None
     name: str = ""
 
     AXES = {"mulB": "bbb", "unitB": "b", "starB": "bb", "actB": "bhb", "leftM": "bmm",
             "rightM": "mbm", "starM": "mm", "actM": "mhm", "dB": "bm", "leftO2": "boo",
-            "rightO2": "obo", "starO2": "oo", "actO2": "oho", "wedge": "mmo", "d1": "mo"}
+            "rightO2": "obo", "starO2": "oo", "actO2": "oho", "wedge": "mmo", "d1": "mo",
+            "symB": "b", "symM": "m", "symO2": "o"}
 
     def __post_init__(self):
         absent = _read_tables(self, {"h": self.H.dim})
-        given = [k for k, axes in self.AXES.items() if "o" in axes and k not in absent]
-        if given and absent:
-            raise ValueError(f"the degree-2 block ({', '.join(given)}) needs {', '.join(absent)} too")
+        given = [k for k, axes in self.AXES.items()
+                 if "o" in axes and k not in absent and k not in _SYMMETRY]
+        missing = [k for k in absent if k not in _SYMMETRY]
+        if given and missing:
+            raise ValueError(f"the degree-2 block ({', '.join(given)}) needs {', '.join(missing)} too")
+        declared = [k for k in _SYMMETRY if k not in absent]
+        wanted = list(_SYMMETRY[:3 if given else 2])
+        if declared and declared != wanted:
+            raise ValueError(f"the symmetry is {', '.join(wanted)}, one permutation per basis, "
+                             f"not {', '.join(declared)}")
+        for k in declared:
+            p = getattr(self, k)
+            q = np.round(p.real).astype(np.intp)  # a JSON table arrives complex
+            if not (np.array_equal(q, p) and np.array_equal(np.sort(q), np.arange(len(q)))):
+                raise ValueError(f"table {k} is not a permutation of 0 .. {len(q) - 1}")
+            setattr(self, k, q)
+        # the solver reads the characters k < r of Z_r, r the order: at most
+        # one per element the symmetry permutes
+        r = math.lcm(*{int(n) for k in declared for n in _orbits(getattr(self, k))[1]})
+        if declared and r > sum(len(getattr(self, k)) for k in declared):
+            raise ValueError(f"the symmetry has order {r}, more than the elements it permutes")
 
     @property
     def dimB(self):
@@ -591,6 +630,23 @@ class ModuleAlgebra:
             rep["graded_leibniz_right"] = _maxabs(E("mbx,xo->mbo", self.rightM, self.d1)
                                                   - E("mo,oby->mby", self.d1, self.rightO2)
                                                   + E("bu,muo->mbo", dB, self.wedge))
+        if self.symB is not None:
+            # T[p(i), p(j), ..] = T[i, j, ..] for every table, h fixed: the
+            # tables laid end to end as one vector, moved against itself
+            perms = {c: getattr(self, k) for c, k in _SYMMETRY_AXES.items()}
+            at, to, values, offset = [], [], [], 0
+            for name, axes in self.AXES.items():
+                if name in _SYMMETRY or getattr(self, name) is None:
+                    continue
+                T = IndexForm.of(getattr(self, name))
+                index = tuple(perms[c][i] if c in perms else i for c, i in zip(axes, T.index))
+                at.append(offset + _flat(T.index, T.shape))
+                to.append(offset + _flat(index, T.shape))
+                values.append(T.values)
+                offset += math.prod(T.shape)
+            v = np.concatenate(values)
+            rep["symmetry"] = _maxabs(IndexForm((offset,), (np.concatenate(to),), v)
+                                      - IndexForm((offset,), (np.concatenate(at),), v))
         rep["max"] = _maxabs(list(rep.values()))
         return rep
 
@@ -1058,13 +1114,19 @@ def _nullspace(A: np.ndarray, bound: float | None = None) -> np.ndarray:
     bound = RANK_TOL * max(A.shape) if bound is None else bound
     if A.shape[0] == 0:
         return np.eye(A.shape[1], dtype=A.dtype)
-    if A.shape[0] > A.shape[1]:
+    return _nullspaces(A[None], bound)[0]
+
+
+def _nullspaces(A: np.ndarray, bound: float) -> list:
+    """`_nullspace` of each matrix of the stack A (count, rows, columns),
+    by one batched QR and one batched SVD."""
+    _, m, n = A.shape
+    if m > n:
         A = np.linalg.qr(A, mode="r")  # the same singular values, square
-    if A.shape[0] < A.shape[1]:
-        A = np.vstack([A, np.zeros((A.shape[1] - A.shape[0], A.shape[1]), dtype=A.dtype)])
+    elif m < n:
+        A = np.concatenate([A, np.zeros((len(A), n - m, n), dtype=A.dtype)], axis=1)
     _, s, vh = np.linalg.svd(A, full_matrices=False)
-    rank = int(np.sum(s > bound))
-    return np.conj(vh[rank:]).T
+    return [np.conj(v[rank:]).T for v, rank in zip(vh, np.sum(s > bound, axis=1))]
 
 
 def _components(A: IndexForm) -> np.ndarray:
@@ -1086,52 +1148,192 @@ def _components(A: IndexForm) -> np.ndarray:
     return parent
 
 
-def _component_parts(A: IndexForm) -> list:
-    """Entry positions of each connected component of the two-axis form A,
-    in order of their least column (components without entries omitted)."""
-    label = _components(A)[A.index[1]]
-    order = np.argsort(label, kind="stable")
-    return np.split(order, np.flatnonzero(np.diff(label[order])) + 1) if len(order) else []
+def _orbits(perm: np.ndarray):
+    """The orbit of each index under the permutation array perm: its least
+    element, its size and the offset t with index = perm^t(least).
+    ValueError when perm is not a permutation."""
+    start = np.arange(len(perm))
+    if not np.array_equal(np.sort(perm), start):
+        raise ValueError("the declared symmetry is not a permutation")
+    least, to_least, j = start, np.zeros(len(perm), dtype=np.intp), start
+    # every cycle closes within len(perm) steps, and all of them at once at
+    # the order of perm; to_least counts the steps from an index to its least
+    for step in range(1, len(perm) + 1):
+        j = perm[j]
+        lower = j < least
+        least = np.where(lower, j, least)
+        to_least[lower] = step
+        if np.array_equal(j, start):
+            break
+    size = np.bincount(least, minlength=len(perm))[least]
+    return least, size, (size - to_least) % size
 
 
-def component_shapes(A: IndexForm) -> list:
-    """(rows, columns) of the dense block of each connected component of
-    the two-axis form A, the blocks `_sparse_nullspace` factors."""
-    return [tuple(len(np.unique(ax[part])) for ax in A.index) for part in _component_parts(A)]
+def _character_blocks(A: IndexForm, rows, cols):
+    """The blocks `_sparse_nullspace` factors, one per connected component
+    of A and character of a Z_r action.
+
+    rows and cols permute A's row and column positions, as functions of
+    index arrays (`_index_perm`, identities when nothing is declared), and
+    generate a Z_r action that leaves A invariant, A[rows(i), cols(j)] =
+    A[i, j].  With w = exp(-2 pi i / r), the unitary change of basis
+    u_k(x) = s^-1/2 sum_t w^(k t) e(perm^t x), over the s elements of the
+    orbit of x and the characters k with r | k s, on rows and on columns,
+    makes A block diagonal with one block per k (Serre, Linear
+    Representations of Finite Groups, 2.6-2.7).  The entry of block k at
+    the row and column orbits of R and C, each the least index of its
+    orbit, is (s_R / s_C)^1/2 sum_t w^(k t) A[R, perm^t C], so only the
+    rows least in their orbits are read.  Each block splits further along
+    the connected components of that quotient.  Under the trivial action
+    (r = 1) the blocks are A's connected components.
+
+    Yields, per component, the characters that meet the same orbits
+    together: (blocks, columns, coefficients, positions), the blocks a
+    (characters, rows, columns) stack.  A null vector y of the block of the
+    j-th character gives the null vector x of A with x[columns] =
+    coefficients[j] * y[positions] and 0 elsewhere.
+    """
+    rr, cc = A.index
+    used, at = np.unique(rr, return_inverse=True)
+    moved = rows(used)
+    local = np.minimum(np.searchsorted(used, moved), len(used) - 1)
+    if not np.array_equal(used[local], moved):
+        raise ValueError("the system is not invariant under the declared symmetry")
+    least_r, size_r, _ = _orbits(local)
+    least_c, size_c, t_c = _orbits(cols(np.arange(A.shape[1])))
+    r = int(np.lcm.reduce(np.concatenate([size_r, size_c, [1]])))
+    lead = least_r[at] == at  # the entries in the least row of their orbit
+    R, C, t, s_R = rr[lead], least_c[cc[lead]], t_c[cc[lead]], size_r[at[lead]]
+    values = A.values[lead] * np.sqrt(s_R / size_c[cc[lead]])
+    # components of the quotient, each labelled by its least column orbit
+    label = _components(IndexForm(A.shape, (R, C), values))
+    order = np.argsort(label[C], kind="stable")
+    parts = np.split(order, np.flatnonzero(np.diff(label[C][order])) + 1) if len(order) else []
+    # the columns of each component: those whose orbit it holds (an orbit
+    # in no entry is labelled by its least column, which no component holds)
+    members = label[least_c]
+    by_label = np.argsort(members, kind="stable")
+    keys, starts = np.unique(members[by_label], return_index=True)
+    groups = dict(zip(keys.tolist(), np.split(by_label, starts[1:])))
+    k = np.arange(r)
+    # k meets the orbits of size s with r | k s; the characters that meet
+    # the same orbit sizes share a stack
+    sizes = np.unique(np.concatenate([size_r, size_c]))
+    kinds, kind = np.unique(k[:, None] * sizes % r == 0, axis=0, return_index=True,
+                            return_inverse=True)[1:]
+    kind = kind.ravel()
+    w = np.exp(-2j * np.pi * k / r)  # w^k
+    for part in parts:
+        (urow, ri), (ucol, ci) = (np.unique(x[part], return_inverse=True) for x in (R, C))
+        s_row = np.zeros(len(urow), dtype=np.intp)
+        s_row[ri] = s_R[part]
+        cols_in = groups[int(label[ucol[0]])]
+        position = np.searchsorted(ucol, least_c[cols_in])
+        for first in kinds:
+            keep_r, keep_c = k[first] * s_row % r == 0, k[first] * size_c[ucol] % r == 0
+            if not keep_c.any():
+                continue
+            ks = k[kind == kind[first]]
+            e = keep_r[ri] & keep_c[ci]
+            new_r, new_c = np.cumsum(keep_r) - 1, np.cumsum(keep_c) - 1
+            shape = (len(ks), int(keep_r.sum()), int(keep_c.sum()))
+            v = values[part][e] * np.ones((len(ks), 1))
+            if r > 1:
+                v = v * w[ks[:, None] * t[part][e] % r]
+            flat = (np.arange(len(ks))[:, None] * shape[1] + new_r[ri[e]]) * shape[2] + new_c[ci[e]]
+            blocks = _bincount(flat.ravel(), v.ravel().astype(complex), math.prod(shape)).reshape(shape)
+            hit = keep_c[position]
+            coef = np.ones((len(ks), 1)) / np.sqrt(size_c[cols_in[hit]])
+            if r > 1:
+                coef = coef * w[ks[:, None] * t_c[cols_in[hit]] % r]
+            yield blocks, cols_in[hit], coef, new_c[position[hit]]
 
 
-def _sparse_nullspace(A: IndexForm) -> np.ndarray:
-    """Orthonormal columns spanning the nullspace of the two-axis form A.
+def component_shapes(A: IndexForm, rows, cols) -> list:
+    """(characters, rows, columns) of each stack of dense blocks that
+    `_sparse_nullspace` factors in one call, for the two-axis form A under
+    the symmetry rows, cols of its positions: one block per connected
+    component and character (`_character_blocks`).  When A's entries break
+    the symmetry, which the data gate reports, the whole components stand
+    in: they bound every block."""
+    try:
+        return [blocks.shape for blocks, *_ in _character_blocks(A, rows, cols)]
+    except ValueError:
+        return component_shapes(A, np.asarray, np.asarray)  # np.asarray moves no position
 
-    One dense SVD per connected component of A's row/column graph.  A
-    matrix that is block diagonal after permuting its rows and columns has
-    the union of its blocks' singular values, and every block counts those
-    above RANK_TOL * max(A.shape), the bound `_nullspace` would use on all of
-    A, so every rank decision is the one that dense SVD would make.  A
+
+def _sparse_nullspace(A: IndexForm, rows, cols) -> np.ndarray:
+    """Orthonormal complex columns spanning the nullspace of the two-axis
+    form A, invariant under the symmetry rows, cols of its row and column
+    positions (`_character_blocks`).
+
+    One dense SVD per block of `_character_blocks`: per connected component
+    of A and character of the Z_r action the symmetry generates, each
+    stack of blocks factored by one batched call (`_nullspaces`).  The
+    change of basis to the character blocks is unitary on both sides, so
+    the blocks hold the singular values of A, and every block counts those above
+    RANK_TOL * max(A.shape), the bound `_nullspace` would use on all of A:
+    every rank decision is the one that dense SVD would make.  Each block's
+    null vectors map back to A's columns through the unitary basis.  A
     column in no row is a null vector of its own.
     """
-    free = np.ones(A.shape[1], dtype=bool)
-    pieces = []  # (columns, null vectors of their block)
-    for part in _component_parts(A):
-        (rows, r), (cols, c) = (np.unique(ax[part], return_inverse=True) for ax in A.index)
-        block = np.zeros((len(rows), len(cols)), dtype=A.values.dtype)
-        block[r, c] = A.values[part]
-        pieces.append((cols, _nullspace(block, bound=RANK_TOL * max(A.shape))))
-        free[cols] = False
+    bound, free = RANK_TOL * max(A.shape), np.ones(A.shape[1], dtype=bool)
+    pieces = []  # (columns, null vectors on them)
+    for blocks, columns, coef, position in _character_blocks(A, rows, cols):
+        pieces += [(columns, c[:, None] * N[position])
+                   for c, N in zip(coef, _nullspaces(blocks, bound)) if N.shape[1]]
+        free[columns] = False
     pieces.append((np.flatnonzero(free), np.eye(np.count_nonzero(free))))
-    Q = np.zeros((A.shape[1], sum(N.shape[1] for _, N in pieces)), dtype=A.values.dtype)
+    Q = np.zeros((A.shape[1], sum(N.shape[1] for _, N in pieces)), dtype=complex)
     k = 0
-    for cols, N in pieces:
-        Q[cols, k:k + N.shape[1]] = N
+    for columns, N in pieces:
+        Q[columns, k:k + N.shape[1]] = N
         k += N.shape[1]
     return Q
 
 
-def central_system(inst: ModuleAlgebra) -> IndexForm:
+def _index_perm(inst: ModuleAlgebra, letters: str, shape):
+    """The declared symmetry on the row-major positions of axes named by
+    `letters`, as a function of an array of positions: b, m and o move by
+    symB, symM and symO2, any other axis (and every axis of an instance that
+    declares none) stays.  It reads only the positions it is given, so no
+    array spans every row of a system."""
+    perms = [getattr(inst, _SYMMETRY_AXES[c]) if c in _SYMMETRY_AXES else None for c in letters]
+
+    def move(i):
+        index = np.unravel_index(i, shape)
+        return np.ravel_multi_index(tuple(x if p is None else p[x] for p, x in zip(perms, index)), shape)
+    return move
+
+
+def _system(inst: ModuleAlgebra, maps, columns: str) -> tuple:
+    """Linear maps in index form, each given with the letters of its row
+    axes (its other axes are the columns, named by `columns`), stacked into
+    one two-axis system: (A, rows, cols), rows and cols the declared
+    symmetry on A's row and column positions (`_index_perm`), under which A
+    is invariant."""
+    mats, moves, offsets = [], [], [0]
+    for form, letters in maps:
+        shape = form.shape[:len(letters)]
+        mats.append(form.reshape(math.prod(shape), math.prod(form.shape[len(letters):])))
+        moves.append(_index_perm(inst, letters, shape))
+        offsets.append(offsets[-1] + math.prod(shape))
+
+    def rows(i):
+        out = np.empty_like(i)
+        for lo, hi, move in zip(offsets, offsets[1:], moves):
+            at = (lo <= i) & (i < hi)
+            out[at] = lo + move(i[at] - lo)
+        return out
+    return _vstack(mats), rows, _index_perm(inst, columns, maps[0][0].shape[-len(columns):])
+
+
+def central_system(inst: ModuleAlgebra) -> tuple:
     """Rows b m - m b, for every basis element b of B, cutting the B-central
-    elements out of M: rows (b, k), columns the complex unknowns m."""
+    elements out of M: rows (b, k), columns the complex unknowns m; with
+    the declared symmetry on both, as `_system` gives it."""
     comm = _sparse_contract("bmk->bkm", inst.leftM) - _sparse_contract("mbk->bkm", inst.rightM)
-    return comm.reshape(inst.dimB * inst.dimM, inst.dimM)
+    return _system(inst, [(comm, "bm")], "m")
 
 
 def _fixed_points(Q: np.ndarray, starred: np.ndarray, space: str) -> np.ndarray:
@@ -1155,13 +1357,14 @@ def _fixed_points(Q: np.ndarray, starred: np.ndarray, space: str) -> np.ndarray:
 def _central_sa_basis(inst: ModuleAlgebra) -> np.ndarray:
     """Z_B(M)_sa: the star-fixed points of the nullspace of `central_system`,
     as complex columns in M, orthonormal as real vectors."""
-    Q = _sparse_nullspace(central_system(inst))
+    Q = _sparse_nullspace(*central_system(inst))
     return _fixed_points(Q, inst.star("M", Q.T).T, "Z_B(M)")
 
 
-def hochschild_system(inst: ModuleAlgebra, prolongable: bool = False) -> IndexForm:
+def hochschild_system(inst: ModuleAlgebra, prolongable: bool = False) -> tuple:
     """Rows of the lazy Hochschild system over the dim H * dim M complex
-    unknowns mu(e_j)_a, as one two-axis index form.
+    unknowns mu(e_j)_a, as one two-axis index form, with the declared
+    symmetry on its rows and columns: (A, rows, cols) as `_system` gives it.
 
     The rows are (a) the cocycle equation mu(h k) = mu(h) <| k + eps(h) mu(k)
     for k in {1} together with `FiniteHopf.generators`, (b) centrality against
@@ -1174,10 +1377,11 @@ def hochschild_system(inst: ModuleAlgebra, prolongable: bool = False) -> IndexFo
     """
     H = inst.H
     K = np.vstack([H.unit] + [np.eye(H.dim)[g] for g in H.generators])
-    maps = [_hochschild_map(inst, "M", K), _commutator_map(inst, "M", "B")]
+    # row axes (h, k, v), (h, b, m) and (h, m, o); columns (j, a)
+    maps = [(_hochschild_map(inst, "M", K), "hkm"), (_commutator_map(inst, "M", "B"), "hbm")]
     if prolongable and inst.wedge is not None:
-        maps.append(_commutator_map(inst, "M", "M"))
-    return _vstack([_as_matrix(m) for m in maps])
+        maps.append((_commutator_map(inst, "M", "M"), "hmo"))
+    return _system(inst, maps, "hm")
 
 
 def solve_hochschild_space(inst: ModuleAlgebra, prolongable: bool = False) -> dict:
@@ -1186,7 +1390,8 @@ def solve_hochschild_space(inst: ModuleAlgebra, prolongable: bool = False) -> di
     The cocycle equation and convolution-centrality (plus graded centrality
     when prolongable=True) are complex-linear, so the solver first takes
     the complex nullspace of `hochschild_system`, one SVD per connected
-    component of its rows and unknowns (`_sparse_nullspace`), and then
+    component of its rows and unknowns and character of the declared
+    symmetry (`_sparse_nullspace`), and then
     cuts out the fixed points of the antilinear involution mu -> mu^*
     inside it (`_fixed_points`); the complex solution space is
     star-invariant, which is asserted numerically.  Z_B(M)_sa, whose images
@@ -1198,7 +1403,7 @@ def solve_hochschild_space(inst: ModuleAlgebra, prolongable: bool = False) -> di
     H = inst.H
     dH, dM = H.dim, inst.dimM
     n_c = dH * dM  # complex unknowns
-    Q = _sparse_nullspace(hochschild_system(inst, prolongable))
+    Q = _sparse_nullspace(*hochschild_system(inst, prolongable))
     k = Q.shape[1]
     starred = conv_star(ConvolutionElement(inst, "M", Q.T.reshape(k, dH, dM))).values
     sols = _fixed_points(Q, starred.reshape(k, n_c).T, "cocycle space")
@@ -1298,6 +1503,14 @@ def _shift_action(n: int, blocks: int = 1, step: int = 1) -> IndexForm:
     return IndexForm((n * blocks, n, n * blocks), (x * blocks + e, j, image), np.ones(len(x), dtype=complex))
 
 
+def _translation(n: int, k: int) -> np.ndarray:
+    """The point translation z -> z + 1 on a basis lifted over C(Z_n) from a
+    fiber of dimension k (`_lift`), as a permutation of its indices: the
+    symmetry each shipped family declares, under which every table it
+    lifts, and the shift action, is invariant."""
+    return (np.arange(n * k) + k) % (n * k)
+
+
 def function_instance(n: int, shift: bool = True) -> ModuleAlgebra:
     """B = C(Z_n) with the shift action; M = B as the trivial bimodule.
 
@@ -1317,6 +1530,8 @@ def function_instance(n: int, shift: bool = True) -> ModuleAlgebra:
         starM=_lift(n, [[1.0]]),
         actM=_shift_action(n, step=int(shift)),
         dB=_lift(n, [[0.0]]),
+        symB=_translation(n, 1),
+        symM=_translation(n, 1),
         name=f"function(Z_{n}, shift={shift})",
     )
 
@@ -1361,6 +1576,9 @@ def cycle_instance(n: int) -> ModuleAlgebra:
         actO2=_shift_action(n),
         wedge=wedge,
         d1=d1,
+        symB=_translation(n, 1),
+        symM=_translation(n, 2),
+        symO2=_translation(n, 1),
         name=f"cycle(Z_{n})",
     )
 
@@ -1413,6 +1631,9 @@ def jet_instance(n: int) -> ModuleAlgebra:
         actO2=_shift_action(n),
         wedge=_lift(n, wedge),
         d1=_lift(n, d1),
+        symB=_translation(n, 4),
+        symM=_translation(n, 4),
+        symO2=_translation(n, 1),
         name=f"jet(Z_{n})",
     )
 

@@ -17,6 +17,7 @@ stabilizer of theta in SL(2,Z) is reached through the unit group.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
@@ -245,12 +246,18 @@ def _scaled_float(num: int, den: int, e: int) -> float:
 
 
 def float_or_exact(v) -> float | str:
-    """float(v) for a report, or the exact value as a string when it lies
-    beyond the float range."""
+    """float(v) for a report, or the exact value as a string when its float
+    would not be faithful: beyond the float range, or an exact non-zero
+    value that underflows to 0.0 or to a subnormal float, which keeps fewer
+    digits (eps^-1 on a unit beyond the float range).  A float passes as
+    it is."""
     try:
-        return float(v)
+        f = float(v)
     except OverflowError:
         return str(v)
+    if abs(f) < sys.float_info.min and v != 0 and not isinstance(v, float):
+        return str(v)
+    return f
 
 
 def norm(x: FieldElement) -> Fraction:

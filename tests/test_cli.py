@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -535,6 +536,22 @@ class TestUnitsBeyondTheFloatRange:
         assert main(["heisenberg-verify", "--theta", self.THETA, "--grades", "1"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error: --grades 1 needs over 2^")
+
+    def test_a_q_that_underflows_is_reported_exactly(self, capsys):
+        # eps^-1 is about 10^-331: its float was 0.0, although the sweep
+        # tested the exact non-zero field element
+        argv = ["monopole", "--theta", self.THETA, "--grades", "3", "--q-sweep", "1,2,eps^-1"]
+        code, out = run(capsys, argv)
+        row = strict_json(out)["q_sweep"][2]
+        assert code == 0 and row["token"] == "eps^-1"
+        assert row["q"] == str(parse_theta(self.THETA).eps_pow(-1))
+
+    def test_the_sector_count_is_named_by_its_size(self, capsys):
+        # the message spelled out a 330-digit count
+        assert main(["heisenberg-verify", "--theta", self.THETA, "--grades", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "(5 arrays of over 2^" in err and " sectors x 1024 points at grade 1)" in err
+        assert max(map(len, re.findall(r"\d+", err))) < 20
 
     def test_an_expected_constant_beyond_the_float_range_is_exact(self, capsys):
         # eps (543 bits) has a float but -eps c_1 does not: its float

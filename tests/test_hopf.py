@@ -3,6 +3,8 @@
 import dataclasses
 import hashlib
 import itertools
+import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -618,6 +620,25 @@ class TestAxesTables:
                                             if "o" in axes or k == "dB"})
         assert bare.dimO2 == 0 and bare.dB is None
 
+    @pytest.mark.parametrize("edit,message", [
+        ({"symB": np.array([0, 0, 1])}, "table symB is not a permutation of 0 .. 2"),
+        ({"symB": np.array([1.5, 0, 2])}, "table symB is not a permutation of 0 .. 2"),
+        ({"symM": np.arange(6) + 0.5j}, "table symM is not a permutation of 0 .. 5"),
+        ({"symO2": None}, "the symmetry is symB, symM, symO2, one permutation per basis, not symB, symM"),
+        ({"symB": None, "symM": None}, "the symmetry is symB, symM, symO2, one permutation per basis, not symO2"),
+    ], ids=["repeated", "fractional", "complex", "no-symO2", "only-symO2"])
+    def test_a_symmetry_that_is_not_one_permutation_per_basis_is_refused(self, edit, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            dataclasses.replace(cycle_instance(3), **edit)
+
+    def test_a_symmetry_of_order_beyond_its_bases_is_refused(self):
+        # cycles of lengths 7 and 9 on the 16 elements of M, with B and
+        # Omega^2 translated by Z_4: order 252, above the 36 elements
+        # permuted, and the solver would read 252 characters
+        symM = np.array([*range(1, 7), 0, *range(8, 16), 7])
+        with pytest.raises(ValueError, match="the symmetry has order 252, more than the elements it permutes"):
+            dataclasses.replace(jet_instance(4), symM=symM)
+
     def test_axes_are_in_field_order(self):
         for cls in (FiniteHopf, ModuleAlgebra):
             names = [f.name for f in dataclasses.fields(cls)]
@@ -633,7 +654,9 @@ class TestSameTables:
             other = dataclasses.replace(inst, H=with_table(inst.H, name, one_entry_changed))
             assert not same_tables(inst.H, other.H)
         else:
-            other = with_table(inst, name, one_entry_changed)
+            # a symmetry table must stay a permutation: swap two entries
+            other = with_table(inst, name, lambda a: a[[1, 0, *range(2, len(a))]]
+                               if name.startswith("sym") else one_entry_changed(a))
         assert not same_tables(inst, other)
         assert same_tables(inst, with_table(inst, "mulB", lambda a: a))
 
@@ -696,8 +719,23 @@ class TestShippedTensors:
     @pytest.mark.parametrize("n", range(1, 7))
     @pytest.mark.parametrize("kind", SHIPPED)
     def test_dump_is_pinned(self, kind, n):
-        text = dump_instance(SHIPPED[kind](n))
+        # the digests predate the symmetry tables, the last three keys of the
+        # coefficients: without them the dump is the same text, byte for byte
+        data = json.loads(dump_instance(SHIPPED[kind](n)))
+        symmetry = {k: data["coefficients"].pop(k) for k in ("symB", "symM", "symO2")}
+        text = json.dumps(data)
         assert hashlib.sha256(text.encode()).hexdigest() == SHIPPED_DIGESTS[kind][n - 1]
+        # each is the point translation z -> z + 1 of its basis, point-major
+        # over the fibre of the table's letter
+        fibres = {"symB": len(data["coefficients"]["unitB"]["re"]) // n,
+                  "symM": data["coefficients"]["starM"]["shape"][0] // n, "symO2": 1}
+        for k, table in symmetry.items():
+            if table is None:
+                assert k == "symO2" and data["coefficients"]["starO2"] is None
+                continue
+            size = n * fibres[k]
+            assert table == {"shape": [size], "re": [(i + fibres[k]) % size for i in range(size)],
+                             "im": [0] * size}
 
     @pytest.mark.parametrize("n", range(1, 7))
     @pytest.mark.parametrize("kind", SHIPPED)
@@ -713,9 +751,12 @@ class TestShippedTensors:
             if getattr(obj, f.name) is not None and f.name not in ("H", "labels", "name")
         }
         vectors = {"H.counit", "H.unit", "inst.unitB"}
-        assert {k for k, a in fields.items() if isinstance(a, np.ndarray)} == vectors
+        # the declared symmetry: one integer permutation per basis
+        perms = {"inst.symB", "inst.symM"} | ({"inst.symO2"} if inst.wedge is not None else set())
+        assert {k for k, a in fields.items() if isinstance(a, np.ndarray)} == vectors | perms
         assert all(fields[k].dtype == np.complex128 for k in vectors)
-        tables = {k: a for k, a in fields.items() if k not in vectors}
+        assert all(fields[k].dtype == np.intp for k in perms)
+        tables = {k: a for k, a in fields.items() if k not in vectors | perms}
         assert len(tables) == (18 if inst.wedge is not None else 12)
         for key, form in tables.items():
             assert isinstance(form, IndexForm) and form.values.dtype == np.complex128, key

@@ -2,7 +2,9 @@
 
 `solve_hochschild_space` writes its rows as index forms, cuts the cocycle
 rows to k in {1} and the generators of H, and takes one SVD per connected
-component of the system.  `dense_solve` is the solver it replaced: the
+component of the system and character of the instance's declared
+symmetry (the point translation of the shipped families; none on
+C[S_3]).  `dense_solve` is the solver it replaced: the
 residuals of an identity batch of cochains over every basis pair (h, k),
 stacked into one dense system with one SVD, and Z_B(M)_sa from a dense
 system too, both over `.dense()` copies of the tables.  Both must give
@@ -11,11 +13,14 @@ on C[Z_n] the dimensions of the group-cohomology enumerator.
 """
 
 import dataclasses
+import json
+import math
 
 import numpy as np
 import pytest
 
 from ncgauge import hopf
+from ncgauge.cli import main
 from ncgauge.hopf import (
     ConvolutionElement,
     brute_force_group_z1,
@@ -183,7 +188,9 @@ def test_prolongable_coboundaries_come_from_the_graded_central_subspace(monkeypa
     alpha = np.exp(0.25j * np.pi) * (r @ np.random.default_rng(3).standard_normal(r.shape[1]))
     wedge = np.zeros(inst.wedge.shape, dtype=complex)
     wedge[:, :, 0] = np.outer(alpha, alpha)
-    inst = dataclasses.replace(inst, wedge=wedge)
+    # alpha is not translation-invariant, so neither is this wedge: the
+    # instance declares no symmetry
+    inst = dataclasses.replace(inst, wedge=wedge, symB=None, symM=None, symO2=None)
     W = nullspace(np.vstack([(ms @ alpha).real, (ms @ alpha).imag])).T @ ms
     want = projector(images(W).T)
     assert 0 < round(np.trace(want)) < solve_hochschild_space(inst)["dim_B"]
@@ -195,3 +202,109 @@ def test_prolongable_coboundaries_come_from_the_graded_central_subspace(monkeypa
     got = projector(vectors(sol["coboundary_basis"], dH * dM))
     assert sol["dim_B"] == round(np.trace(want))
     assert np.abs(got - want).max() <= 1e-9
+
+
+def unmoved(i):
+    """The trivial symmetry on positions."""
+    return i
+
+
+def systems(inst):
+    """The solver's three systems, each (A, rows, cols)."""
+    return {"first_order": hopf.hochschild_system(inst),
+            "prolongable": hopf.hochschild_system(inst, prolongable=True),
+            "central": hopf.central_system(inst)}
+
+
+@pytest.mark.parametrize("token", [f"{kind}:{n}" for kind in MAKERS for n in range(2, 9)])
+def test_the_character_blocks_hold_the_singular_values_of_each_component(token):
+    # the change of basis to the characters is unitary: the blocks of the
+    # columns of one component of the orbit graph, over all characters,
+    # have the singular values of the dense rows and columns they replace
+    for name, (A, rows, cols) in systems(instance(token)).items():
+        dense = A.dense()
+        blocks = {}
+        for stack, columns, _, _ in hopf._character_blocks(A, rows, cols):
+            blocks.setdefault(tuple(columns), []).append(np.linalg.svd(stack, compute_uv=False).ravel())
+        assert sum(map(len, blocks)) == len({c for key in blocks for c in key}), name
+        for columns, values in blocks.items():
+            part = dense[:, list(columns)]
+            want = np.linalg.svd(part[np.abs(part).max(axis=1) > 0], compute_uv=False)
+            got = np.sort(np.concatenate(values))[::-1]
+            size = max(len(got), len(want))
+            got, want = (np.pad(v, (0, size - len(v))) for v in (got, want))
+            assert np.abs(got - want).max(initial=0.0) <= 1e-12, (name, columns[:3])
+
+
+def test_orbits_of_several_sizes_and_their_characters():
+    # a Z_6 action with orbits of sizes 1, 2, 3 and 6: a character k meets
+    # an orbit of size s only when 6 divides k s
+    def cyclic(lengths):
+        perm, start = [], 0
+        for n in lengths:
+            perm += [start + (i + 1) % n for i in range(n)]
+            start += n
+        return np.array(perm)
+
+    rows, cols = cyclic([1, 2, 3, 6, 1]), cyclic([1, 2, 3, 6, 6])
+    rng = np.random.default_rng(11)
+    A0 = rng.standard_normal((len(rows), len(cols))) * (rng.random((len(rows), len(cols))) < 0.15)
+    A = np.zeros_like(A0, dtype=complex)
+    i, j = np.arange(len(rows)), np.arange(len(cols))
+    for _ in range(6):  # the average over the group is invariant
+        A[np.ix_(i, j)] += A0
+        i, j = rows[i], cols[j]
+    form = hopf.IndexForm.of(A)
+    Q = hopf._sparse_nullspace(form, rows.__getitem__, cols.__getitem__)
+    want = nullspace(A)
+    assert Q.shape[1] == want.shape[1] > 0
+    assert np.abs(A @ Q).max() <= 1e-12 and np.abs(np.conj(Q).T @ Q - np.eye(Q.shape[1])).max() <= 1e-12
+    got = np.sort(np.concatenate([np.linalg.svd(stack, compute_uv=False).ravel() for stack, *_ in
+                                  hopf._character_blocks(form, rows.__getitem__, cols.__getitem__)]))
+    s = np.linalg.svd(A, compute_uv=False)
+    assert np.abs(got[-len(s):] - np.sort(s)).max() <= 1e-12 and np.abs(got[:-len(s)]).max(initial=0.0) <= 1e-12
+    # k = 0 meets all 5 row and 5 column orbits, k = 1, 5 the size-6 ones,
+    # k = 2, 4 those of sizes 3 and 6, and k = 3 those of sizes 2 and 6
+    assert sorted(hopf.component_shapes(form, rows.__getitem__, cols.__getitem__)) == [
+        (1, 2, 3), (1, 5, 5), (2, 1, 2), (2, 2, 3)]
+
+
+@pytest.mark.parametrize("token,shape", [("cycle:8", (32, 8)), ("jet:5", (10, 5))])
+def test_the_largest_block_is_one_character_of_a_component(token, shape):
+    # without the symmetry the solver factored 256 x 64 blocks on cycle:8
+    # and 50 x 25 on jet:5
+    A, rows, cols = hopf.hochschild_system(instance(token))
+    n = int(token[-1])
+    # every component stacks its n characters
+    assert {s[0] for s in hopf.component_shapes(A, rows, cols)} == {n}
+    assert max((s[1:] for s in hopf.component_shapes(A, rows, cols)), key=math.prod) == shape
+    # the trivial symmetry factors whole components, n^2 times larger
+    whole = hopf.component_shapes(A, unmoved, unmoved)
+    assert max(math.prod(s) for s in whole) == math.prod(shape) * n ** 2
+
+
+@pytest.mark.parametrize("token", ["function:4", "cycle:4", "jet:3"])
+def test_a_declared_permutation_that_breaks_a_table_fails_the_data_gate(capsys, tmp_path, token):
+    inst = instance(token)
+    # still a permutation of M, two points on where B moves one: no symmetry
+    bad = dataclasses.replace(inst, symM=inst.symM[inst.symM])
+    assert inst.data_report()["symmetry"] == 0.0
+    assert bad.data_report()["symmetry"] >= 1.0 and bad.data_report()["max"] >= 1.0
+    path = tmp_path / "bad.json"
+    path.write_text(hopf.dump_instance(bad))
+    assert main(["cohomology", "--instance", str(path)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["failures"] == ["module-algebra data"]
+    assert report["data_gate_detail"] == {"symmetry": bad.data_report()["symmetry"]}
+    # the run ends at the gate: no dimension from a solver that read it
+    assert "hochschild" not in report and "op" not in report
+
+
+def test_an_instance_without_its_symmetry_has_the_same_dimensions():
+    # the trivial symmetry factors the connected components themselves
+    for token in ("function:6", "cycle:6", "jet:6"):
+        inst = instance(token)
+        bare = dataclasses.replace(inst, symB=None, symM=None, symO2=None)
+        for prolongable in (False, True):
+            got, want = (solve_hochschild_space(x, prolongable) for x in (bare, inst))
+            assert [got[k] for k in ("dim_Z", "dim_B", "dim_H")] == [want[k] for k in ("dim_Z", "dim_B", "dim_H")]

@@ -20,6 +20,7 @@ from ncgauge.quadfield import (
     StabilizerMatrix,
     ThetaContext,
     classify,
+    float_or_exact,
     norm,
     pell_unit,
     phi,
@@ -430,3 +431,23 @@ class TestFieldElement:
     def test_delta_mismatch(self):
         with pytest.raises(ValueError):
             FieldElement.of(1, 1, 5) + FieldElement.of(1, 1, 8)
+
+
+class TestFloatOrExact:
+    def test_a_value_in_the_float_range_is_its_float(self):
+        x = pell_unit(5).value
+        assert float_or_exact(x) == float(x) and float_or_exact(Fraction(1, 3)) == 1 / 3
+        assert float_or_exact(Fraction(0)) == 0.0 and float_or_exact(0) == 0.0
+
+    @pytest.mark.parametrize("exponent", [1100, 1060])
+    def test_an_exact_value_that_underflows_is_its_exact_string(self, exponent):
+        # 2^-1100 rounds to 0.0 and 2^-1060 to a subnormal of 14 bits
+        assert float_or_exact(Fraction(1, 2**exponent)) == str(Fraction(1, 2**exponent))
+        tiny = FieldElement.of(Fraction(1, 2**exponent), 0, 5)
+        assert float_or_exact(tiny) == str(tiny)
+
+    def test_beyond_the_float_range_is_its_exact_string(self):
+        assert float_or_exact(2**1100) == str(2**1100)
+
+    def test_a_float_passes_as_it_is(self):
+        assert float_or_exact(5e-324) == 5e-324 and float_or_exact(0.0) == 0.0
