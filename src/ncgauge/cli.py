@@ -605,8 +605,10 @@ def cohomology_bytes(inst: hopf.ModuleAlgebra) -> int:
     `hopf.component_shapes` for `hopf.hochschild_system` and
     `hopf.central_system`, one block per connected component and character
     of the declared symmetry (the components themselves when none is
-    declared), the characters of one component that meet the same orbits
-    stacked and factored by one call.
+    declared), the r characters of one component stacked and factored by
+    one call.  The shapes are counted from index arrays, so the guard
+    builds no block: an instance it refuses is refused before anything of
+    the size it names is allocated.
 
     It counts 16-byte complex values: four copies of the largest stack (the
     stack, its QR working copy, R and the SVD; the solver's tracemalloc
@@ -661,9 +663,9 @@ def cmd_cohomology(args) -> tuple[dict, list]:
     data = inst.data_report()
     report["data_gate"] = data["max"]
     checks.append(("module-algebra data", data["max"], 1e-10))
-    if not data["max"] <= 1e-10:
-        # the solver reads the declared symmetry, and every later check the
-        # tables, as the gate checked them: a failed gate ends the run
+    if not data.get("symmetry", 0.0) <= 1e-10:
+        # the solver reads the tables on orbits of the declared symmetry: one
+        # that does not hold would give it dimensions of other tables
         report["data_gate_detail"] = {k: v for k, v in data.items() if k != "max" and not v <= 1e-10}
         return report, checks
     skipped = []

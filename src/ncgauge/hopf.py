@@ -462,7 +462,7 @@ class ModuleAlgebra:
     element i of B under one permutation, and so on for M and Omega^2 (the
     last with the degree-2 block), H being fixed.  They come together or
     not at all and are stored as integer arrays.  The permutation generates
-    a Z_r action, r at most the number of elements it permutes, under which
+    a free Z_r action, every orbit of each basis of size r, under which
     every table must be invariant,
     T[p(i), p(j), ..] = T[i, j, ..]; `data_report` checks that as the
     residual `symmetry`, and the solver factors one block per character of
@@ -513,11 +513,11 @@ class ModuleAlgebra:
             if not (np.array_equal(q, p) and np.array_equal(np.sort(q), np.arange(len(q)))):
                 raise ValueError(f"table {k} is not a permutation of 0 .. {len(q) - 1}")
             setattr(self, k, q)
-        # the solver reads the characters k < r of Z_r, r the order: at most
-        # one per element the symmetry permutes
-        r = math.lcm(*{int(n) for k in declared for n in _orbits(getattr(self, k))[1]})
-        if declared and r > sum(len(getattr(self, k)) for k in declared):
-            raise ValueError(f"the symmetry has order {r}, more than the elements it permutes")
+        # the solver reads one character per element of Z_r on every orbit
+        orders = {_free_order(getattr(self, k)) for k in declared}
+        if None in orders or len(orders) > 1:
+            raise ValueError(f"the symmetry is not a free action: every orbit of "
+                             f"{', '.join(declared)} must have the same size")
 
     @property
     def dimB(self):
@@ -653,12 +653,13 @@ class ModuleAlgebra:
 
 def same_tables(x, y) -> bool:
     """Are two FiniteHopf, or two ModuleAlgebra and their H, entry for entry
-    equal in every table of `AXES`, absent ones included?  Names and labels
-    are not read.  The tables are compared in index form: their difference
-    has no entry."""
+    equal in every table of `AXES`, absent ones included?  Names, labels and
+    the declared symmetry, which says how to solve and not what the algebra
+    is, are not read.  The tables are compared in index form: their
+    difference has no entry."""
     if isinstance(x, ModuleAlgebra) and not same_tables(x.H, y.H):
         return False
-    pairs = [(getattr(x, k), getattr(y, k)) for k in x.AXES]
+    pairs = [(getattr(x, k), getattr(y, k)) for k in x.AXES if k not in _SYMMETRY]
     return all(a is None and b is None or a is not None and b is not None
                and a.shape == b.shape and _maxabs(a - b) == 0 for a, b in pairs)
 
@@ -1148,63 +1149,57 @@ def _components(A: IndexForm) -> np.ndarray:
     return parent
 
 
-def _orbits(perm: np.ndarray):
-    """The orbit of each index under the permutation array perm: its least
-    element, its size and the offset t with index = perm^t(least).
-    ValueError when perm is not a permutation."""
-    start = np.arange(len(perm))
-    if not np.array_equal(np.sort(perm), start):
-        raise ValueError("the declared symmetry is not a permutation")
-    least, to_least, j = start, np.zeros(len(perm), dtype=np.intp), start
-    # every cycle closes within len(perm) steps, and all of them at once at
-    # the order of perm; to_least counts the steps from an index to its least
-    for step in range(1, len(perm) + 1):
+def _free_order(perm: np.ndarray):
+    """r when every orbit of the permutation array perm has r elements (a
+    free Z_r action), else None."""
+    start, j = np.arange(len(perm)), perm
+    for r in range(1, len(perm) + 1):
+        if np.array_equal(j, start):
+            return r
+        if np.any(j == start):  # a shorter orbit closed
+            return None
         j = perm[j]
+    return None
+
+
+def _orbits(move, x):
+    """The orbit of each position of the array x under move, a function of
+    position arrays that generates a free Z_r action: its least position,
+    the offset t with x = move^t(least), and r."""
+    least, to_least, j, r = x, np.zeros(len(x), dtype=np.intp), move(x), 1
+    # every orbit closes at step r; to_least counts the steps to its least
+    while not np.array_equal(j, x):
         lower = j < least
         least = np.where(lower, j, least)
-        to_least[lower] = step
-        if np.array_equal(j, start):
-            break
-    size = np.bincount(least, minlength=len(perm))[least]
-    return least, size, (size - to_least) % size
+        to_least[lower] = r
+        j, r = move(j), r + 1
+    return least, (r - to_least) % r, r
 
 
-def _character_blocks(A: IndexForm, rows, cols):
-    """The blocks `_sparse_nullspace` factors, one per connected component
-    of A and character of a Z_r action.
+def _character_parts(A: IndexForm, rows, cols):
+    """The connected components of A read on the orbits of a Z_r action,
+    the parts `_character_blocks` writes one block per character of.
 
     rows and cols permute A's row and column positions, as functions of
     index arrays (`_index_perm`, identities when nothing is declared), and
-    generate a Z_r action that leaves A invariant, A[rows(i), cols(j)] =
-    A[i, j].  With w = exp(-2 pi i / r), the unitary change of basis
-    u_k(x) = s^-1/2 sum_t w^(k t) e(perm^t x), over the s elements of the
-    orbit of x and the characters k with r | k s, on rows and on columns,
-    makes A block diagonal with one block per k (Serre, Linear
-    Representations of Finite Groups, 2.6-2.7).  The entry of block k at
-    the row and column orbits of R and C, each the least index of its
-    orbit, is (s_R / s_C)^1/2 sum_t w^(k t) A[R, perm^t C], so only the
-    rows least in their orbits are read.  Each block splits further along
-    the connected components of that quotient.  Under the trivial action
-    (r = 1) the blocks are A's connected components.
+    generate a free Z_r action that leaves A invariant, A[rows(i), cols(j)]
+    = A[i, j].  Only the entries in the least row of each row orbit are
+    read.  A row without entries counts as a zero row, so an orbit is read
+    at its least row whether or not that row holds an entry: a system that
+    is invariant only up to rounding (which the data gate bounds) is read
+    as the invariant system its least rows give.  Each column is read as
+    cols^t(C), C the least column of its orbit and t its offset.
 
-    Yields, per component, the characters that meet the same orbits
-    together: (blocks, columns, coefficients, positions), the blocks a
-    (characters, rows, columns) stack.  A null vector y of the block of the
-    j-th character gives the null vector x of A with x[columns] =
-    coefficients[j] * y[positions] and 0 elsewhere.
+    Yields r and, per component of that quotient: the block's (rows,
+    columns), its entries as (row, column, offset, value), and the columns
+    of A it holds with their offsets and block columns.  Index work only:
+    no dense array is built.
     """
     rr, cc = A.index
     used, at = np.unique(rr, return_inverse=True)
-    moved = rows(used)
-    local = np.minimum(np.searchsorted(used, moved), len(used) - 1)
-    if not np.array_equal(used[local], moved):
-        raise ValueError("the system is not invariant under the declared symmetry")
-    least_r, size_r, _ = _orbits(local)
-    least_c, size_c, t_c = _orbits(cols(np.arange(A.shape[1])))
-    r = int(np.lcm.reduce(np.concatenate([size_r, size_c, [1]])))
-    lead = least_r[at] == at  # the entries in the least row of their orbit
-    R, C, t, s_R = rr[lead], least_c[cc[lead]], t_c[cc[lead]], size_r[at[lead]]
-    values = A.values[lead] * np.sqrt(s_R / size_c[cc[lead]])
+    lead = (_orbits(rows, used)[0] == used)[at]  # the entries in the least row of their orbit
+    least_c, t_c, r = _orbits(cols, np.arange(A.shape[1]))
+    R, C, t, values = rr[lead], least_c[cc[lead]], t_c[cc[lead]], A.values[lead]
     # components of the quotient, each labelled by its least column orbit
     label = _components(IndexForm(A.shape, (R, C), values))
     order = np.argsort(label[C], kind="stable")
@@ -1215,51 +1210,47 @@ def _character_blocks(A: IndexForm, rows, cols):
     by_label = np.argsort(members, kind="stable")
     keys, starts = np.unique(members[by_label], return_index=True)
     groups = dict(zip(keys.tolist(), np.split(by_label, starts[1:])))
-    k = np.arange(r)
-    # k meets the orbits of size s with r | k s; the characters that meet
-    # the same orbit sizes share a stack
-    sizes = np.unique(np.concatenate([size_r, size_c]))
-    kinds, kind = np.unique(k[:, None] * sizes % r == 0, axis=0, return_index=True,
-                            return_inverse=True)[1:]
-    kind = kind.ravel()
-    w = np.exp(-2j * np.pi * k / r)  # w^k
     for part in parts:
         (urow, ri), (ucol, ci) = (np.unique(x[part], return_inverse=True) for x in (R, C))
-        s_row = np.zeros(len(urow), dtype=np.intp)
-        s_row[ri] = s_R[part]
-        cols_in = groups[int(label[ucol[0]])]
-        position = np.searchsorted(ucol, least_c[cols_in])
-        for first in kinds:
-            keep_r, keep_c = k[first] * s_row % r == 0, k[first] * size_c[ucol] % r == 0
-            if not keep_c.any():
-                continue
-            ks = k[kind == kind[first]]
-            e = keep_r[ri] & keep_c[ci]
-            new_r, new_c = np.cumsum(keep_r) - 1, np.cumsum(keep_c) - 1
-            shape = (len(ks), int(keep_r.sum()), int(keep_c.sum()))
-            v = values[part][e] * np.ones((len(ks), 1))
-            if r > 1:
-                v = v * w[ks[:, None] * t[part][e] % r]
-            flat = (np.arange(len(ks))[:, None] * shape[1] + new_r[ri[e]]) * shape[2] + new_c[ci[e]]
-            blocks = _bincount(flat.ravel(), v.ravel().astype(complex), math.prod(shape)).reshape(shape)
-            hit = keep_c[position]
-            coef = np.ones((len(ks), 1)) / np.sqrt(size_c[cols_in[hit]])
-            if r > 1:
-                coef = coef * w[ks[:, None] * t_c[cols_in[hit]] % r]
-            yield blocks, cols_in[hit], coef, new_c[position[hit]]
+        columns = groups[int(label[ucol[0]])]
+        yield (r, (len(urow), len(ucol)), (ri, ci, t[part], values[part]),
+               (columns, t_c[columns], np.searchsorted(ucol, least_c[columns])))
+
+
+def _character_blocks(A: IndexForm, rows, cols):
+    """The blocks `_sparse_nullspace` factors, one per connected component
+    of A (read on orbits, `_character_parts`) and character of the free
+    Z_r action rows, cols.
+
+    With w = exp(-2 pi i / r), the unitary change of basis u_k(x) = r^-1/2
+    sum_t w^(k t) e(perm^t x), for the characters k < r, on rows and on
+    columns, makes A block diagonal with one block per k (Serre, Linear
+    Representations of Finite Groups, 2.6-2.7).  The entry of block k at
+    the row and column orbits of R and C, each the least index of its
+    orbit, is sum_t w^(k t) A[R, perm^t C].  Under the trivial action
+    (r = 1) the blocks are A's connected components.
+
+    Yields, per component, its r blocks as one (characters, rows, columns)
+    stack: (blocks, columns, coefficients, positions).  A null vector y of
+    the block of the k-th character gives the null vector x of A with
+    x[columns] = coefficients[k] * y[positions] and 0 elsewhere.
+    """
+    for r, shape, (ri, ci, t, values), (columns, t_col, position) in _character_parts(A, rows, cols):
+        k = np.arange(r)[:, None]
+        w = np.exp(-2j * np.pi * np.arange(r) / r)  # w^k
+        flat = (k * shape[0] + ri) * shape[1] + ci
+        blocks = _bincount(flat.ravel(), (values * w[k * t % r]).ravel(), r * math.prod(shape))
+        yield blocks.reshape(r, *shape), columns, w[k * t_col % r] / np.sqrt(r), position
 
 
 def component_shapes(A: IndexForm, rows, cols) -> list:
     """(characters, rows, columns) of each stack of dense blocks that
     `_sparse_nullspace` factors in one call, for the two-axis form A under
-    the symmetry rows, cols of its positions: one block per connected
-    component and character (`_character_blocks`).  When A's entries break
-    the symmetry, which the data gate reports, the whole components stand
-    in: they bound every block."""
-    try:
-        return [blocks.shape for blocks, *_ in _character_blocks(A, rows, cols)]
-    except ValueError:
-        return component_shapes(A, np.asarray, np.asarray)  # np.asarray moves no position
+    the free symmetry rows, cols of its positions: one block per connected
+    component and character (`_character_blocks`).  Counted from the index
+    arrays (`_character_parts`), so no block is built: the memory guard
+    reads it before the solver runs."""
+    return [(r, *shape) for r, shape, *_ in _character_parts(A, rows, cols)]
 
 
 def _sparse_nullspace(A: IndexForm, rows, cols) -> np.ndarray:
@@ -1268,10 +1259,11 @@ def _sparse_nullspace(A: IndexForm, rows, cols) -> np.ndarray:
     positions (`_character_blocks`).
 
     One dense SVD per block of `_character_blocks`: per connected component
-    of A and character of the Z_r action the symmetry generates, each
-    stack of blocks factored by one batched call (`_nullspaces`).  The
-    change of basis to the character blocks is unitary on both sides, so
-    the blocks hold the singular values of A, and every block counts those above
+    of A and character of the free Z_r action the symmetry generates, the
+    r blocks of a component factored by one batched call (`_nullspaces`).
+    The change of basis to the character blocks is unitary on both sides,
+    so the blocks hold the singular values of A (of the invariant system
+    its least rows give, `_character_parts`), and every block counts those above
     RANK_TOL * max(A.shape), the bound `_nullspace` would use on all of A:
     every rank decision is the one that dense SVD would make.  Each block's
     null vectors map back to A's columns through the unitary basis.  A

@@ -1,10 +1,12 @@
 """CLI contract tests: subcommands, formats, exit codes."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -363,6 +365,24 @@ class TestCohomology:
         assert main(["cohomology", "--builtin", token]) == 0
         monkeypatch.setattr(cli, "memory_budget", lambda: need - 1)
         assert main(["cohomology", "--builtin", token]) == 2
+
+    def test_the_guard_refuses_whole_components_before_building_them(self, capsys, monkeypatch):
+        # cycle:64 without its declared translation, as a dump written
+        # before instances declared one: two components of 16 384 x 4 096,
+        # 4.2 GiB to the guard, counted from index arrays and refused before
+        # any block is built
+        bare = dataclasses.replace(hopf.cycle_instance(64), symB=None, symM=None, symO2=None)
+        monkeypatch.setattr(cli, "_builtin_instance", lambda token: bare)
+        monkeypatch.setattr(cli, "memory_budget", lambda: 2 * 2**30)
+        tracemalloc.start()
+        try:
+            code = main(["cohomology", "--builtin", "cycle:64"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("configuration error: cycle(Z_64) needs about 4.2 GiB")
+        assert peak <= 64 * 2**20, peak / 2**20
 
 
 class TestConfigFile:
@@ -741,6 +761,69 @@ class TestInstanceFiles:
         path.write_text(hopf.dump_instance(cli._builtin_instance(token)))
         code, out = run(capsys, ["cohomology", "--builtin", token])
         assert run(capsys, ["cohomology", "--instance", str(path)]) == (code, out)
+
+
+    def test_a_dump_without_the_symmetry_reports_as_its_builtin(self, capsys, tmp_path):
+        # a dump written before instances declared a symmetry is the same
+        # algebra: solved on whole components, with the same report up to
+        # rounding, the jet algebra's Maurer-Cartan sample included
+        path = tmp_path / "dump.json"
+        for token in ("jet:3", "cycle:5"):
+            data = json.loads(hopf.dump_instance(cli._builtin_instance(token)))
+            for key in ("symB", "symM", "symO2"):
+                del data["coefficients"][key]
+            path.write_text(json.dumps(data))
+            code, want = run(capsys, ["cohomology", "--builtin", token])
+            got_code, got = run(capsys, ["cohomology", "--instance", str(path)])
+            assert got_code == code == 0
+            assert_same_up_to_rounding(json.loads(got), json.loads(want))
+
+    def test_a_table_invariant_up_to_rounding_solves(self, capsys, tmp_path):
+        # an entry of 1e-12 in leftM joining the points 0, 1 and 2, where
+        # the tables join none: its rows of the centrality system hold no
+        # other entry, and their images under the declared translation none
+        # at all.  That is inside the data gate's tolerance, so the solver
+        # reads each orbit at its least row and runs every check
+        inst = hopf.jet_instance(3)
+        leftM = inst.leftM.dense()
+        leftM[0, 4, 8] = 1e-12  # b at point 0, m at 1, the product at 2
+        noisy = dataclasses.replace(inst, leftM=leftM)
+        assert 0 < noisy.data_report()["symmetry"] <= 1e-10
+        path = tmp_path / "noisy.json"
+        path.write_text(hopf.dump_instance(noisy))
+        code, out = run(capsys, ["cohomology", "--instance", str(path)])
+        report = json.loads(out)
+        assert code == 0 and report["pass"] and "op" in report
+        assert report["hochschild"] == json.loads(run(capsys, ["cohomology", "--builtin", "jet:3"])[1])["hochschild"]
+
+    def test_a_data_gate_failure_that_keeps_the_symmetry_keeps_the_report(self, capsys, tmp_path):
+        # starM off by 1e-9, as invariant as before: the gate fails, and the
+        # solver, which reads only the symmetry of the gate, still runs
+        inst = hopf.jet_instance(3)
+        path = tmp_path / "off.json"
+        path.write_text(hopf.dump_instance(dataclasses.replace(inst, starM=inst.starM.dense() * (1 + 1e-9))))
+        code, out = run(capsys, ["cohomology", "--instance", str(path)])
+        report = json.loads(out)
+        # the star is off in the Op checks too
+        assert code == 1 and report["failures"][0] == "module-algebra data"
+        assert report["data_gate"] > 1e-10 and "data_gate_detail" not in report
+        assert {"hochschild", "maurer_cartan", "op"} <= set(report)
+
+
+def assert_same_up_to_rounding(got, want, where="report"):
+    """Equal JSON reports, floats to 1e-12 (relative for large ones)."""
+    if isinstance(want, float):
+        assert math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-12), (where, got, want)
+    elif isinstance(want, dict):
+        assert list(got) == list(want), where
+        for key in want:
+            assert_same_up_to_rounding(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), where
+        for i, (a, b) in enumerate(zip(got, want)):
+            assert_same_up_to_rounding(a, b, f"{where}[{i}]")
+    else:
+        assert got == want, where
 
 
 VERDICT_RUNS = [

@@ -631,12 +631,16 @@ class TestAxesTables:
         with pytest.raises(ValueError, match=re.escape(message)):
             dataclasses.replace(cycle_instance(3), **edit)
 
-    def test_a_symmetry_of_order_beyond_its_bases_is_refused(self):
-        # cycles of lengths 7 and 9 on the 16 elements of M, with B and
-        # Omega^2 translated by Z_4: order 252, above the 36 elements
-        # permuted, and the solver would read 252 characters
-        symM = np.array([*range(1, 7), 0, *range(8, 16), 7])
-        with pytest.raises(ValueError, match="the symmetry has order 252, more than the elements it permutes"):
+    @pytest.mark.parametrize("symM", [
+        # cycles of lengths 7 and 9 on the 16 elements of M
+        np.array([*range(1, 7), 0, *range(8, 16), 7]),
+        # M translated by two points, in orbits of 2 where B has orbits of 4
+        (np.arange(16) + 8) % 16,
+    ], ids=["mixed-orbits", "other-order"])
+    def test_a_symmetry_that_is_not_free_is_refused(self, symM):
+        # the solver reads the r characters of Z_r on every orbit
+        with pytest.raises(ValueError, match="the symmetry is not a free action: every orbit of "
+                                             "symB, symM, symO2 must have the same size"):
             dataclasses.replace(jet_instance(4), symM=symM)
 
     def test_axes_are_in_field_order(self):
@@ -647,18 +651,23 @@ class TestAxesTables:
 
 class TestSameTables:
     @pytest.mark.parametrize("owner,name", [("H", k) for k in FiniteHopf.AXES]
-                             + [("inst", k) for k in ModuleAlgebra.AXES])
+                             + [("inst", k) for k in ModuleAlgebra.AXES if not k.startswith("sym")])
     def test_a_one_entry_change_to_any_table_is_seen(self, owner, name):
         inst = cycle_instance(3)
         if owner == "H":
             other = dataclasses.replace(inst, H=with_table(inst.H, name, one_entry_changed))
             assert not same_tables(inst.H, other.H)
         else:
-            # a symmetry table must stay a permutation: swap two entries
-            other = with_table(inst, name, lambda a: a[[1, 0, *range(2, len(a))]]
-                               if name.startswith("sym") else one_entry_changed(a))
+            other = with_table(inst, name, one_entry_changed)
         assert not same_tables(inst, other)
         assert same_tables(inst, with_table(inst, "mulB", lambda a: a))
+
+    def test_the_declared_symmetry_is_not_read(self):
+        # it says how to solve, not what the algebra is: a dump without it
+        # still counts as its builtin
+        inst = cycle_instance(3)
+        assert same_tables(inst, dataclasses.replace(inst, symM=np.argsort(inst.symM)))
+        assert same_tables(inst, dataclasses.replace(inst, symB=None, symM=None, symO2=None))
 
     def test_names_and_labels_are_not_read(self):
         inst, other = jet_instance(2), jet_instance(2)
