@@ -762,7 +762,6 @@ class TestInstanceFiles:
         code, out = run(capsys, ["cohomology", "--builtin", token])
         assert run(capsys, ["cohomology", "--instance", str(path)]) == (code, out)
 
-
     def test_a_dump_without_the_symmetry_reports_as_its_builtin(self, capsys, tmp_path):
         # a dump written before instances declared a symmetry is the same
         # algebra: solved on whole components, with the same report up to
@@ -798,7 +797,7 @@ class TestInstanceFiles:
 
     def test_a_data_gate_failure_that_keeps_the_symmetry_keeps_the_report(self, capsys, tmp_path):
         # starM off by 1e-9, as invariant as before: the gate fails, and the
-        # solver, which reads only the symmetry of the gate, still runs
+        # solver, which needs only the symmetry residual to hold, still runs
         inst = hopf.jet_instance(3)
         path = tmp_path / "off.json"
         path.write_text(hopf.dump_instance(dataclasses.replace(inst, starM=inst.starM.dense() * (1 + 1e-9))))

@@ -238,11 +238,12 @@ def test_the_character_blocks_hold_the_singular_values_of_each_component(token):
 
 def test_a_free_action_gives_the_dense_nullspace():
     # Z_3 moving rows and columns in orbits of 3, on a random invariant
-    # matrix of nullity 5: the characters hold its singular values
+    # matrix with one orbit of columns in no row: the characters hold its
+    # singular values, and the shape pass counts the blocks they build
     rows, cols = (np.arange(3 * n).reshape(3, n)[[1, 2, 0]].ravel() for n in (5, 6))
     rng = np.random.default_rng(11)
     A0 = rng.standard_normal((len(rows), len(cols))) * (rng.random((len(rows), len(cols))) < 0.3)
-    A0[:, :5] = 0
+    A0[:, [0, 6, 12]] = 0
     A = np.zeros_like(A0, dtype=complex)
     i, j = np.arange(len(rows)), np.arange(len(cols))
     for _ in range(3):  # the average over the group is invariant
