@@ -604,15 +604,15 @@ def cohomology_bytes(inst: hopf.ModuleAlgebra) -> int:
     at once, from the character blocks the solver factors: the stacks of
     `hopf.component_shapes` for `hopf.hochschild_system` and
     `hopf.central_system`, one block per connected component and character
-    of the declared symmetry (the components themselves when none is
-    declared), the r characters of one component stacked and factored by
-    one call.  The shapes are counted from index arrays, so the guard
-    builds no block: an instance it refuses is refused before anything of
-    the size it names is allocated.
+    of the point translation the solver finds (the components themselves
+    when a system is not invariant under it), the r characters of one
+    component stacked and factored by one call.  The shapes are counted
+    from index arrays, so the guard builds no block: an instance it refuses
+    is refused before anything of the size it names is allocated.
 
     It counts 16-byte complex values: four copies of the largest stack (the
     stack, its QR working copy, R and the SVD; the solver's tracemalloc
-    peak is 2.3 blocks on cycle:12-24 without a symmetry), and six n x k
+    peak is 2.3 blocks on cycle:12-24 on whole components), and six n x k
     arrays for the n = dim H * dim M unknowns, which hold the solution
     spaces and every array built on them (the nullspaces, their star images
     and the returned bases).  A cocycle is fixed by its values on the g
@@ -663,11 +663,6 @@ def cmd_cohomology(args) -> tuple[dict, list]:
     data = inst.data_report()
     report["data_gate"] = data["max"]
     checks.append(("module-algebra data", data["max"], 1e-10))
-    if not data.get("symmetry", 0.0) <= 1e-10:
-        # the solver reads the tables on orbits of the declared symmetry: one
-        # that does not hold would give it dimensions of other tables
-        report["data_gate_detail"] = {k: v for k, v in data.items() if k != "max" and not v <= 1e-10}
-        return report, checks
     skipped = []
     # the enumerator and the characters h -> zeta^j exist on C[Z_n] only
     cyclic = hopf.same_tables(inst.H, hopf.cyclic_group_hopf(n))

@@ -32,9 +32,10 @@ identities that are linear in a cochain (the Hochschild cocycle equation,
 graded convolution-centrality) are built as linear maps in index form: a
 check applies the map to one cochain, and `solve_hochschild_space` takes
 the nullspace of the stacked maps, one SVD per connected component of the
-system and character of the Z_r action an instance may declare (a
-permutation of the B, M and Omega^2 bases under which every table is
-invariant, checked by the data gate).  The crossed-product
+system and character of the point translation z -> z + 1 of the B, M and
+Omega^2 bases, used when the system is exactly invariant under it (a Z_n
+action, n = dim H; the solver checks the invariance entry for entry and
+otherwise factors whole components).  The crossed-product
 realizations Op are checked against multiplication blocks contracted from
 the same tables, in index form too; the crossed product keeps no product
 tensor of its own.  Each multiplicativity check
@@ -61,9 +62,9 @@ derivation is inner and MC vanishes on all lazy Sweedler cocycles).  Each
 is written as fiber tables, the structure at one point of Z_n, lifted
 pointwise over C(Z_n) by `_lift`, which writes the index arrays of the
 lifted table directly: a shipped instance holds what its non-zeros hold
-(cycle_instance(96) about 2 MiB).  Each declares the point translation
-z -> z + 1 as its symmetry, so the solver's blocks are n^2 times smaller
-than the components they split (32 x 8 in place of 256 x 64 on cycle(8)).
+(cycle_instance(96) about 2 MiB).  Every table of each is invariant under
+the point translation, so the solver's blocks are n^2 times smaller than
+the components they split (32 x 8 in place of 256 x 64 on cycle(8)).
 """
 
 from __future__ import annotations
@@ -80,9 +81,6 @@ TOL = 1e-10
 
 # form degree of each target; it fixes the graded signs
 _DEGREE = {"B": 0, "M": 1, "O2": 2}
-# the tables of a declared symmetry, by the axis letter each permutes
-_SYMMETRY_AXES = {"b": "symB", "m": "symM", "o": "symO2"}
-_SYMMETRY = tuple(_SYMMETRY_AXES.values())
 
 
 def _maxabs(a) -> float:
@@ -287,9 +285,19 @@ RANK_TOL = 1e-9
 
 def _row_span(A) -> np.ndarray:
     """Orthonormal rows spanning the rows of A; its rank counts the singular
-    values above RANK_TOL * max(1, largest)."""
-    _, s, vh = np.linalg.svd(A, full_matrices=False)
-    return vh[: int(np.sum(s > RANK_TOL * np.max(s, initial=1.0)))]
+    values above RANK_TOL * max(1, largest).
+
+    A wide A is reduced first: with A^T = Q R and R = U S V^H, A is
+    conj(V) S (Q U)^T, so the singular values are those of the square R
+    and the rows of (Q U)^T, in their order, span the rows of A."""
+    wide = A.shape[0] < A.shape[1]
+    if wide:
+        Q, R = np.linalg.qr(A.T)
+        U, s, _ = np.linalg.svd(R)
+    else:
+        _, s, vh = np.linalg.svd(A, full_matrices=False)
+    rank = int(np.sum(s > RANK_TOL * np.max(s, initial=1.0)))
+    return (Q @ U[:, :rank]).T if wide else vh[:rank]
 
 
 def _read_tables(obj, dims: dict) -> list:
@@ -457,16 +465,6 @@ class ModuleAlgebra:
     `products`, `stars` and `actions` tables are rebuilt from these fields
     on every access, so reassigning a field (with an index form) is always
     seen.
-
-    symB, symM and symO2 declare a symmetry: symB[i] is the image of basis
-    element i of B under one permutation, and so on for M and Omega^2 (the
-    last with the degree-2 block), H being fixed.  They come together or
-    not at all and are stored as integer arrays.  The permutation generates
-    a free Z_r action, every orbit of each basis of size r, under which
-    every table must be invariant,
-    T[p(i), p(j), ..] = T[i, j, ..]; `data_report` checks that as the
-    residual `symmetry`, and the solver factors one block per character of
-    Z_r (`_sparse_nullspace`).  With no declaration the symmetry is trivial.
     """
 
     H: FiniteHopf
@@ -485,39 +483,17 @@ class ModuleAlgebra:
     actO2: IndexForm | None = None
     wedge: IndexForm | None = None
     d1: IndexForm | None = None
-    symB: np.ndarray | None = None
-    symM: np.ndarray | None = None
-    symO2: np.ndarray | None = None
     name: str = ""
 
     AXES = {"mulB": "bbb", "unitB": "b", "starB": "bb", "actB": "bhb", "leftM": "bmm",
             "rightM": "mbm", "starM": "mm", "actM": "mhm", "dB": "bm", "leftO2": "boo",
-            "rightO2": "obo", "starO2": "oo", "actO2": "oho", "wedge": "mmo", "d1": "mo",
-            "symB": "b", "symM": "m", "symO2": "o"}
+            "rightO2": "obo", "starO2": "oo", "actO2": "oho", "wedge": "mmo", "d1": "mo"}
 
     def __post_init__(self):
         absent = _read_tables(self, {"h": self.H.dim})
-        given = [k for k, axes in self.AXES.items()
-                 if "o" in axes and k not in absent and k not in _SYMMETRY]
-        missing = [k for k in absent if k not in _SYMMETRY]
-        if given and missing:
-            raise ValueError(f"the degree-2 block ({', '.join(given)}) needs {', '.join(missing)} too")
-        declared = [k for k in _SYMMETRY if k not in absent]
-        wanted = list(_SYMMETRY[:3 if given else 2])
-        if declared and declared != wanted:
-            raise ValueError(f"the symmetry is {', '.join(wanted)}, one permutation per basis, "
-                             f"not {', '.join(declared)}")
-        for k in declared:
-            p = getattr(self, k)
-            q = np.round(p.real).astype(np.intp)  # a JSON table arrives complex
-            if not (np.array_equal(q, p) and np.array_equal(np.sort(q), np.arange(len(q)))):
-                raise ValueError(f"table {k} is not a permutation of 0 .. {len(q) - 1}")
-            setattr(self, k, q)
-        # the solver reads one character per element of Z_r on every orbit
-        orders = {_free_order(getattr(self, k)) for k in declared}
-        if None in orders or len(orders) > 1:
-            raise ValueError(f"the symmetry is not a free action: every orbit of "
-                             f"{', '.join(declared)} must have the same size")
+        given = [k for k, axes in self.AXES.items() if "o" in axes and k not in absent]
+        if given and absent:
+            raise ValueError(f"the degree-2 block ({', '.join(given)}) needs {', '.join(absent)} too")
 
     @property
     def dimB(self):
@@ -630,36 +606,18 @@ class ModuleAlgebra:
             rep["graded_leibniz_right"] = _maxabs(E("mbx,xo->mbo", self.rightM, self.d1)
                                                   - E("mo,oby->mby", self.d1, self.rightO2)
                                                   + E("bu,muo->mbo", dB, self.wedge))
-        if self.symB is not None:
-            # T[p(i), p(j), ..] = T[i, j, ..] for every table, h fixed: the
-            # tables laid end to end as one vector, moved against itself
-            perms = {c: getattr(self, k) for c, k in _SYMMETRY_AXES.items()}
-            at, to, values, offset = [], [], [], 0
-            for name, axes in self.AXES.items():
-                if name in _SYMMETRY or getattr(self, name) is None:
-                    continue
-                T = IndexForm.of(getattr(self, name))
-                index = tuple(perms[c][i] if c in perms else i for c, i in zip(axes, T.index))
-                at.append(offset + _flat(T.index, T.shape))
-                to.append(offset + _flat(index, T.shape))
-                values.append(T.values)
-                offset += math.prod(T.shape)
-            v = np.concatenate(values)
-            rep["symmetry"] = _maxabs(IndexForm((offset,), (np.concatenate(to),), v)
-                                      - IndexForm((offset,), (np.concatenate(at),), v))
         rep["max"] = _maxabs(list(rep.values()))
         return rep
 
 
 def same_tables(x, y) -> bool:
     """Are two FiniteHopf, or two ModuleAlgebra and their H, entry for entry
-    equal in every table of `AXES`, absent ones included?  Names, labels and
-    the declared symmetry, which says how to solve and not what the algebra
-    is, are not read.  The tables are compared in index form: their
-    difference has no entry."""
+    equal in every table of `AXES`, absent ones included?  Names and labels
+    are not read.  The tables are compared in index form: their difference
+    has no entry."""
     if isinstance(x, ModuleAlgebra) and not same_tables(x.H, y.H):
         return False
-    pairs = [(getattr(x, k), getattr(y, k)) for k in x.AXES if k not in _SYMMETRY]
+    pairs = [(getattr(x, k), getattr(y, k)) for k in x.AXES]
     return all(a is None and b is None or a is not None and b is not None
                and a.shape == b.shape and _maxabs(a - b) == 0 for a, b in pairs)
 
@@ -1149,19 +1107,6 @@ def _components(A: IndexForm) -> np.ndarray:
     return parent
 
 
-def _free_order(perm: np.ndarray):
-    """r when every orbit of the permutation array perm has r elements (a
-    free Z_r action), else None."""
-    start, j = np.arange(len(perm)), perm
-    for r in range(1, len(perm) + 1):
-        if np.array_equal(j, start):
-            return r
-        if np.any(j == start):  # a shorter orbit closed
-            return None
-        j = perm[j]
-    return None
-
-
 def _orbits(move, x):
     """The orbit of each position of the array x under move, a function of
     position arrays that generates a free Z_r action: its least position,
@@ -1181,14 +1126,12 @@ def _character_parts(A: IndexForm, rows, cols):
     the parts `_character_blocks` writes one block per character of.
 
     rows and cols permute A's row and column positions, as functions of
-    index arrays (`_index_perm`, identities when nothing is declared), and
+    index arrays (the translation `_system` finds, or the identity), and
     generate a free Z_r action that leaves A invariant, A[rows(i), cols(j)]
     = A[i, j].  Only the entries in the least row of each row orbit are
-    read.  A row without entries counts as a zero row, so an orbit is read
-    at its least row whether or not that row holds an entry: a system that
-    is invariant only up to rounding (which the data gate bounds) is read
-    as the invariant system its least rows give.  Each column is read as
-    cols^t(C), C the least column of its orbit and t its offset.
+    read, the other rows being their images; a row without entries counts
+    as a zero row.  Each column is read as cols^t(C), C the least column of
+    its orbit and t its offset.
 
     Yields r and, per component of that quotient: the block's (rows,
     columns), its entries as (row, column, offset, value), and the columns
@@ -1246,28 +1189,27 @@ def _character_blocks(A: IndexForm, rows, cols):
 def component_shapes(A: IndexForm, rows, cols) -> list:
     """(characters, rows, columns) of each stack of dense blocks that
     `_sparse_nullspace` factors in one call, for the two-axis form A under
-    the free symmetry rows, cols of its positions: one block per connected
-    component and character (`_character_blocks`).  Counted from the index
-    arrays (`_character_parts`), so no block is built: the memory guard
-    reads it before the solver runs."""
+    the free symmetry rows, cols of its positions (as `_system` finds it):
+    one block per connected component and character (`_character_blocks`).
+    Counted from the index arrays (`_character_parts`), so no block is
+    built: the memory guard reads it before the solver runs."""
     return [(r, *shape) for r, shape, *_ in _character_parts(A, rows, cols)]
 
 
 def _sparse_nullspace(A: IndexForm, rows, cols) -> np.ndarray:
     """Orthonormal complex columns spanning the nullspace of the two-axis
     form A, invariant under the symmetry rows, cols of its row and column
-    positions (`_character_blocks`).
+    positions that `_system` finds (`_character_blocks`).
 
     One dense SVD per block of `_character_blocks`: per connected component
     of A and character of the free Z_r action the symmetry generates, the
     r blocks of a component factored by one batched call (`_nullspaces`).
     The change of basis to the character blocks is unitary on both sides,
-    so the blocks hold the singular values of A (of the invariant system
-    its least rows give, `_character_parts`), and every block counts those above
-    RANK_TOL * max(A.shape), the bound `_nullspace` would use on all of A:
-    every rank decision is the one that dense SVD would make.  Each block's
-    null vectors map back to A's columns through the unitary basis.  A
-    column in no row is a null vector of its own.
+    so the blocks hold the singular values of A, and every block counts
+    those above RANK_TOL * max(A.shape), the bound `_nullspace` would use on
+    all of A: every rank decision is the one that dense SVD would make.
+    Each block's null vectors map back to A's columns through the unitary
+    basis.  A column in no row is a null vector of its own.
     """
     bound, free = RANK_TOL * max(A.shape), np.ones(A.shape[1], dtype=bool)
     pieces = []  # (columns, null vectors on them)
@@ -1284,32 +1226,48 @@ def _sparse_nullspace(A: IndexForm, rows, cols) -> np.ndarray:
     return Q
 
 
-def _index_perm(inst: ModuleAlgebra, letters: str, shape):
-    """The declared symmetry on the row-major positions of axes named by
-    `letters`, as a function of an array of positions: b, m and o move by
-    symB, symM and symO2, any other axis (and every axis of an instance that
-    declares none) stays.  It reads only the positions it is given, so no
-    array spans every row of a system."""
-    perms = [getattr(inst, _SYMMETRY_AXES[c]) if c in _SYMMETRY_AXES else None for c in letters]
+def _index_perm(letters: str, shape, n: int):
+    """The translation by one point on the row-major positions of axes named
+    by `letters`, as a function of an array of positions: an axis b, m or o
+    of length k moves cyclically by k / n, one point of a basis lifted
+    point-major over C(Z_n) (`_lift`), and any other axis stays.  It reads
+    only the positions it is given, so no array spans every row of a
+    system."""
+    steps = [k // n if c in "bmo" else 0 for c, k in zip(letters, shape)]
 
     def move(i):
         index = np.unravel_index(i, shape)
-        return np.ravel_multi_index(tuple(x if p is None else p[x] for p, x in zip(perms, index)), shape)
+        return np.ravel_multi_index(tuple((x + s) % k for x, s, k in zip(index, steps, shape)), shape)
     return move
+
+
+def _unmoved(i):
+    """The identity on positions: the trivial symmetry."""
+    return i
 
 
 def _system(inst: ModuleAlgebra, maps, columns: str) -> tuple:
     """Linear maps in index form, each given with the letters of its row
     axes (its other axes are the columns, named by `columns`), stacked into
-    one two-axis system: (A, rows, cols), rows and cols the declared
-    symmetry on A's row and column positions (`_index_perm`), under which A
-    is invariant."""
-    mats, moves, offsets = [], [], [0]
-    for form, letters in maps:
-        shape = form.shape[:len(letters)]
-        mats.append(form.reshape(math.prod(shape), math.prod(form.shape[len(letters):])))
-        moves.append(_index_perm(inst, letters, shape))
-        offsets.append(offsets[-1] + math.prod(shape))
+    one two-axis system: (A, rows, cols), rows and cols the translation by
+    one point on A's row and column positions (`_index_perm`, n = dim H).
+
+    The translation is used only when it acts freely, every orbit of n
+    positions (n divides the length of each b, m and o axis), and A is
+    invariant under it, A[rows(i), cols(j)] = A[i, j] with positions and
+    values equal; otherwise rows and cols are the identity.  The check
+    reads each entry once, so the solver relies on nothing it has not
+    seen."""
+    n = inst.H.dim
+    axes = [(letters, form.shape[:len(letters)]) for form, letters in maps]
+    width = maps[0][0].shape[len(maps[0][1]):]
+    A = _vstack([form.reshape(math.prod(shape), math.prod(width))
+                 for (form, _), (_, shape) in zip(maps, axes)])
+    if any(k % n for letters, shape in axes + [(columns, width)]
+           for c, k in zip(letters, shape) if c in "bmo"):
+        return A, _unmoved, _unmoved
+    moves = [_index_perm(letters, shape, n) for letters, shape in axes]
+    offsets = np.cumsum([0] + [math.prod(shape) for _, shape in axes])
 
     def rows(i):
         out = np.empty_like(i)
@@ -1317,13 +1275,17 @@ def _system(inst: ModuleAlgebra, maps, columns: str) -> tuple:
             at = (lo <= i) & (i < hi)
             out[at] = lo + move(i[at] - lo)
         return out
-    return _vstack(mats), rows, _index_perm(inst, columns, maps[0][0].shape[-len(columns):])
+    cols = _index_perm(columns, width, n)
+    moved = IndexForm(A.shape, (rows(A.index[0]), cols(A.index[1])), A.values)
+    if _maxabs(moved - A) == 0:
+        return A, rows, cols
+    return A, _unmoved, _unmoved
 
 
 def central_system(inst: ModuleAlgebra) -> tuple:
     """Rows b m - m b, for every basis element b of B, cutting the B-central
     elements out of M: rows (b, k), columns the complex unknowns m; with
-    the declared symmetry on both, as `_system` gives it."""
+    the symmetry `_system` finds on both."""
     comm = _sparse_contract("bmk->bkm", inst.leftM) - _sparse_contract("mbk->bkm", inst.rightM)
     return _system(inst, [(comm, "bm")], "m")
 
@@ -1355,8 +1317,8 @@ def _central_sa_basis(inst: ModuleAlgebra) -> np.ndarray:
 
 def hochschild_system(inst: ModuleAlgebra, prolongable: bool = False) -> tuple:
     """Rows of the lazy Hochschild system over the dim H * dim M complex
-    unknowns mu(e_j)_a, as one two-axis index form, with the declared
-    symmetry on its rows and columns: (A, rows, cols) as `_system` gives it.
+    unknowns mu(e_j)_a, as one two-axis index form, with the symmetry
+    `_system` finds on its rows and columns: (A, rows, cols).
 
     The rows are (a) the cocycle equation mu(h k) = mu(h) <| k + eps(h) mu(k)
     for k in {1} together with `FiniteHopf.generators`, (b) centrality against
@@ -1382,8 +1344,9 @@ def solve_hochschild_space(inst: ModuleAlgebra, prolongable: bool = False) -> di
     The cocycle equation and convolution-centrality (plus graded centrality
     when prolongable=True) are complex-linear, so the solver first takes
     the complex nullspace of `hochschild_system`, one SVD per connected
-    component of its rows and unknowns and character of the declared
-    symmetry (`_sparse_nullspace`), and then
+    component of its rows and unknowns and character of the point
+    translation, where the system is invariant under it (`_system`,
+    `_sparse_nullspace`), and then
     cuts out the fixed points of the antilinear involution mu -> mu^*
     inside it (`_fixed_points`); the complex solution space is
     star-invariant, which is asserted numerically.  Z_B(M)_sa, whose images
@@ -1495,14 +1458,6 @@ def _shift_action(n: int, blocks: int = 1, step: int = 1) -> IndexForm:
     return IndexForm((n * blocks, n, n * blocks), (x * blocks + e, j, image), np.ones(len(x), dtype=complex))
 
 
-def _translation(n: int, k: int) -> np.ndarray:
-    """The point translation z -> z + 1 on a basis lifted over C(Z_n) from a
-    fiber of dimension k (`_lift`), as a permutation of its indices: the
-    symmetry each shipped family declares, under which every table it
-    lifts, and the shift action, is invariant."""
-    return (np.arange(n * k) + k) % (n * k)
-
-
 def function_instance(n: int, shift: bool = True) -> ModuleAlgebra:
     """B = C(Z_n) with the shift action; M = B as the trivial bimodule.
 
@@ -1522,8 +1477,6 @@ def function_instance(n: int, shift: bool = True) -> ModuleAlgebra:
         starM=_lift(n, [[1.0]]),
         actM=_shift_action(n, step=int(shift)),
         dB=_lift(n, [[0.0]]),
-        symB=_translation(n, 1),
-        symM=_translation(n, 1),
         name=f"function(Z_{n}, shift={shift})",
     )
 
@@ -1568,9 +1521,6 @@ def cycle_instance(n: int) -> ModuleAlgebra:
         actO2=_shift_action(n),
         wedge=wedge,
         d1=d1,
-        symB=_translation(n, 1),
-        symM=_translation(n, 2),
-        symO2=_translation(n, 1),
         name=f"cycle(Z_{n})",
     )
 
@@ -1623,9 +1573,6 @@ def jet_instance(n: int) -> ModuleAlgebra:
         actO2=_shift_action(n),
         wedge=_lift(n, wedge),
         d1=_lift(n, d1),
-        symB=_translation(n, 4),
-        symM=_translation(n, 4),
-        symO2=_translation(n, 1),
         name=f"jet(Z_{n})",
     )
 
@@ -1664,12 +1611,27 @@ def _arr_from_json(name: str, d):
     if d is None:
         return None
     try:
-        re, im = (np.array(d[k], dtype=float).reshape(d["shape"]) for k in ("re", "im"))
+        re, im = (np.asarray(d[k], dtype=float).reshape(d["shape"]) for k in ("re", "im"))
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ValueError(f"tensor {name}: {exc}") from exc
     if not (np.isfinite(re).all() and np.isfinite(im).all()):
         raise ValueError(f"tensor {name} has a non-finite entry")
     return re + 1j * im
+
+
+def _tensor_parts(d: dict) -> dict:
+    """The JSON object d with its re and im lists, if it has them, as float
+    arrays: the `json` object hook of `load_instance`, which runs as the
+    parser closes each object, so no tensor's list of Python floats
+    outlives it.  A part that is not a list of numbers stays as it is, for
+    `_arr_from_json` to name."""
+    for k in ("re", "im"):
+        if isinstance(d.get(k), list):
+            try:
+                d[k] = np.array(d[k], dtype=float)
+            except (OverflowError, TypeError, ValueError):
+                pass
+    return d
 
 
 def _object(where: str, data, keys) -> dict:
@@ -1699,7 +1661,8 @@ def load_instance(text: str) -> ModuleAlgebra:
     tensor is malformed, or a constructor refuses the tables (a required
     one missing or null, an axis of the wrong length, a partial degree-2
     block)."""
-    data = _object("the instance", json.loads(text), ("name", "hopf", "coefficients"))
+    data = _object("the instance", json.loads(text, object_hook=_tensor_parts),
+                   ("name", "hopf", "coefficients"))
     h = _object("hopf", data.get("hopf"), [*FiniteHopf.AXES, "labels"])
     co = _object("coefficients", data.get("coefficients"), ModuleAlgebra.AXES)
     if not isinstance(h.get("labels", []), list):

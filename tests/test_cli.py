@@ -367,11 +367,14 @@ class TestCohomology:
         assert main(["cohomology", "--builtin", token]) == 2
 
     def test_the_guard_refuses_whole_components_before_building_them(self, capsys, monkeypatch):
-        # cycle:64 without its declared translation, as a dump written
-        # before instances declared one: two components of 16 384 x 4 096,
-        # 4.2 GiB to the guard, counted from index arrays and refused before
-        # any block is built
-        bare = dataclasses.replace(hopf.cycle_instance(64), symB=None, symM=None, symO2=None)
+        # cycle:64 with one entry of leftM scaled by 1 + 2^-40, which its
+        # systems are not invariant under the point translation: two
+        # components of 16 384 x 4 096, 4.2 GiB to the guard, counted from
+        # index arrays and refused before any block is built
+        inst = hopf.cycle_instance(64)
+        values = inst.leftM.values.copy()
+        values[0] *= 1 + 2**-40
+        bare = dataclasses.replace(inst, leftM=hopf.IndexForm(inst.leftM.shape, inst.leftM.index, values))
         monkeypatch.setattr(cli, "_builtin_instance", lambda token: bare)
         monkeypatch.setattr(cli, "memory_budget", lambda: 2 * 2**30)
         tracemalloc.start()
@@ -763,31 +766,42 @@ class TestInstanceFiles:
         assert run(capsys, ["cohomology", "--instance", str(path)]) == (code, out)
 
     def test_a_dump_without_the_symmetry_reports_as_its_builtin(self, capsys, tmp_path):
-        # a dump written before instances declared a symmetry is the same
-        # algebra: solved on whole components, with the same report up to
-        # rounding, the jet algebra's Maurer-Cartan sample included
+        # a dump carries no symmetry, as one written before instances
+        # declared it did not: the solver finds the point translation and
+        # prints the builtin's report byte for byte, the jet algebra's
+        # Maurer-Cartan sample included
         path = tmp_path / "dump.json"
         for token in ("jet:3", "cycle:5"):
             data = json.loads(hopf.dump_instance(cli._builtin_instance(token)))
-            for key in ("symB", "symM", "symO2"):
-                del data["coefficients"][key]
+            assert not {"symB", "symM", "symO2"} & set(data["coefficients"])
             path.write_text(json.dumps(data))
             code, want = run(capsys, ["cohomology", "--builtin", token])
-            got_code, got = run(capsys, ["cohomology", "--instance", str(path)])
-            assert got_code == code == 0
-            assert_same_up_to_rounding(json.loads(got), json.loads(want))
+            assert code == 0 and run(capsys, ["cohomology", "--instance", str(path)]) == (code, want)
+
+    def test_a_dump_that_declares_a_symmetry_is_refused_by_key(self, capsys, tmp_path):
+        # the tables symB, symM and symO2 are no longer part of the format
+        data = json.loads(hopf.dump_instance(hopf.cycle_instance(3)))
+        translation = {"shape": [3], "re": [1.0, 2.0, 0.0], "im": [0.0] * 3}
+        data["coefficients"] |= {"symB": translation, "symM": None, "symO2": translation}
+        path = tmp_path / "declared.json"
+        path.write_text(json.dumps(data))
+        assert main(["cohomology", "--instance", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: cannot load instance:")
+        assert "coefficients has unknown key(s) 'symB', 'symM', 'symO2'" in err
 
     def test_a_table_invariant_up_to_rounding_solves(self, capsys, tmp_path):
         # an entry of 1e-12 in leftM joining the points 0, 1 and 2, where
-        # the tables join none: its rows of the centrality system hold no
-        # other entry, and their images under the declared translation none
-        # at all.  That is inside the data gate's tolerance, so the solver
-        # reads each orbit at its least row and runs every check
+        # the tables join none: within the data gate's tolerance, but the
+        # systems are no longer invariant under the point translation, so
+        # the solver factors their whole components and runs every check
         inst = hopf.jet_instance(3)
         leftM = inst.leftM.dense()
         leftM[0, 4, 8] = 1e-12  # b at point 0, m at 1, the product at 2
         noisy = dataclasses.replace(inst, leftM=leftM)
-        assert 0 < noisy.data_report()["symmetry"] <= 1e-10
+        assert 0 < noisy.data_report()["max"] <= 1e-10
+        A, rows, cols = hopf.hochschild_system(noisy)
+        assert {s[0] for s in hopf.component_shapes(A, rows, cols)} == {1}
         path = tmp_path / "noisy.json"
         path.write_text(hopf.dump_instance(noisy))
         code, out = run(capsys, ["cohomology", "--instance", str(path)])
@@ -797,7 +811,7 @@ class TestInstanceFiles:
 
     def test_a_data_gate_failure_that_keeps_the_symmetry_keeps_the_report(self, capsys, tmp_path):
         # starM off by 1e-9, as invariant as before: the gate fails, and the
-        # solver, which needs only the symmetry residual to hold, still runs
+        # solver, which reads no gate, still runs
         inst = hopf.jet_instance(3)
         path = tmp_path / "off.json"
         path.write_text(hopf.dump_instance(dataclasses.replace(inst, starM=inst.starM.dense() * (1 + 1e-9))))
@@ -807,22 +821,6 @@ class TestInstanceFiles:
         assert code == 1 and report["failures"][0] == "module-algebra data"
         assert report["data_gate"] > 1e-10 and "data_gate_detail" not in report
         assert {"hochschild", "maurer_cartan", "op"} <= set(report)
-
-
-def assert_same_up_to_rounding(got, want, where="report"):
-    """Equal JSON reports, floats to 1e-12 (relative for large ones)."""
-    if isinstance(want, float):
-        assert math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-12), (where, got, want)
-    elif isinstance(want, dict):
-        assert list(got) == list(want), where
-        for key in want:
-            assert_same_up_to_rounding(got[key], want[key], f"{where}.{key}")
-    elif isinstance(want, list):
-        assert len(got) == len(want), where
-        for i, (a, b) in enumerate(zip(got, want)):
-            assert_same_up_to_rounding(a, b, f"{where}[{i}]")
-    else:
-        assert got == want, where
 
 
 VERDICT_RUNS = [

@@ -20,7 +20,6 @@ import pytest
 from ncgauge.hopf import (
     ConvolutionElement,
     IndexForm,
-    ModuleAlgebra,
     check_sweedler_cocycle,
     convolve,
     cycle_instance,
@@ -31,7 +30,6 @@ from test_hopf_op import dense, dense_tables, translations_on_s3
 
 TOL = 1e-14
 DEGREE = {"B": 0, "M": 1, "O2": 2}
-SYMMETRY = {"b": "symB", "m": "symM", "o": "symO2"}
 
 
 def einsum(spec, *operands):
@@ -125,18 +123,6 @@ def dense_data_report(inst) -> dict:
             - einsum("mo,oby->mby", inst.d1, inst.rightO2)
             + einsum("bu,muo->mbo", inst.dB, inst.wedge)
         )
-    if inst.symB is not None:
-        # every table, permuted on each of its b, m and o axes, is itself
-        moved = []
-        for name, axes in ModuleAlgebra.AXES.items():
-            T = getattr(inst, name)
-            if name in SYMMETRY.values() or T is None:
-                continue
-            perms = [getattr(inst, SYMMETRY[c]) if c in SYMMETRY else np.arange(n)
-                     for c, n in zip(axes, T.shape)]
-            # T'[p(i), p(j), ..] = T[i, j, ..], i.e. T' = T[p^-1(i), ..]
-            moved.append(worst(T[np.ix_(*map(np.argsort, perms))] - T))
-        ref["symmetry"] = max(moved)
     return ref
 
 
@@ -160,10 +146,9 @@ def perturbed_instance(inst, seed):
     tables = {
         f.name: perturbed(dense(getattr(inst, f.name)), rng)
         for f in dataclasses.fields(inst)
-        if isinstance(getattr(inst, f.name), (np.ndarray, IndexForm)) and f.name not in SYMMETRY.values()
+        if isinstance(getattr(inst, f.name), (np.ndarray, IndexForm))
     }
-    # perturbed tables keep no symmetry
-    return dataclasses.replace(inst, H=H, **tables, **dict.fromkeys(SYMMETRY.values()))
+    return dataclasses.replace(inst, H=H, **tables)
 
 
 INSTANCES = {
