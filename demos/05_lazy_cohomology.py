@@ -31,6 +31,7 @@ from ncgauge.hopf import (
     function_instance,
     graded_bracket,
     group_cocycle,
+    hochschild_systems,
     jet_instance,
     jet_unitary,
     mc_cocycle,
@@ -48,8 +49,8 @@ print("\n== cocycle spaces vs the brute-force group-cohomology oracle ==")
 for mk in (function_instance, cycle_instance, jet_instance):
     for n in (3, 4):
         inst = mk(n)
-        sol = solve_hochschild_space(inst)
-        bf = brute_force_group_z1(inst)
+        sol = solve_hochschild_space(inst, hochschild_systems(inst))
+        bf = brute_force_group_z1(inst, sol["central_basis"])
         print(f"{inst.name:>24}: solver (Z,B,H) = ({sol['dim_Z']},{sol['dim_B']},{sol['dim_H']})"
               f"  oracle ({bf['dim_Z']},{bf['dim_B']},{bf['dim_H']})")
 
@@ -78,7 +79,7 @@ m0 = -inst.mul("M", "B", u @ inst.dB, inst.star("B", u))
 print("MC(D u) == D(-du u*):", (mc_cocycle(coboundary_S(inst, u)) - coboundary_H(inst, m0)).norm())
 
 print("\n== the curvature map ==")
-mu, nu = solve_hochschild_space(inst)["basis"][:2]
+mu, nu = solve_hochschild_space(inst, hochschild_systems(inst))["basis"][:2]
 Fmu = curvature_map(mu)
 print("F[mu] norm:", round(Fmu.norm(), 4), " (an Omega^2-valued cocycle:",
       check_hochschild_cocycle(Fmu)["passes"], ")")

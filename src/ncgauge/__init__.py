@@ -34,9 +34,9 @@ _LAYERS = {
     ),
     "hopf": (
         "ConvolutionElement", "FiniteHopf", "ModuleAlgebra", "check_hochschild_cocycle",
-        "check_sweedler_cocycle", "coboundary_H", "coboundary_S", "conj_action",
-        "conv_star", "convolve", "curvature_map", "cycle_instance", "cyclic_group_hopf",
-        "function_instance", "jet_instance", "mc_cocycle", "solve_hochschild_space",
+        "check_sweedler_cocycle", "coboundary_H", "coboundary_S", "conj_action", "conv_star",
+        "convolve", "curvature_map", "cycle_instance", "cyclic_group_hopf", "function_instance",
+        "hochschild_systems", "jet_instance", "mc_cocycle", "solve_hochschild_space",
     ),
 }
 _HOME = {name: layer for layer, names in _LAYERS.items() for name in names}

@@ -599,16 +599,17 @@ def _builtin_instance(token: str) -> hopf.ModuleAlgebra:
     return makers[kind](n)
 
 
-def cohomology_bytes(inst: hopf.ModuleAlgebra) -> int:
+def cohomology_bytes(inst: hopf.ModuleAlgebra, systems: tuple) -> int:
     """Upper bound on the bytes the Hochschild solver and `op_report` hold
     at once, from the character blocks the solver factors: the stacks of
-    `hopf.component_shapes` for `hopf.hochschild_system` and
-    `hopf.central_system`, one block per connected component and character
-    of the point translation the solver finds (the components themselves
-    when a system is not invariant under it), the r characters of one
-    component stacked and factored by one call.  The shapes are counted
-    from index arrays, so the guard builds no block: an instance it refuses
-    is refused before anything of the size it names is allocated.
+    `hopf.component_shapes` for the systems (cocycle, central) of
+    `hopf.hochschild_systems`, the same objects the solver is then handed,
+    one block per connected component and character of the point
+    translation `hopf._system` finds (the components themselves when a
+    system is not invariant under it), the r characters of one component
+    stacked and factored by one call.  The shapes are counted from index
+    arrays, so the guard builds no block: an instance it refuses is refused
+    before anything of the size it names is allocated.
 
     It counts 16-byte complex values: four copies of the largest stack (the
     stack, its QR working copy, R and the SVD; the solver's tracemalloc
@@ -627,8 +628,7 @@ def cohomology_bytes(inst: hopf.ModuleAlgebra) -> int:
 
     n = inst.H.dim * inst.dimM
     k = min(n, (len(inst.H.generators) + 1) * inst.dimM)
-    stack = max((math.prod(shape) for system in (hopf.hochschild_system(inst), hopf.central_system(inst))
-                 for shape in hopf.component_shapes(*system)), default=0)
+    stack = max((math.prod(s) for system in systems for s in hopf.component_shapes(*system)), default=0)
     return 16 * (4 * stack + 6 * n * k) + 2**20
 
 
@@ -646,7 +646,8 @@ def cmd_cohomology(args) -> tuple[dict, list]:
     else:
         inst = _builtin_instance(args.builtin)
     name = inst.name or args.instance or args.builtin
-    require_memory(cohomology_bytes(inst), name,
+    systems = hopf.hochschild_systems(inst)
+    require_memory(cohomology_bytes(inst, systems), name,
                    f"the Hochschild solver and the crossed-product checks (dim H = {inst.H.dim}, "
                    f"dim B = {inst.dimB}, dim M = {inst.dimM})")
     n = inst.H.dim
@@ -666,14 +667,14 @@ def cmd_cohomology(args) -> tuple[dict, list]:
     skipped = []
     # the enumerator and the characters h -> zeta^j exist on C[Z_n] only
     cyclic = hopf.same_tables(inst.H, hopf.cyclic_group_hopf(n))
-    sol = hopf.solve_hochschild_space(inst)
+    sol = hopf.solve_hochschild_space(inst, systems)
     report["hochschild"] = {
         "dim_Z": sol["dim_Z"],
         "dim_B": sol["dim_B"],
         "dim_HH": sol["dim_H"],
     }
     if cyclic:
-        bf = hopf.brute_force_group_z1(inst)
+        bf = hopf.brute_force_group_z1(inst, sol["central_basis"])
         report["hochschild"].update(brute_force_Z=bf["dim_Z"], brute_force_B=bf["dim_B"])
         checks.append(("cohomology dimensions disagree with the enumerator",
                        (sol["dim_Z"], sol["dim_B"]) == (bf["dim_Z"], bf["dim_B"])))

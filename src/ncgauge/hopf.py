@@ -30,13 +30,18 @@ gate on C[Z_n] forms at most n^3 products (for associativity), where the
 dense tables of its four-index identities held n^4 entries each.  The
 identities that are linear in a cochain (the Hochschild cocycle equation,
 graded convolution-centrality) are built as linear maps in index form: a
-check applies the map to one cochain, and `solve_hochschild_space` takes
-the nullspace of the stacked maps, one SVD per connected component of the
-system and character of the point translation z -> z + 1 of the B, M and
-Omega^2 bases, used when the system is exactly invariant under it (a Z_n
-action, n = dim H; the solver checks the invariance entry for entry and
-otherwise factors whole components).  The crossed-product
-realizations Op are checked against multiplication blocks contracted from
+centrality check applies its map to one cochain (the cocycle check forms
+mu(h k) - mu(h) <| k - eps(h) mu(k) from the cochain itself, so it never
+holds the dim H^2-row map), and `hochschild_systems` stacks the maps into
+the two systems of the solver, the cocycles and Z_B(M)_sa, at first or
+second order.  A run builds them once: the memory guard counts their
+blocks, `solve_hochschild_space` takes their nullspaces, one SVD per
+connected component of a system and character of the point translation
+z -> z + 1 of the B, M and Omega^2 bases, used when the system is exactly
+invariant under it (a Z_n action, n = dim H; `_system` checks the
+invariance entry for entry and otherwise factors whole components), and
+the enumerator reads the Z_B(M)_sa basis the solver returns.  The
+crossed-product realizations Op are checked against multiplication blocks contracted from
 the same tables, in index form too; the crossed product keeps no product
 tensor of its own.  Each multiplicativity check
 G(x . y) = G(x) . G(y) (and the Leibniz rule of Op(mu)) runs with x on a
@@ -718,19 +723,13 @@ def _commutator_map(inst: ModuleAlgebra, target: str, tx: str) -> IndexForm:
     )
 
 
-def _commutator(inst: ModuleAlgebra, target: str, values, tx: str) -> np.ndarray:
-    """`_commutator_map` on cochain values; values may carry leading batch
-    axes, and the result is (..., dim H, dim tx, dim out)."""
-    return _apply(_commutator_map(inst, target, tx), values)
-
-
 def centrality(f: ConvolutionElement, tx: str) -> float:
     """Max violation of f commuting (graded) with rho_tx under convolution.
 
     Against B this is lazy centrality; for M-valued f against M it is the
     prolongability refinement mu(h_1) ^ (m <| h_2) + (m <| h_1) ^ mu(h_2).
     """
-    return _maxabs(_commutator(f.inst, f.target, f.values, tx))
+    return _maxabs(_apply(_commutator_map(f.inst, f.target, tx), f.values))
 
 
 def _hochschild_map(inst: ModuleAlgebra, target: str, K) -> IndexForm:
@@ -792,9 +791,10 @@ def check_hochschild_cocycle(mu: ConvolutionElement, prolongable: bool = False) 
     rep["self_adjoint"] = (conv_star(mu) - mu).norm()
     rep["centrality"] = centrality(mu, "B")
     # mu(h k) - mu(h) <| k - eps(h) mu(k) on all basis pairs (h, k)
-    rep["cocycle"], rep["cocycle_worst_pair"] = _worst_pair(
-        _apply(_hochschild_map(inst, mu.target, np.eye(inst.H.dim)), mu.values)
-    )
+    H, m = inst.H, mu.values
+    resid = (_sparse_contract("hkj,jv->hkv", H.mul, m)
+             - _sparse_contract("hw,wkv->hkv", m, inst.actions[mu.target])).dense()
+    rep["cocycle"], rep["cocycle_worst_pair"] = _worst_pair(resid - np.multiply.outer(H.counit, m))
     vals = [rep["unit_value"], rep["self_adjoint"], rep["centrality"], rep["cocycle"]]
     if prolongable and mu.target == "M" and inst.wedge is not None:
         rep["graded_centrality"] = centrality(mu, "M")
@@ -1066,14 +1066,11 @@ def op_report(inst: ModuleAlgebra, sigma: ConvolutionElement,
 # -- linear-algebra solvers -----------------------------------------------------
 
 
-def _nullspace(A: np.ndarray, bound: float | None = None) -> np.ndarray:
+def _nullspace(A: np.ndarray) -> np.ndarray:
     """Orthonormal columns spanning the nullspace of a real or complex
-    matrix, via SVD; rank counts singular values above `bound`, by default
-    RANK_TOL * max(A.shape)."""
-    bound = RANK_TOL * max(A.shape) if bound is None else bound
-    if A.shape[0] == 0:
-        return np.eye(A.shape[1], dtype=A.dtype)
-    return _nullspaces(A[None], bound)[0]
+    matrix with at least one row, via SVD; rank counts singular values
+    above RANK_TOL * max(A.shape)."""
+    return _nullspaces(A[None], RANK_TOL * max(A.shape))[0]
 
 
 def _nullspaces(A: np.ndarray, bound: float) -> list:
@@ -1282,14 +1279,6 @@ def _system(inst: ModuleAlgebra, maps, columns: str) -> tuple:
     return A, _unmoved, _unmoved
 
 
-def central_system(inst: ModuleAlgebra) -> tuple:
-    """Rows b m - m b, for every basis element b of B, cutting the B-central
-    elements out of M: rows (b, k), columns the complex unknowns m; with
-    the symmetry `_system` finds on both."""
-    comm = _sparse_contract("bmk->bkm", inst.leftM) - _sparse_contract("mbk->bkm", inst.rightM)
-    return _system(inst, [(comm, "bm")], "m")
-
-
 def _fixed_points(Q: np.ndarray, starred: np.ndarray, space: str) -> np.ndarray:
     """Fixed points of an antilinear star on the span of the orthonormal
     columns Q, whose star images are the columns of `starred`: complex
@@ -1308,67 +1297,76 @@ def _fixed_points(Q: np.ndarray, starred: np.ndarray, space: str) -> np.ndarray:
     return Q @ (coords[:k] + 1j * coords[k:])
 
 
-def _central_sa_basis(inst: ModuleAlgebra) -> np.ndarray:
-    """Z_B(M)_sa: the star-fixed points of the nullspace of `central_system`,
-    as complex columns in M, orthonormal as real vectors."""
-    Q = _sparse_nullspace(*central_system(inst))
+def _central_sa_basis(inst: ModuleAlgebra, central: tuple) -> np.ndarray:
+    """Z_B(M)_sa, cut to its graded-central part at second order: the
+    star-fixed points of the nullspace of the central system (A, rows, cols)
+    of `hochschild_systems`, as complex columns in M, orthonormal as real
+    vectors."""
+    Q = _sparse_nullspace(*central)
     return _fixed_points(Q, inst.star("M", Q.T).T, "Z_B(M)")
 
 
-def hochschild_system(inst: ModuleAlgebra, prolongable: bool = False) -> tuple:
-    """Rows of the lazy Hochschild system over the dim H * dim M complex
-    unknowns mu(e_j)_a, as one two-axis index form, with the symmetry
-    `_system` finds on its rows and columns: (A, rows, cols).
+def hochschild_systems(inst: ModuleAlgebra, prolongable: bool = False) -> tuple:
+    """The two systems `solve_hochschild_space` factors, (cocycle, central),
+    each one two-axis index form with the symmetry `_system` finds on its
+    rows and columns: (A, rows, cols).
 
-    The rows are (a) the cocycle equation mu(h k) = mu(h) <| k + eps(h) mu(k)
-    for k in {1} together with `FiniteHopf.generators`, (b) centrality against
-    rho_B and, when prolongable, (c) graded centrality against rho_M.  Each
-    row is written from the non-zeros of the structure tensors.  Cutting k
-    to the generators is the word-length induction of `op_report`: the k
-    for which (a) holds at every h are closed under products, once the
-    action is a representation of H and eps is multiplicative, which the
-    Hopf and data gates check; and words in the generators span H.
+    cocycle has the dim H * dim M complex unknowns mu(e_j)_a, and rows (a)
+    the cocycle equation mu(h k) = mu(h) <| k + eps(h) mu(k) for k in {1}
+    together with `FiniteHopf.generators` and (b) centrality against rho_B.
+    central has the dim M complex unknowns m, and the rows b m - m b for
+    every basis element b of B, which cut the B-central elements out of M.
+    At second order (prolongable, when inst has a wedge) both also hold
+    (c) graded centrality against rho_M: of mu in cocycle, and in central of
+    the constant cochain h -> eps(h) m, whose image D(m) is then a
+    prolongable coboundary.  Each row is written from the non-zeros of the
+    structure tensors.  Cutting k to the generators is the word-length
+    induction of `op_report`: the k for which (a) holds at every h are
+    closed under products, once the action is a representation of H and
+    eps is multiplicative, which the Hopf and data gates check; and words
+    in the generators span H.
     """
     H = inst.H
     K = np.vstack([H.unit] + [np.eye(H.dim)[g] for g in H.generators])
-    # row axes (h, k, v), (h, b, m) and (h, m, o); columns (j, a)
-    maps = [(_hochschild_map(inst, "M", K), "hkm"), (_commutator_map(inst, "M", "B"), "hbm")]
+    # row axes (h, k, v), (h, b, m), (h, m, o) and (b, m); columns (j, a) or m
+    cocycle = [(_hochschild_map(inst, "M", K), "hkm"), (_commutator_map(inst, "M", "B"), "hbm")]
+    central = [(_sparse_contract("bmk->bkm", inst.leftM) - _sparse_contract("mbk->bkm", inst.rightM), "bm")]
     if prolongable and inst.wedge is not None:
-        maps.append((_commutator_map(inst, "M", "M"), "hmo"))
-    return _system(inst, maps, "hm")
+        graded = _commutator_map(inst, "M", "M")
+        cocycle.append((graded, "hmo"))
+        central.append((_sparse_contract("hxzja,j->hxza", graded, H.counit), "hmo"))
+    return _system(inst, cocycle, "hm"), _system(inst, central, "m")
 
 
-def solve_hochschild_space(inst: ModuleAlgebra, prolongable: bool = False) -> dict:
-    """Bases and dimensions of ZH^1, BH^1, HH^1 as real vector spaces.
+def solve_hochschild_space(inst: ModuleAlgebra, systems: tuple) -> dict:
+    """Bases and dimensions of ZH^1, BH^1, HH^1 as real vector spaces, from
+    the systems (cocycle, central) of `hochschild_systems`, at the order
+    they were built for.
 
     The cocycle equation and convolution-centrality (plus graded centrality
-    when prolongable=True) are complex-linear, so the solver first takes
-    the complex nullspace of `hochschild_system`, one SVD per connected
+    at second order) are complex-linear, so the solver first takes the
+    complex nullspace of the cocycle system, one SVD per connected
     component of its rows and unknowns and character of the point
     translation, where the system is invariant under it (`_system`,
-    `_sparse_nullspace`), and then
-    cuts out the fixed points of the antilinear involution mu -> mu^*
-    inside it (`_fixed_points`); the complex solution space is
-    star-invariant, which is asserted numerically.  Z_B(M)_sa, whose images
-    D(m) are the coboundaries, comes the same way from `central_system`;
-    when prolongable=True its real subspace central in the graded algebra
-    is one more nullspace.  The cocycle rows run on generators of H only,
-    so the result is sound on data that passes the Hopf and data gates.
+    `_sparse_nullspace`), and then cuts out the fixed points of the
+    antilinear involution mu -> mu^* inside it (`_fixed_points`); the
+    complex solution space is star-invariant, which is asserted
+    numerically.  Z_B(M)_sa (graded-central at second order), whose images
+    D(m) are the coboundaries, comes the same way from the central system
+    (`_central_sa_basis`), and is returned as `central_basis`.  The cocycle
+    rows run on generators of H only, so the result is sound on data that
+    passes the Hopf and data gates.
     """
+    cocycle, central = systems
     H = inst.H
     dH, dM = H.dim, inst.dimM
     n_c = dH * dM  # complex unknowns
-    Q = _sparse_nullspace(*hochschild_system(inst, prolongable))
+    Q = _sparse_nullspace(*cocycle)
     k = Q.shape[1]
     starred = conv_star(ConvolutionElement(inst, "M", Q.T.reshape(k, dH, dM))).values
     sols = _fixed_points(Q, starred.reshape(k, n_c).T, "cocycle space")
     # coboundaries: D on Z_B(M)_sa
-    ms = _central_sa_basis(inst).T
-    if prolongable and inst.wedge is not None:
-        # the real combinations of ms that are central in the graded algebra
-        graded = _commutator(inst, "M", _const(inst, ms), "M")
-        graded = graded.reshape(len(ms), math.prod(graded.shape[1:])).T
-        ms = _nullspace(np.vstack([graded.real, graded.imag])).T @ ms
+    ms = _central_sa_basis(inst, central).T
     d = (_orbit(inst, "M", ms) - _const(inst, ms)).reshape(len(ms), n_c)
     # orthonormal basis of the coboundary space
     b_span = _row_span(np.hstack([np.real(d), np.imag(d)]))
@@ -1382,17 +1380,18 @@ def solve_hochschild_space(inst: ModuleAlgebra, prolongable: bool = False) -> di
         "dim_H": sols.shape[1] - len(b_span),
         "basis": to_elements(sols),
         "coboundary_basis": to_elements((b_span[:, :n_c] + 1j * b_span[:, n_c:]).T),
+        "central_basis": ms.T,
     }
 
 
-def brute_force_group_z1(inst: ModuleAlgebra) -> dict:
-    """Independent oracle: degree-1 group cohomology of Z_n in Z_B(M)_sa,
-    n = dim H.
+def brute_force_group_z1(inst: ModuleAlgebra, cent: np.ndarray) -> dict:
+    """Independent oracle: degree-1 group cohomology of Z_n, n = dim H, in
+    the real span of the columns of cent, orthonormal as real vectors: the
+    Z_B(M)_sa that `solve_hochschild_space` returns as `central_basis`.
 
     Works directly from the group multiplication table and the action on
-    the real subspace Z_B(M)_sa; never touches the Hopf tensors.
+    that real subspace; never touches the Hopf tensors.
     """
-    cent = _central_sa_basis(inst)
     k = cent.shape[1]
     if k == 0:
         return {"dim_Z": 0, "dim_B": 0, "dim_H": 0}
@@ -1597,8 +1596,6 @@ def jet_unitary(inst: ModuleAlgebra, rng):
 
 
 def _arr_to_json(a):
-    if a is None:
-        return None
     a = a.dense() if isinstance(a, IndexForm) else a
     return {"shape": list(a.shape), "re": np.real(a).ravel().tolist(),
             "im": np.imag(a).ravel().tolist()}
@@ -1647,12 +1644,15 @@ def _object(where: str, data, keys) -> dict:
 def dump_instance(inst: ModuleAlgebra) -> str:
     """The instance as JSON: its name, a `hopf` block with every table of H
     and its labels, and a `coefficients` block with every table of inst,
-    each in `AXES` order, dense, and null when absent."""
+    each in `AXES` order, dense, and null when absent.  The encoder asks
+    `_arr_to_json` for each table's float lists as it reaches the table and
+    drops them once written, so the lists of one table are held at a
+    time."""
     def tables(obj):
-        return {k: _arr_to_json(getattr(obj, k)) for k in obj.AXES}
+        return {k: getattr(obj, k) for k in obj.AXES}
 
     return json.dumps({"name": inst.name, "hopf": {**tables(inst.H), "labels": inst.H.labels},
-                       "coefficients": tables(inst)})
+                       "coefficients": tables(inst)}, default=_arr_to_json)
 
 
 def load_instance(text: str) -> ModuleAlgebra:

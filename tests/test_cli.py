@@ -346,7 +346,8 @@ class TestCohomology:
         assert "n must be at least 1" in capsys.readouterr().err
 
     def test_memory_guard_exits_2_before_solving(self, capsys, monkeypatch):
-        need = cli.cohomology_bytes(hopf.jet_instance(5))
+        inst = hopf.jet_instance(5)
+        need = cli.cohomology_bytes(inst, hopf.hochschild_systems(inst))
         monkeypatch.setattr(cli, "memory_budget", lambda: need - 1)
 
         def no_solving(*args, **kwargs):
@@ -360,7 +361,8 @@ class TestCohomology:
 
     @pytest.mark.parametrize("token", ["function:3", "jet:5", "cycle:8"])
     def test_memory_guard_runs_at_its_estimate(self, capsys, monkeypatch, token):
-        need = cli.cohomology_bytes(cli._builtin_instance(token))
+        inst = cli._builtin_instance(token)
+        need = cli.cohomology_bytes(inst, hopf.hochschild_systems(inst))
         monkeypatch.setattr(cli, "memory_budget", lambda: need)
         assert main(["cohomology", "--builtin", token]) == 0
         monkeypatch.setattr(cli, "memory_budget", lambda: need - 1)
@@ -800,7 +802,7 @@ class TestInstanceFiles:
         leftM[0, 4, 8] = 1e-12  # b at point 0, m at 1, the product at 2
         noisy = dataclasses.replace(inst, leftM=leftM)
         assert 0 < noisy.data_report()["max"] <= 1e-10
-        A, rows, cols = hopf.hochschild_system(noisy)
+        (A, rows, cols), _ = hopf.hochschild_systems(noisy)
         assert {s[0] for s in hopf.component_shapes(A, rows, cols)} == {1}
         path = tmp_path / "noisy.json"
         path.write_text(hopf.dump_instance(noisy))

@@ -14,21 +14,23 @@ on C[Z_n] the dimensions of the group-cohomology enumerator.
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from ncgauge import hopf
+from ncgauge import cli, hopf
 from ncgauge.hopf import (
     ConvolutionElement,
     brute_force_group_z1,
     conv_star,
     cycle_instance,
     function_instance,
+    hochschild_systems,
     jet_instance,
     solve_hochschild_space,
 )
-from test_hopf_op import translations_on_s3
+from test_hopf_op import solve, translations_on_s3
 
 
 def nullspace(A, tol=1e-9):
@@ -124,7 +126,7 @@ def instance(token):
 def test_matches_the_dense_solver(token, prolongable):
     inst = instance(token)
     n_c = inst.H.dim * inst.dimM
-    sol = solve_hochschild_space(inst, prolongable=prolongable)
+    sol = solve(inst, prolongable)
     Z, B = (vectors(sol[key], n_c) for key in ("basis", "coboundary_basis"))
     Z_ref, B_ref = dense_solve(inst, prolongable)
     P_Z, P_B = projector(Z), projector(B)
@@ -136,13 +138,13 @@ def test_matches_the_dense_solver(token, prolongable):
     # every coboundary is a cocycle
     assert np.abs(P_Z @ P_B - P_B).max(initial=0.0) <= 1e-9
     if not token.startswith("translations"):  # H is C[Z_n]
-        bf = brute_force_group_z1(inst)
+        bf = brute_force_group_z1(inst, sol["central_basis"])
         assert (sol["dim_Z"], sol["dim_B"], sol["dim_H"]) == (bf["dim_Z"], bf["dim_B"], bf["dim_H"])
 
 
 def test_dimensions_are_not_all_zero():
     # the comparison above is not vacuous: jet and function carry cocycles
-    dims = {token: solve_hochschild_space(instance(token))["dim_Z"]
+    dims = {token: solve(instance(token))["dim_Z"]
             for token in ("jet:8", "function:8", "translations:6")}
     assert dims == {"jet:8": 28, "function:8": 7, "translations:6": 5}
 
@@ -151,13 +153,17 @@ def test_dimensions_are_not_all_zero():
 @pytest.mark.parametrize("token", [f"{kind}:{n}" for kind in ("jet", "cycle") for n in range(2, 7)])
 def test_dimensions_do_not_depend_on_the_basis_of_the_central_elements(monkeypatch, token, prolongable):
     inst = instance(token)
-    want = solve_hochschild_space(inst, prolongable=prolongable)
-    basis = hopf._central_sa_basis(inst)
+    systems = hochschild_systems(inst, prolongable)
+    want = solve_hochschild_space(inst, systems)
+    # the basis the solver uses at this order: at second order, cut to its
+    # graded-central part
+    basis = want["central_basis"]
     k = basis.shape[1]
     rotation, _ = np.linalg.qr(np.random.default_rng(k).standard_normal((k, k)))
-    # the same Z_B(M)_sa, in another real-orthonormal basis
-    monkeypatch.setattr(hopf, "_central_sa_basis", lambda inst: basis @ rotation)
-    got = solve_hochschild_space(inst, prolongable=prolongable)
+    # the same space, in another real-orthonormal basis
+    monkeypatch.setattr(hopf, "_central_sa_basis", lambda inst, central: basis @ rotation)
+    got = solve_hochschild_space(inst, systems)
+    assert np.array_equal(got["central_basis"], basis @ rotation)
     dims = ("dim_Z", "dim_B", "dim_H")
     assert [got[key] for key in dims] == [want[key] for key in dims]
 
@@ -191,15 +197,75 @@ def test_prolongable_coboundaries_come_from_the_graded_central_subspace(monkeypa
     inst = dataclasses.replace(inst, wedge=wedge)
     W = nullspace(np.vstack([(ms @ alpha).real, (ms @ alpha).imag])).T @ ms
     want = projector(images(W).T)
-    assert 0 < round(np.trace(want)) < solve_hochschild_space(inst)["dim_B"]
-    if rotated:
-        basis = hopf._central_sa_basis(inst)
+    assert 0 < round(np.trace(want)) < solve(inst)["dim_B"]
+    systems = hochschild_systems(inst, prolongable=True)
+    if rotated:  # the graded-central basis the solver uses at second order
+        basis = hopf._central_sa_basis(inst, systems[1])
         rotation, _ = np.linalg.qr(np.random.default_rng(4).standard_normal((basis.shape[1],) * 2))
-        monkeypatch.setattr(hopf, "_central_sa_basis", lambda inst: basis @ rotation)
-    sol = solve_hochschild_space(inst, prolongable=True)
+        monkeypatch.setattr(hopf, "_central_sa_basis", lambda inst, central: basis @ rotation)
+    sol = solve_hochschild_space(inst, systems)
     got = projector(vectors(sol["coboundary_basis"], dH * dM))
     assert sol["dim_B"] == round(np.trace(want))
     assert np.abs(got - want).max() <= 1e-9
+
+
+def test_second_order_is_solved_within_the_first_order_peak():
+    # the graded-central cut of Z_B(M)_sa is one more block of rows of the
+    # central system; taken from a dense array of graded commutators, it
+    # peaked at 792 MiB on jet:32 against 58 MiB at first order.  The
+    # dense reference would hold 8 GiB here: the dimensions are checked
+    # against first order and the enumerator on the cut basis
+    inst = jet_instance(32)
+    peaks, dims = {}, {}
+    for prolongable in (False, True):
+        tracemalloc.start()
+        try:
+            sol = solve(inst, prolongable)
+            peaks[prolongable] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bf = brute_force_group_z1(inst, sol["central_basis"])
+        dims[prolongable] = (sol["dim_Z"], sol["dim_B"], bf["dim_Z"], bf["dim_B"])
+    assert peaks[True] <= 1.25 * peaks[False], peaks
+    assert dims[True] == dims[False] == (124, 124, 124, 124)
+
+
+@pytest.mark.parametrize("token", ["jet:5", "cycle:8"])
+def test_a_cohomology_run_builds_and_factors_each_system_once(monkeypatch, capsys, token):
+    # the guard, the solver and the enumerator share one build of each
+    # system, and the stacks the solver factors are those the guard counted
+    calls, counted, factored, inside = {"_system": 0, "_sparse_nullspace": 0}, [], [], []
+    system, sparse_nullspace = hopf._system, hopf._sparse_nullspace
+    nullspaces, component_shapes = hopf._nullspaces, hopf.component_shapes
+
+    def build(*args):
+        calls["_system"] += 1
+        return system(*args)
+
+    def factor(*args):
+        calls["_sparse_nullspace"] += 1
+        inside.append(True)
+        try:
+            return sparse_nullspace(*args)
+        finally:
+            inside.pop()
+
+    def stack(A, bound):
+        if inside:
+            factored.append(A.shape)
+        return nullspaces(A, bound)
+
+    def count(*args):
+        shapes = component_shapes(*args)
+        counted.extend(shapes)
+        return shapes
+
+    for name, wrapper in (("_system", build), ("_sparse_nullspace", factor),
+                          ("_nullspaces", stack), ("component_shapes", count)):
+        monkeypatch.setattr(hopf, name, wrapper)
+    assert cli.main(["cohomology", "--builtin", token]) == 0
+    assert calls == {"_system": 2, "_sparse_nullspace": 2}
+    assert factored == counted and counted
 
 
 def unmoved(i):
@@ -208,10 +274,9 @@ def unmoved(i):
 
 
 def systems(inst):
-    """The solver's three systems, each (A, rows, cols)."""
-    return {"first_order": hopf.hochschild_system(inst),
-            "prolongable": hopf.hochschild_system(inst, prolongable=True),
-            "central": hopf.central_system(inst)}
+    """The solver's systems at both orders, each (A, rows, cols)."""
+    (first, central), (prolongable, graded) = (hochschild_systems(inst, p) for p in (False, True))
+    return {"first_order": first, "prolongable": prolongable, "central": central, "graded_central": graded}
 
 
 @pytest.mark.parametrize("token", [f"{kind}:{n}" for kind in MAKERS for n in range(2, 9)])
@@ -263,7 +328,7 @@ def test_a_system_invariant_up_to_rounding_is_read_on_its_least_rows():
     # entries of 1e-12 in an orbit of rows that holds none otherwise: in its
     # least row, whose images hold no entry, and in the next: the blocks
     # read each orbit at its least row, whatever the pattern of entries
-    A, rows, cols = hopf.hochschild_system(instance("jet:4"))
+    (A, rows, cols), _ = hochschild_systems(instance("jet:4"))
     dense = A.dense()
     x = np.flatnonzero(np.abs(dense).max(axis=1) == 0)[:1]  # least in its orbit
     dense[x, 0], dense[rows(x), 1] = 1e-12, 2e-12
@@ -277,7 +342,7 @@ def test_a_system_invariant_up_to_rounding_is_read_on_its_least_rows():
 def test_the_largest_block_is_one_character_of_a_component(token, shape):
     # without the symmetry the solver factored 256 x 64 blocks on cycle:8
     # and 50 x 25 on jet:5
-    A, rows, cols = hopf.hochschild_system(instance(token))
+    (A, rows, cols), _ = hochschild_systems(instance(token))
     n = int(token[-1])
     # every component stacks its n characters
     assert {s[0] for s in hopf.component_shapes(A, rows, cols)} == {n}
@@ -290,11 +355,11 @@ def test_the_largest_block_is_one_character_of_a_component(token, shape):
 def test_an_instance_without_its_symmetry_has_the_same_dimensions(monkeypatch):
     # the trivial symmetry factors the connected components themselves
     tokens = ("function:6", "cycle:6", "jet:6")
-    want = {(token, p): solve_hochschild_space(instance(token), p) for token in tokens for p in (False, True)}
+    want = {(token, p): solve(instance(token), p) for token in tokens for p in (False, True)}
     system = hopf._system
     monkeypatch.setattr(hopf, "_system", lambda *args: (system(*args)[0], unmoved, unmoved))
     for (token, prolongable), sol in want.items():
-        got = solve_hochschild_space(instance(token), prolongable)
+        got = solve(instance(token), prolongable)
         assert [got[k] for k in ("dim_Z", "dim_B", "dim_H")] == [sol[k] for k in ("dim_Z", "dim_B", "dim_H")]
 
 
@@ -320,8 +385,10 @@ def test_the_solver_finds_the_point_translation(token):
     row_axes = {"first_order": [("hkm", (h, g, m)), ("hbm", (h, b, m))],
                 "prolongable": [("hkm", (h, g, m)), ("hbm", (h, b, m))]
                 + ([("hmo", (h, m, o))] if inst.wedge is not None else []),
-                "central": [("bm", (b, m))]}
-    col_axes = {"first_order": ("hm", (h, m)), "prolongable": ("hm", (h, m)), "central": ("m", (m,))}
+                "central": [("bm", (b, m))],
+                "graded_central": [("bm", (b, m))] + ([("hmo", (h, m, o))] if inst.wedge is not None else [])}
+    col_axes = {"first_order": ("hm", (h, m)), "prolongable": ("hm", (h, m)),
+                "central": ("m", (m,)), "graded_central": ("m", (m,))}
     for name, (A, rows, cols) in systems(inst).items():
         offsets = np.cumsum([0] + [math.prod(shape) for _, shape in row_axes[name]])
         want = np.concatenate([o + moved_positions(*axes, perms) for o, axes in zip(offsets, row_axes[name])])
@@ -329,9 +396,9 @@ def test_the_solver_finds_the_point_translation(token):
         assert np.array_equal(cols(np.arange(A.shape[1])), moved_positions(*col_axes[name], perms)), name
     # the character blocks stay those of the declared translation
     if token == "cycle:8":
-        assert hopf.component_shapes(*hopf.hochschild_system(inst)) == [(8, 32, 8)] * 2
+        assert hopf.component_shapes(*hochschild_systems(inst)[0]) == [(8, 32, 8)] * 2
     if token == "jet:5":
-        assert hopf.component_shapes(*hopf.hochschild_system(inst)) == [(5, 10, 5)] * 4
+        assert hopf.component_shapes(*hochschild_systems(inst)[0]) == [(5, 10, 5)] * 4
 
 
 def scaled_leftM(token):
@@ -354,5 +421,5 @@ def test_a_system_that_is_not_exactly_invariant_is_solved_on_whole_components(to
             assert np.array_equal(cols(np.arange(A.shape[1])), np.arange(A.shape[1])), name
         assert {s[0] for s in hopf.component_shapes(A, rows, cols)} <= {1}, name
     for prolongable in (False, True):
-        got, want = (solve_hochschild_space(x, prolongable) for x in (inst, instance(token)))
+        got, want = (solve(x, prolongable) for x in (inst, instance(token)))
         assert [got[k] for k in ("dim_Z", "dim_B", "dim_H")] == [want[k] for k in ("dim_Z", "dim_B", "dim_H")]
